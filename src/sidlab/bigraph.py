@@ -225,9 +225,6 @@ class ColoredBigraph:
     def colors(self) -> dict[tuple[str, str], int]:
         return dict(self.edge_colors)
 
-    def color_of(self, edge: tuple[str, str]) -> int:
-        return self.colors[edge]
-
     def color_set(self) -> tuple[int, ...]:
         return tuple(sorted({c for _, c in self.edge_colors}))
 
@@ -262,9 +259,6 @@ class ColoredBigraph:
     def induced(self, u: Iterable[str]) -> "ColoredBigraph":
         g = induced_subgraph(self.graph, u)
         return ColoredBigraph(g, {e: self.colors[e] for e in g.edges})
-
-    def recolor(self, mapping: Mapping[tuple[str, str], int]) -> "ColoredBigraph":
-        return ColoredBigraph(self.graph, mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -104,9 +104,6 @@ class StepBigraphon:
     def is_left_regular(self, tol: float = 1e-9) -> bool:
         return bool(np.abs(self.row_marginals() - self.edge_density()).max(initial=0.0) < tol)
 
-    def is_right_regular(self, tol: float = 1e-9) -> bool:
-        return bool(np.abs(self.col_marginals() - self.edge_density()).max(initial=0.0) < tol)
-
     def is_biregular(self, tol: float = 1e-9) -> bool:
         return self.marginal_residual() < tol
 

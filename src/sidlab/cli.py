@@ -47,9 +47,7 @@ EXIT_NOT_FOUND = 2
 EXIT_VIOLATED = 3
 EXIT_PRECONDITION = 4
 
-TEST_PROPERTIES = ("sidorenko", "strong-sidorenko", "induced-sidorenko",
-                   "weak-norming", "left-weak-holder", "color-sidorenko",
-                   "cs-tree", "jensen", "color-restriction")
+TEST_PROPERTIES = {p.cli: p for p in testers.PROPERTIES.values() if p.cli}
 CHECKERS = ("largeright", "conlonlee", "orbits", "rtd")
 
 
@@ -74,10 +72,6 @@ class RunConfig:
             raise UsageError("tol must lie in (0, 1)")
         if self.budget < 1:
             raise UsageError("budget must be positive")
-
-    def tester_kwargs(self) -> dict:
-        return dict(trials=self.trials, grid=self.grid, seed=self.seed,
-                    tol=self.tol)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,8 +139,9 @@ def build_parser() -> _Parser:
     cert.add_argument("graph")
     cert.add_argument("--mode", choices=("left", "edge"), required=True)
     cert.add_argument("--pool", choices=("all", "reflection"), default="all")
+    # a string default is converted by type=int only when certify is parsed
     cert.add_argument("--budget", type=int,
-                      default=int(os.environ.get("SIDLAB_BUDGET", DEFAULT_BUDGET)))
+                      default=os.environ.get("SIDLAB_BUDGET", DEFAULT_BUDGET))
     cert.add_argument("-o", "--output", default=None)
 
     tst = sub.add_parser("test", help="run a randomized inequality tester")
@@ -217,44 +212,34 @@ def _cmd_certify(args) -> int:
     return EXIT_OK
 
 
+def _kept_colors(args) -> list[int]:
+    if args.colors is None:
+        raise UsageError(f"{args.property} needs --colors")
+    return [int(c) for c in args.colors.split(",") if c]
+
+
+# how `sidlab test` reads each tester option, and builds each kind of input
+_TEST_OPTIONS = {"grid": lambda args: args.grid, "preset": lambda args: args.preset,
+                 "n": lambda args: args.n, "colors": _kept_colors}
+_TEST_INPUTS = {
+    "plain": lambda obj, prop: _plain_graph(obj),
+    "colored": _colored_graph,
+    "fractional": lambda obj, prop: from_right_uniform(_colored_graph(obj, prop)),
+}
+
+
 def _cmd_test(args) -> int:
-    prop = args.property
-    cfg = RunConfig(trials=args.trials, grid=args.grid, seed=args.seed,
-                    tol=args.tol).tester_kwargs()
-    if prop == "jensen":
-        report = testers.test_inductive_jensen(args.n, trials=args.trials,
-                                               seed=args.seed, tol=args.tol)
-    else:
+    prop = TEST_PROPERTIES[args.property]
+    cfg = RunConfig(trials=args.trials, grid=args.grid, seed=args.seed, tol=args.tol)
+    obj = None
+    if prop.cli_input != "none":
         if args.graph is None:
-            raise UsageError(f"{prop} requires a graph file")
+            raise UsageError(f"{args.property} requires a graph file")
         obj = _load_graph(args.graph)
-        if prop == "sidorenko":
-            report = testers.test_sidorenko(_plain_graph(obj), preset=args.preset, **cfg)
-        elif prop == "strong-sidorenko":
-            report = testers.test_strong_sidorenko(_plain_graph(obj),
-                                                   preset=args.preset, **cfg)
-        elif prop == "induced-sidorenko":
-            report = testers.test_induced_sidorenko(_plain_graph(obj),
-                                                    preset=args.preset, **cfg)
-        elif prop == "weak-norming":
-            report = testers.test_weakly_norming(_plain_graph(obj),
-                                                 preset=args.preset, **cfg)
-        elif prop == "left-weak-holder":
-            report = testers.test_left_weak_holder(
-                _colored_graph(obj, prop), preset=args.preset, **cfg)
-        elif prop == "color-sidorenko":
-            h = from_right_uniform(_colored_graph(obj, prop))
-            report = testers.test_color_sidorenko(h, preset=args.preset, **cfg)
-        elif prop == "cs-tree":
-            report = testers.test_cs_tree(_plain_graph(obj), preset=args.preset, **cfg)
-        elif prop == "color-restriction":
-            if args.colors is None:
-                raise UsageError("color-restriction needs --colors")
-            keep = [int(c) for c in args.colors.split(",") if c]
-            report = testers.test_color_restriction_trials(
-                _colored_graph(obj, prop), keep, **cfg)
-        else:  # pragma: no cover
-            raise UsageError(f"unknown property {prop}")
+    params = {opt: _TEST_OPTIONS[opt](args) for opt in prop.cli_options}
+    inputs = [] if obj is None else [_TEST_INPUTS[prop.cli_input](obj, args.property)]
+    report = getattr(testers, prop.tester)(*inputs, trials=cfg.trials, seed=cfg.seed,
+                                           tol=cfg.tol, **params)
     _write_json(testers.report_to_json(report), args.output)
     return EXIT_OK if report.holds else EXIT_VIOLATED
 

@@ -6,6 +6,11 @@ inequality at a relative tolerance, and reports the worst margin seen. A
 violated verdict embeds a witness payload that replays to the same margin.
 Numeric verdicts validate or falsify; they never certify an inequality
 universally, and reports say so.
+
+Each inequality is one entry of PROPERTIES: its tester (the precondition
+and per-trial sampler it hands to the one trial runner), its margin and its
+witness codec. `replay_witness` decodes a witness with its entry's codec and
+`sidlab test` dispatches on the table.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +39,7 @@ from .bigraphon import (
     sinkhorn_biregularize,
 )
 from .density import colored_density, density, weighted_density
-from .folds import Fold, check_fold, fold_from_json, fold_to_json
+from .folds import Fold, check_fold, enumerate_folds, fold_from_json, fold_to_json
 from .fractional import (
     ColoredFractionalBigraph,
     batch_profile_log_densities,
@@ -46,6 +51,8 @@ from .fractional import (
 __all__ = [
     "TestReport",
     "NUMERIC_DISCLAIMER",
+    "Property",
+    "PROPERTIES",
     "test_sidorenko",
     "test_strong_sidorenko",
     "test_weak_domination",
@@ -101,45 +108,141 @@ def report_to_json(report: TestReport) -> dict:
     return asdict(report)
 
 
+# ---------------------------------------------------------------------------
+# the property table's shape and the trial runner
+
+
+@dataclass(frozen=True)
+class Property:
+    """One inequality under test.
+
+    tester names its public test function, which checks the input, defines
+    the per-trial sampler and hands both to the runner. An instance is the
+    arguments of margin; witness gives each argument's JSON key and (encode,
+    decode) codec. cli_input is what `sidlab test` loads (plain, colored,
+    fractional or none); cli_options are the options it passes to tester.
+    """
+
+    name: str
+    cli: Optional[str]
+    cli_input: Optional[str]
+    cli_options: tuple[str, ...]
+    tester: str
+    margin: Callable[..., float]
+    witness: tuple[tuple[str, tuple[Callable, Callable]], ...]
+
+    def encode(self, instance: tuple) -> dict:
+        return {key: codec[0](value)
+                for (key, codec), value in zip(self.witness, instance)}
+
+    def decode(self, payload: Mapping) -> tuple:
+        return tuple(codec[1](payload[key]) for key, codec in self.witness)
+
+
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(trial)])
 
 
-def _sample_bigraphon(rng: np.random.Generator, grid: int, preset: str = "uniform",
-                      floor: float = 1e-3) -> StepBigraphon:
-    rows = int(rng.integers(1, grid + 1))
-    cols = int(rng.integers(1, grid + 1))
+def _report(name: str, margin: float, instance: tuple, trials: int, seed: int,
+            tol: float, skipped: int = 0, **trial) -> TestReport:
+    if margin < -tol:
+        witness = {"property": name, **trial, "margin": margin,
+                   **PROPERTIES[name].encode(instance)}
+        return TestReport(name, VIOLATED, trials, margin, witness, seed, tol, skipped)
+    return TestReport(name, HOLDS, trials, margin, None, seed, tol, skipped)
+
+
+def _run(name: str, sample: Callable[[np.random.Generator], tuple], trials: int,
+         seed: int, tol: float) -> TestReport:
+    """The trial loop. sample draws a trial's instance from the trial's own
+    stream; a sample that Sinkhorn cannot biregularize skips the trial. Only
+    the worst trial (the first on ties) is kept, and its witness is encoded
+    only when it violates."""
+    margin = PROPERTIES[name].margin
+    worst = None
+    tried = skipped = 0
+    for trial in range(trials):
+        try:
+            instance = sample(_trial_rng(seed, trial))
+        except SinkhornError:
+            skipped += 1
+            continue
+        m = margin(*instance)
+        tried += 1
+        if worst is None or m < worst[0]:
+            worst = (m, trial, instance)
+    if worst is None:
+        return TestReport(name, HOLDS, 0, 0.0, None, seed, tol, skipped)
+    m, trial, instance = worst
+    return _report(name, m, instance, tried, seed, tol, skipped, trial=trial)
+
+
+def _single_report(name: str, instance: tuple, tol: float) -> TestReport:
+    """Check one given instance; the report counts it as one trial."""
+    return _report(name, PROPERTIES[name].margin(*instance), instance, 1, 0, tol)
+
+
+def _precondition_report(name: str, reason: str, seed: int, tol: float) -> TestReport:
+    witness = {"property": name, "precondition": reason}
+    return TestReport(name, VIOLATED, 0, -1.0, witness, seed, tol,
+                      note="precondition failed; " + NUMERIC_DISCLAIMER)
+
+
+# ---------------------------------------------------------------------------
+# shared samplers and codecs
+
+
+def _draw_values(rng: np.random.Generator, rows: int, cols: int, preset: str,
+                 floor: float = 1e-3) -> np.ndarray:
     if preset == "adversarial" and rng.random() < 0.5:
-        vals = np.where(rng.random((rows, cols)) < 0.5, floor, 1.0)
-    else:
-        vals = rng.uniform(floor, 1.0, size=(rows, cols))
-    return StepBigraphon.uniform(vals)
+        return np.where(rng.random((rows, cols)) < 0.5, floor, 1.0)
+    return rng.uniform(floor, 1.0, size=(rows, cols))
 
 
 def _sample_tuple(rng: np.random.Generator, grid: int, colors: Sequence[int],
-                  preset: str = "uniform", floor: float = 1e-3) -> BigraphonTuple:
+                  preset: str = "uniform") -> BigraphonTuple:
     rows = int(rng.integers(1, grid + 1))
     cols = int(rng.integers(1, grid + 1))
-    parts = {}
-    for c in sorted(colors):
-        if preset == "adversarial" and rng.random() < 0.5:
-            vals = np.where(rng.random((rows, cols)) < 0.5, floor, 1.0)
-        else:
-            vals = rng.uniform(floor, 1.0, size=(rows, cols))
-        parts[c] = StepBigraphon.uniform(vals)
-    return BigraphonTuple(parts)
+    return BigraphonTuple({c: StepBigraphon.uniform(_draw_values(rng, rows, cols, preset))
+                           for c in sorted(colors)})
 
 
-def _finish(name: str, margins: list[float], witnesses: list[Optional[dict]],
-            seed: int, tol: float, skipped: int = 0) -> TestReport:
-    if not margins:
-        return TestReport(name, HOLDS, 0, 0.0, None, seed, tol, skipped)
-    worst = min(range(len(margins)), key=lambda i: margins[i])
-    if margins[worst] < -tol:
-        return TestReport(name, VIOLATED, len(margins), margins[worst],
-                          witnesses[worst], seed, tol, skipped)
-    return TestReport(name, HOLDS, len(margins), margins[worst], None,
-                      seed, tol, skipped)
+def _sample_bigraphon(rng: np.random.Generator, grid: int, preset: str) -> StepBigraphon:
+    # a one-color tuple, so both samplers draw in one order
+    return _sample_tuple(rng, grid, (0,), preset)[0]
+
+
+def _random_labels(rng: np.random.Generator, keys: Sequence,
+                   most: int) -> tuple[int, dict]:
+    """Draw n from 1..most, then a label in 1..n for every key."""
+    n = int(rng.integers(1, most + 1))
+    return n, {k: int(c) for k, c in zip(keys, rng.integers(1, n + 1, size=len(keys)))}
+
+
+# Witness field codecs, (to JSON, from JSON). Functions are looked up at call
+# time, as testers are by name, so wrappers installed on the module functions
+# (the benchmark's tracer) see every call.
+_GRAPH = (lambda g: to_json_dict(g), lambda d: from_json_dict(d))
+_GRAPHON = (lambda w: bigraphon_to_json(w), lambda d: bigraphon_from_json(d))
+_TUPLE = (lambda ws: {str(c): bigraphon_to_json(w) for c, w in ws.parts},
+          lambda d: BigraphonTuple({int(c): bigraphon_from_json(w)
+                                    for c, w in d.items()}))
+_FRACTIONAL = (lambda h: fractional_to_json(h), lambda d: fractional_from_json(d))
+_FOLDS = (lambda folds: [fold_to_json(f) for f in folds],
+          lambda d: [fold_from_json(f) for f in d])
+_COLORING = (lambda coloring: [[list(e), c] for e, c in sorted(coloring.items())],
+             lambda d: {tuple(e): int(c) for e, c in d})
+_PROFILE = (lambda profile: [[sorted(s), c] for s, c in sorted(
+                profile.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))],
+            lambda d: {frozenset(s): c for s, c in d})
+_LABELS = (lambda labels: dict(sorted(labels.items())),
+           lambda d: {v: int(t) for v, t in d.items()})
+_VECTOR_MAP = (lambda vecs: {v: list(vec) for v, vec in sorted(vecs.items())},
+               lambda d: {v: np.asarray(vec) for v, vec in d.items()})
+_VECTORS = (lambda vecs: [list(vec) for vec in vecs],
+            lambda d: [np.asarray(vec) for vec in d])
+_VECTOR = (list, np.asarray)
+_LIST = (list, list)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +256,8 @@ def _sidorenko_margin(g: Bigraph, w: StepBigraphon) -> float:
 def test_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4, seed: int = 0,
                    tol: float = 1e-9, preset: str = "uniform") -> TestReport:
     """Check t(G, W) >= t(rho, W)^{e(G)} on random step bigraphons."""
-    margins, witnesses = [], []
-    for trial in range(trials):
-        w = _sample_bigraphon(_trial_rng(seed, trial), grid, preset)
-        m = _sidorenko_margin(g, w)
-        margins.append(m)
-        witnesses.append({"property": "sidorenko", "trial": trial, "margin": m,
-                          "graph": to_json_dict(g), "bigraphon": bigraphon_to_json(w)})
-    return _finish("sidorenko", margins, witnesses, seed, tol)
+    return _run("sidorenko", lambda rng: (g, _sample_bigraphon(rng, grid, preset)),
+                trials, seed, tol)
 
 
 def _strong_sidorenko_margin(g: Bigraph, w: StepBigraphon,
@@ -185,20 +282,13 @@ def test_strong_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4,
     density of the (1/e)-power products."""
     if g.e == 0:
         raise ValueError("strong Sidorenko needs at least one edge")
-    margins, witnesses = [], []
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+
+    def sample(rng):
         w = _sample_bigraphon(rng, grid, preset)
         fs = {v: rng.uniform(1e-3, 1.0, size=w.rows) for v in g.left}
         gs = {u: rng.uniform(1e-3, 1.0, size=w.cols) for u in g.right}
-        m = _strong_sidorenko_margin(g, w, fs, gs)
-        margins.append(m)
-        witnesses.append({
-            "property": "strong-sidorenko", "trial": trial, "margin": m,
-            "graph": to_json_dict(g), "bigraphon": bigraphon_to_json(w),
-            "f": {v: list(vec) for v, vec in sorted(fs.items())},
-            "g": {u: list(vec) for u, vec in sorted(gs.items())}})
-    return _finish("strong-sidorenko", margins, witnesses, seed, tol)
+        return g, w, fs, gs
+    return _run("strong-sidorenko", sample, trials, seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -218,21 +308,9 @@ def test_weak_domination(g: Bigraph, h: Bigraph, trials: int = 200, grid: int = 
                          preset: str = "uniform") -> TestReport:
     """Check t(g,W)/t(rho,W)^{e(g)} >= t(h,W)/t(rho,W)^{e(h)} on
     Sinkhorn-biregularized positive samples; Sinkhorn failures skip the trial."""
-    margins, witnesses = [], []
-    skipped = 0
-    for trial in range(trials):
-        w = _sample_bigraphon(_trial_rng(seed, trial), grid, preset)
-        try:
-            w = sinkhorn_biregularize(w)
-        except SinkhornError:
-            skipped += 1
-            continue
-        m = _weak_domination_margin(g, h, w)
-        margins.append(m)
-        witnesses.append({"property": "weak-domination", "trial": trial, "margin": m,
-                          "graph": to_json_dict(g), "other": to_json_dict(h),
-                          "bigraphon": bigraphon_to_json(w)})
-    return _finish("weak-domination", margins, witnesses, seed, tol, skipped)
+    def sample(rng):
+        return g, h, sinkhorn_biregularize(_sample_bigraphon(rng, grid, preset))
+    return _run("weak-domination", sample, trials, seed, tol)
 
 
 def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
@@ -285,56 +363,44 @@ def _profile_edge_count(profile: Mapping[frozenset, float]) -> float:
     return sum(len(s) * c for s, c in profile.items())
 
 
+def _own_profile(g: Bigraph) -> dict[frozenset, int]:
+    """g's own right-neighborhood profile (isolated right vertices dropped)."""
+    return dict(Counter(frozenset(g.neighbors(w)) for w in g.right
+                        if g.degree(w) > 0))
+
+
+def _induced_margin(g: Bigraph, w: StepBigraphon,
+                    profile: Mapping[frozenset, int]) -> float:
+    # the two-row batch shape is the same in the tester and in replay, so a
+    # shipped witness reproduces the margin bit for bit
+    logs = batch_profile_log_densities(g.left, [_own_profile(g), profile], w)
+    log_rho = math.log(w.edge_density())
+    return math.expm1((logs[0] - g.e * log_rho)
+                      - (logs[1] - _profile_edge_count(profile) * log_rho))
+
+
 def test_induced_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4,
                            seed: int = 0, tol: float = 1e-9,
                            preset: str = "uniform") -> TestReport:
     """Weak domination of every induced subgraph class, batched per trial."""
     profiles = induced_subgraph_profiles(g)
-    own_profile = dict(Counter(frozenset(g.neighbors(w)) for w in g.right
-                               if g.degree(w) > 0))
-    batch = [own_profile] + profiles
-    e_own = _profile_edge_count(own_profile)
-    assert e_own == g.e
-    e_counts = [_profile_edge_count(p) for p in profiles]
+    batch = [_own_profile(g)] + profiles
+    assert _profile_edge_count(batch[0]) == g.e
+    e_counts = np.array([_profile_edge_count(p) for p in profiles])
 
-    margins, witnesses = [], []
-    skipped = 0
-    for trial in range(trials):
-        w = _sample_bigraphon(_trial_rng(seed, trial), grid, preset)
-        try:
-            w = sinkhorn_biregularize(w)
-        except SinkhornError:
-            skipped += 1
-            continue
+    def sample(rng):
+        # every class is scored in one batch; the trial's instance is the worst
+        w = sinkhorn_biregularize(_sample_bigraphon(rng, grid, preset))
         logs = batch_profile_log_densities(g.left, batch, w)
         log_rho = math.log(w.edge_density())
         base = logs[0] - g.e * log_rho
-        normalized = logs[1:] - np.array(e_counts) * log_rho
-        worst = int(np.argmin(base - normalized))
-        # recompute the worst pair in the two-row shape the replay uses,
-        # so a shipped witness reproduces the margin bit for bit
-        pair_logs = batch_profile_log_densities(
-            g.left, [own_profile, profiles[worst]], w)
-        m = math.expm1(float((pair_logs[0] - g.e * log_rho)
-                             - (pair_logs[1] - e_counts[worst] * log_rho)))
-        margins.append(m)
-        witnesses.append({
-            "property": "induced-sidorenko", "trial": trial, "margin": m,
-            "graph": to_json_dict(g), "bigraphon": bigraphon_to_json(w),
-            "profile": [[sorted(s), c] for s, c in
-                        sorted(profiles[worst].items(),
-                               key=lambda kv: (len(kv[0]), sorted(kv[0])))]})
-    return _finish("induced-sidorenko", margins, witnesses, seed, tol, skipped)
+        worst = int(np.argmin(base - (logs[1:] - e_counts * log_rho)))
+        return g, w, profiles[worst]
+    return _run("induced-sidorenko", sample, trials, seed, tol)
 
 
 # ---------------------------------------------------------------------------
 # weakly norming and left-weakly Hoelder
-
-
-def _precondition_report(name: str, reason: str, seed: int, tol: float) -> TestReport:
-    witness = {"property": name, "precondition": reason}
-    return TestReport(name, VIOLATED, 0, -1.0, witness, seed, tol,
-                      note="precondition failed; " + NUMERIC_DISCLAIMER)
 
 
 def _weakly_norming_margin(g: Bigraph, coloring: Mapping[tuple, int],
@@ -357,26 +423,15 @@ def test_weakly_norming(g: Bigraph, trials: int = 200, grid: int = 4,
     core = g.without_vertices(g.isolated_vertices())
     if not core.is_biregular():
         return _precondition_report(
-            "weakly-norming", "not biregular after removing isolated vertices",
-            seed, tol)
-    if g.e == 0:
-        return TestReport("weakly-norming", HOLDS, 0, 0.0, None, seed, tol)
-    margins, witnesses = [], []
+            "weakly-norming", "not biregular after removing isolated vertices", seed, tol)
     edges = g.sorted_edges()
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        n_colors = int(rng.integers(1, min(3, g.e) + 1))
-        coloring = {e: int(c) for e, c in
-                    zip(edges, rng.integers(1, n_colors + 1, size=len(edges)))}
-        ws = _sample_tuple(rng, grid, sorted(set(coloring.values())), preset)
-        m = _weakly_norming_margin(g, coloring, ws)
-        margins.append(m)
-        witnesses.append({
-            "property": "weakly-norming", "trial": trial, "margin": m,
-            "graph": to_json_dict(g),
-            "coloring": [[list(e), c] for e, c in sorted(coloring.items())],
-            "tuple": {str(c): bigraphon_to_json(w) for c, w in ws.parts}})
-    return _finish("weakly-norming", margins, witnesses, seed, tol)
+
+    def sample(rng):
+        _, coloring = _random_labels(rng, edges, min(3, g.e))
+        return g, coloring, _sample_tuple(rng, grid, sorted(set(coloring.values())),
+                                          preset)
+    # an edgeless graph satisfies the bound vacuously; it runs no trials
+    return _run("weakly-norming", sample, trials if g.e else 0, seed, tol)
 
 
 def _pair_color(t: int, base_color: int, offset: int) -> int:
@@ -412,30 +467,19 @@ def test_left_weak_holder(h: ColoredBigraph, trials: int = 200, grid: int = 4,
     Left-color-regularity is a necessary condition and is prechecked.
     """
     if not h.is_left_color_regular():
-        return _precondition_report(
-            "left-weak-holder", "not left-color-regular", seed, tol)
+        return _precondition_report("left-weak-holder", "not left-color-regular",
+                                    seed, tol)
     g = h.graph
-    if g.v1 == 0 or g.e == 0:
-        return TestReport("left-weak-holder", HOLDS, 0, 0.0, None, seed, tol)
-    offset = max(h.color_set()) + 1
-    margins, witnesses = [], []
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        n_colors = int(rng.integers(1, 4))
-        ell = {v: int(t) for v, t in
-               zip(g.left, rng.integers(1, n_colors + 1, size=g.v1))}
+
+    def sample(rng):
+        n_colors, ell = _random_labels(rng, g.left, 3)
+        offset = max(h.color_set()) + 1
         pair_colors = sorted({_pair_color(t, c, offset)
                               for t in range(1, n_colors + 1)
                               for c in h.color_set()})
-        ws = _sample_tuple(rng, grid, pair_colors, preset)
-        m = _left_weak_holder_margin(h, ell, ws)
-        margins.append(m)
-        witnesses.append({
-            "property": "left-weak-holder", "trial": trial, "margin": m,
-            "colored": to_json_dict(h),
-            "ell": {v: t for v, t in sorted(ell.items())},
-            "tuple": {str(c): bigraphon_to_json(w) for c, w in ws.parts}})
-    return _finish("left-weak-holder", margins, witnesses, seed, tol)
+        return h, ell, _sample_tuple(rng, grid, pair_colors, preset)
+    # without left vertices or edges the bound holds vacuously; no trials run
+    return _run("left-weak-holder", sample, trials if g.v1 and g.e else 0, seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +498,9 @@ def test_color_sidorenko(h: ColoredFractionalBigraph, trials: int = 200,
     """Check t(h, W) >= t(rho_h, W)^{e(h)} over random tuples."""
     if h.total_edge_mass() <= 0:
         raise ValueError("color-Sidorenko needs e(h) > 0")
-    margins, witnesses = [], []
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        ws = _sample_tuple(rng, grid, h.colors, preset)
-        m = _color_sidorenko_margin(h, ws)
-        margins.append(m)
-        witnesses.append({
-            "property": "color-sidorenko", "trial": trial, "margin": m,
-            "fractional": fractional_to_json(h),
-            "tuple": {str(c): bigraphon_to_json(w) for c, w in ws.parts}})
-    return _finish("color-sidorenko", margins, witnesses, seed, tol)
+    return _run("color-sidorenko",
+                lambda rng: (h, _sample_tuple(rng, grid, h.colors, preset)),
+                trials, seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -510,45 +546,24 @@ def verify_cs_inequality(g: Bigraph, coloring: Mapping[tuple, int],
                          folds: Sequence[Fold], ws: BigraphonTuple,
                          tol: float = 1e-9) -> TestReport:
     """Single-instance check of the geometric-mean bound over the leaf colorings."""
-    m = _cs_margin(g, coloring, folds, ws)
-    witness = None
-    verdict = HOLDS
-    if m < -tol:
-        verdict = VIOLATED
-        witness = {"property": "cs-tree", "margin": m, "graph": to_json_dict(g),
-                   "coloring": [[list(e), c] for e, c in sorted(coloring.items())],
-                   "folds": [fold_to_json(f) for f in folds],
-                   "tuple": {str(c): bigraphon_to_json(w) for c, w in ws.parts}}
-    return TestReport("cs-tree", verdict, 1, m, witness, 0, tol)
+    return _single_report("cs-tree", (g, coloring, folds, ws), tol)
 
 
 def test_cs_tree(g: Bigraph, trials: int = 200, grid: int = 4, seed: int = 0,
                  tol: float = 1e-9, fold_pool: Optional[Sequence[Fold]] = None,
                  max_depth: int = 3, preset: str = "uniform") -> TestReport:
     """Random (coloring, fold sequence, tuple) instances of the leaf bound."""
-    from .folds import enumerate_folds
-
     pool = list(fold_pool) if fold_pool is not None else enumerate_folds(g)
     edges = g.sorted_edges()
-    margins, witnesses = [], []
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        n_colors = int(rng.integers(1, 4))
-        coloring = {e: int(c) for e, c in
-                    zip(edges, rng.integers(1, n_colors + 1, size=len(edges)))}
+
+    def sample(rng):
+        _, coloring = _random_labels(rng, edges, 3)
         depth = int(rng.integers(0, max_depth + 1)) if pool else 0
         folds = [pool[int(i)] for i in rng.integers(0, len(pool), size=depth)] \
             if pool else []
         ws = _sample_tuple(rng, grid, sorted(set(coloring.values())), preset)
-        m = _cs_margin(g, coloring, folds, ws)
-        margins.append(m)
-        witnesses.append({
-            "property": "cs-tree", "trial": trial, "margin": m,
-            "graph": to_json_dict(g),
-            "coloring": [[list(e), c] for e, c in sorted(coloring.items())],
-            "folds": [fold_to_json(f) for f in folds],
-            "tuple": {str(c): bigraphon_to_json(w) for c, w in ws.parts}})
-    return _finish("cs-tree", margins, witnesses, seed, tol)
+        return g, coloring, folds, ws
+    return _run("cs-tree", sample, trials, seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -605,21 +620,16 @@ def test_inductive_jensen(n: int, trials: int = 200, seed: int = 0,
     random positive step functions over a random finite probability space."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    margins, witnesses = [], []
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+
+    def sample(rng):
         size = int(rng.integers(2, 7))
         weights = rng.dirichlet(np.ones(size))
         gvec = rng.uniform(1e-3, 1.0, size=size)
         fvecs = [rng.uniform(1e-3, 1.0, size=size) for _ in range(n)]
         ps = sorted((1.0 + float(x) for x in rng.uniform(0.0, 3.0, size=n)),
                     reverse=True)
-        m = _jensen_margin(weights, gvec, fvecs, ps)
-        margins.append(m)
-        witnesses.append({"property": "jensen", "trial": trial, "margin": m,
-                          "weights": list(weights), "g": list(gvec),
-                          "fs": [list(f) for f in fvecs], "ps": list(ps)})
-    return _finish("jensen", margins, witnesses, seed, tol)
+        return weights, gvec, fvecs, ps
+    return _run("jensen", sample, trials, seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +645,15 @@ def _color_restriction_margin(h: ColoredBigraph, keep: Sequence[int],
     return math.expm1(log_rhs - math.log(lhs))
 
 
+def _kept_colors(h: ColoredBigraph, colors: Iterable[int]) -> list[int]:
+    keep = sorted(set(int(c) for c in colors))
+    if not set(keep) <= set(h.color_set()):
+        raise ValueError("colors must be a subset of the coloring's colors")
+    if not h.is_right_uniform():
+        raise ValueError("colored bigraph must be right-uniform")
+    return keep
+
+
 def test_color_restriction(h: ColoredBigraph, colors: Iterable[int],
                            ws: BigraphonTuple, tol: float = 1e-9) -> TestReport:
     """Single-instance check of the color-restriction quotient bound.
@@ -642,26 +661,14 @@ def test_color_restriction(h: ColoredBigraph, colors: Iterable[int],
     Every dropped color's bigraphon must be left-regular and positive;
     violations of that precondition raise.
     """
-    keep = sorted(set(int(c) for c in colors))
-    if not set(keep) <= set(h.color_set()):
-        raise ValueError("colors must be a subset of the coloring's colors")
-    if not h.is_right_uniform():
-        raise ValueError("colored bigraph must be right-uniform")
+    keep = _kept_colors(h, colors)
     for c in sorted(set(h.color_set()) - set(keep)):
         w = ws[c]
         if np.any(w.values <= 0):
             raise ValueError(f"bigraphon for dropped color {c} must be positive")
         if not w.is_left_regular(tol=1e-8):
             raise ValueError(f"bigraphon for dropped color {c} must be left-regular")
-    m = _color_restriction_margin(h, keep, ws)
-    witness = None
-    verdict = HOLDS
-    if m < -tol:
-        verdict = VIOLATED
-        witness = {"property": "color-restriction", "margin": m,
-                   "colored": to_json_dict(h), "keep_colors": keep,
-                   "tuple": {str(c): bigraphon_to_json(w) for c, w in ws.parts}}
-    return TestReport("color-restriction", verdict, 1, m, witness, 0, tol)
+    return _single_report("color-restriction", (h, keep, ws), tol)
 
 
 def test_color_restriction_trials(h: ColoredBigraph, colors: Iterable[int],
@@ -669,30 +676,20 @@ def test_color_restriction_trials(h: ColoredBigraph, colors: Iterable[int],
                                   tol: float = 1e-9) -> TestReport:
     """Sampled color-restriction checks; dropped colors are left-regularized
     by dividing each row by its marginal before the single-instance check."""
-    keep = sorted(set(int(c) for c in colors))
-    if not h.is_right_uniform():
-        raise ValueError("colored bigraph must be right-uniform")
+    keep = _kept_colors(h, colors)
     dropped = sorted(set(h.color_set()) - set(keep))
-    margins, witnesses = [], []
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        ws = _sample_tuple(rng, grid, h.color_set())
-        parts = ws.as_dict()
+
+    def sample(rng):
+        parts = _sample_tuple(rng, grid, h.color_set()).as_dict()
         for c in dropped:
             w = parts[c]
             parts[c] = w.with_values(w.values / w.row_marginals()[:, None])
-        ws = BigraphonTuple(parts)
-        m = _color_restriction_margin(h, keep, ws)
-        margins.append(m)
-        witnesses.append({
-            "property": "color-restriction", "trial": trial, "margin": m,
-            "colored": to_json_dict(h), "keep_colors": keep,
-            "tuple": {str(c): bigraphon_to_json(w) for c, w in ws.parts}})
-    return _finish("color-restriction", margins, witnesses, seed, tol)
+        return h, keep, BigraphonTuple(parts)
+    return _run("color-restriction", sample, trials, seed, tol)
 
 
 # ---------------------------------------------------------------------------
-# fractional JSON and witness replay
+# fractional JSON, the property table and witness replay
 
 
 def fractional_to_json(h: ColoredFractionalBigraph) -> dict:
@@ -705,59 +702,47 @@ def fractional_from_json(d: Mapping) -> ColoredFractionalBigraph:
     return ColoredFractionalBigraph(d["vertices"], d["colors"], weights)
 
 
-def _tuple_from_json(d: Mapping) -> BigraphonTuple:
-    return BigraphonTuple({int(c): bigraphon_from_json(w) for c, w in d.items()})
+_GRID_PRESET = ("grid", "preset")
+
+PROPERTIES: dict[str, Property] = {p.name: p for p in (
+    Property("sidorenko", "sidorenko", "plain", _GRID_PRESET, "test_sidorenko",
+             _sidorenko_margin, (("graph", _GRAPH), ("bigraphon", _GRAPHON))),
+    Property("strong-sidorenko", "strong-sidorenko", "plain", _GRID_PRESET,
+             "test_strong_sidorenko", _strong_sidorenko_margin,
+             (("graph", _GRAPH), ("bigraphon", _GRAPHON), ("f", _VECTOR_MAP),
+              ("g", _VECTOR_MAP))),
+    # two graphs, and the CLI has no way to name the second one
+    Property("weak-domination", None, None, (), "test_weak_domination",
+             _weak_domination_margin,
+             (("graph", _GRAPH), ("other", _GRAPH), ("bigraphon", _GRAPHON))),
+    Property("induced-sidorenko", "induced-sidorenko", "plain", _GRID_PRESET,
+             "test_induced_sidorenko", _induced_margin,
+             (("graph", _GRAPH), ("bigraphon", _GRAPHON), ("profile", _PROFILE))),
+    Property("weakly-norming", "weak-norming", "plain", _GRID_PRESET,
+             "test_weakly_norming", _weakly_norming_margin,
+             (("graph", _GRAPH), ("coloring", _COLORING), ("tuple", _TUPLE))),
+    Property("left-weak-holder", "left-weak-holder", "colored", _GRID_PRESET,
+             "test_left_weak_holder", _left_weak_holder_margin,
+             (("colored", _GRAPH), ("ell", _LABELS), ("tuple", _TUPLE))),
+    Property("color-sidorenko", "color-sidorenko", "fractional", _GRID_PRESET,
+             "test_color_sidorenko", _color_sidorenko_margin,
+             (("fractional", _FRACTIONAL), ("tuple", _TUPLE))),
+    Property("cs-tree", "cs-tree", "plain", _GRID_PRESET, "test_cs_tree", _cs_margin,
+             (("graph", _GRAPH), ("coloring", _COLORING), ("folds", _FOLDS),
+              ("tuple", _TUPLE))),
+    Property("jensen", "jensen", "none", ("n",), "test_inductive_jensen", _jensen_margin,
+             (("weights", _VECTOR), ("g", _VECTOR), ("fs", _VECTORS), ("ps", _LIST))),
+    Property("color-restriction", "color-restriction", "colored", ("grid", "colors"),
+             "test_color_restriction_trials", _color_restriction_margin,
+             (("colored", _GRAPH), ("keep_colors", _LIST), ("tuple", _TUPLE))),
+)}
 
 
 def replay_witness(witness: Mapping) -> float:
     """Recompute the margin of a violation witness from its payload."""
-    prop = witness["property"]
-    if prop == "sidorenko":
-        return _sidorenko_margin(from_json_dict(witness["graph"]),
-                                 bigraphon_from_json(witness["bigraphon"]))
-    if prop == "strong-sidorenko":
-        return _strong_sidorenko_margin(
-            from_json_dict(witness["graph"]),
-            bigraphon_from_json(witness["bigraphon"]),
-            {v: np.asarray(vec) for v, vec in witness["f"].items()},
-            {u: np.asarray(vec) for u, vec in witness["g"].items()})
-    if prop == "weak-domination":
-        return _weak_domination_margin(from_json_dict(witness["graph"]),
-                                       from_json_dict(witness["other"]),
-                                       bigraphon_from_json(witness["bigraphon"]))
-    if prop == "induced-sidorenko":
-        g = from_json_dict(witness["graph"])
-        w = bigraphon_from_json(witness["bigraphon"])
-        profile = {frozenset(sub): cnt for sub, cnt in witness["profile"]}
-        own = dict(Counter(frozenset(g.neighbors(u)) for u in g.right
-                           if g.degree(u) > 0))
-        logs = batch_profile_log_densities(g.left, [own, profile], w)
-        log_rho = math.log(w.edge_density())
-        return math.expm1((logs[0] - g.e * log_rho)
-                          - (logs[1] - _profile_edge_count(profile) * log_rho))
-    if prop == "weakly-norming":
-        coloring = {tuple(e): int(c) for e, c in witness["coloring"]}
-        return _weakly_norming_margin(from_json_dict(witness["graph"]), coloring,
-                                      _tuple_from_json(witness["tuple"]))
-    if prop == "left-weak-holder":
-        return _left_weak_holder_margin(from_json_dict(witness["colored"]),
-                                        {v: int(t) for v, t in witness["ell"].items()},
-                                        _tuple_from_json(witness["tuple"]))
-    if prop == "color-sidorenko":
-        return _color_sidorenko_margin(fractional_from_json(witness["fractional"]),
-                                       _tuple_from_json(witness["tuple"]))
-    if prop == "cs-tree":
-        coloring = {tuple(e): int(c) for e, c in witness["coloring"]}
-        return _cs_margin(from_json_dict(witness["graph"]), coloring,
-                          [fold_from_json(f) for f in witness["folds"]],
-                          _tuple_from_json(witness["tuple"]))
-    if prop == "jensen":
-        return _jensen_margin(np.asarray(witness["weights"]),
-                              np.asarray(witness["g"]),
-                              [np.asarray(f) for f in witness["fs"]],
-                              list(witness["ps"]))
-    if prop == "color-restriction":
-        return _color_restriction_margin(from_json_dict(witness["colored"]),
-                                         witness["keep_colors"],
-                                         _tuple_from_json(witness["tuple"]))
-    raise ValueError(f"unknown witness property {prop!r}")
+    prop = PROPERTIES.get(witness["property"])
+    if prop is None:
+        raise ValueError(f"unknown witness property {witness['property']!r}")
+    if "precondition" in witness:
+        raise ValueError("precondition witnesses carry no margin")
+    return prop.margin(*prop.decode(witness))

@@ -1,9 +1,10 @@
 """CLI tests: construction, certification, testing, checking, exit codes."""
 
 import json
+from pathlib import Path
 
 from sidlab.bigraph import from_json_dict
-from sidlab.cli import main
+from sidlab.cli import TEST_PROPERTIES, main
 from sidlab.percolation import certificate_from_json, verify_certificate
 
 
@@ -170,6 +171,10 @@ def test_test_color_properties(tmp_path):
     assert main(["test", "color-restriction", str(colored), "--colors", "2",
                  "--trials", "20"]) == 0
     assert main(["test", "color-restriction", str(colored)]) == 1  # no --colors
+    # kept colors outside the coloring's colors {1, 2}
+    for colors in ("3", "9", "1,3"):
+        assert main(["test", "color-restriction", str(colored), "--colors", colors,
+                     "--trials", "4"]) == 1
 
 
 def test_test_cs_tree_and_jensen(tmp_path):
@@ -184,6 +189,28 @@ def test_test_induced_sidorenko(tmp_path):
     assert main(["test", "induced-sidorenko", str(gpath), "--trials", "30",
                  "--tol", "1e-8", "-o", str(rpath)]) == 0
     assert read_json(rpath)["verdict"] == "holds-on-all-trials"
+
+
+README_OPTIONS = ("grid", "preset", "n", "colors")
+README_INPUTS = {"plain": "bigraph (edge colors ignored)",
+                 "colored": "edge-colored bigraph",
+                 "fractional": "right-uniform edge-colored bigraph, no isolated vertices",
+                 "none": "none"}
+
+
+def test_readme_test_options_table():
+    """The README's `sidlab test` table is generated from the property table."""
+    lines = ["| property | input file | "
+             + " | ".join(f"`--{o}`" for o in README_OPTIONS) + " |",
+             "|---" * (2 + len(README_OPTIONS)) + "|"]
+    for name, prop in TEST_PROPERTIES.items():
+        reads = ["read" if o in prop.cli_options else "ignored" for o in README_OPTIONS]
+        lines.append(f"| `{name}` | {README_INPUTS[prop.cli_input]} | "
+                     + " | ".join(reads) + " |")
+    table = "\n".join(lines)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    readme = readme.read_text(encoding="utf-8")
+    assert table in readme, "README table out of date; expected:\n" + table
 
 
 def test_test_unknown_property(tmp_path):
@@ -263,3 +290,7 @@ def test_budget_env_override(tmp_path, monkeypatch):
     monkeypatch.delenv("SIDLAB_BUDGET")
     assert main(["certify", str(gpath), "--mode", "left",
                  "--pool", "reflection", "-o", str(tmp_path / "c.json")]) == 0
+    # a non-integer budget is a usage error, and only for certify
+    monkeypatch.setenv("SIDLAB_BUDGET", "abc")
+    assert main(["construct", "cycle4", "-o", str(tmp_path / "c4.json")]) == 0
+    assert main(["certify", str(gpath), "--mode", "left"]) == 1

@@ -1,6 +1,8 @@
 """Tests for the property testers and the Cauchy-Schwarz/threshold machinery."""
 
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -69,8 +71,6 @@ def test_strong_sidorenko_falsified_by_isolated_vertex():
 
 
 def test_witness_replay_survives_json_round_trip():
-    import json
-
     report = props.test_strong_sidorenko(EDGE_PLUS_ISOLATED, trials=100, seed=60)
     assert report.verdict == VIOLATED
     payload = json.loads(json.dumps(report_to_json(report), sort_keys=True))
@@ -428,3 +428,57 @@ def test_reports_deterministic():
 def test_report_carries_disclaimer():
     report = props.test_sidorenko(rho(), trials=5, seed=1)
     assert "do not certify" in report.note
+
+
+# ---------------------------------------------------------------------------
+# the property table: every witness codec round-trips exactly
+
+
+GRID_PRESET = {"grid": 4, "preset": "adversarial"}
+# each property's tester arguments besides trials, seed and tol
+ROUND_TRIP_CASES = {
+    "sidorenko": ((cycle4(),), GRID_PRESET),
+    "strong-sidorenko": ((build_incidence(4, [2]).graph,), GRID_PRESET),
+    "weak-domination": ((cycle4(), rho()), GRID_PRESET),
+    "induced-sidorenko": ((cycle4(),), GRID_PRESET),
+    "weakly-norming": ((cycle4(),), GRID_PRESET),
+    "left-weak-holder": ((build_incidence(3, [2]),), GRID_PRESET),
+    "color-sidorenko": ((from_right_uniform(build_incidence(3, [1, 2])),), GRID_PRESET),
+    "cs-tree": ((cycle4(),), GRID_PRESET),
+    "jensen": ((), {"n": 3}),
+    "color-restriction": ((build_incidence(3, [1, 2]),), {"grid": 4, "colors": [2]}),
+}
+
+
+@pytest.mark.parametrize("name", list(props.PROPERTIES))
+def test_witness_round_trip_replays_exactly(name):
+    args, params = ROUND_TRIP_CASES[name]
+    tester = getattr(props, props.PROPERTIES[name].tester)
+    # an infinite negative tolerance makes the worst trial ship its witness
+    report = tester(*args, trials=6, seed=3, tol=-math.inf, **params)
+    assert report.verdict == VIOLATED and report.trials == 6 - report.skipped
+    payload = json.loads(json.dumps(report_to_json(report), sort_keys=True))
+    assert payload["witness"]["property"] == name
+    assert replay_witness(payload["witness"]) == report.worst_margin
+
+
+def test_single_instance_witnesses_replay_exactly():
+    g = cycle4()
+    c = {e: i % 2 + 1 for i, e in enumerate(sorted(g.edges))}
+    ws = BigraphonTuple({1: random_step_bigraphon(3, 3, seed=70),
+                         2: random_step_bigraphon(3, 3, seed=71)})
+    h = build_incidence(3, [1, 2])
+    reports = [verify_cs_inequality(g, c, [c4_left_fold()], ws, tol=-math.inf),
+               props.test_color_restriction(h, [1, 2], ws, tol=-math.inf)]
+    for report in reports:
+        assert report.verdict == VIOLATED and "trial" not in report.witness
+        payload = json.loads(json.dumps(report.witness))
+        assert replay_witness(payload) == report.worst_margin
+
+
+def test_replay_rejects_precondition_witness():
+    report = props.test_weakly_norming(book(2), trials=3, seed=15)
+    with pytest.raises(ValueError, match="precondition witnesses carry no margin"):
+        replay_witness(report.witness)
+    with pytest.raises(ValueError, match="unknown witness property"):
+        replay_witness({"property": "frobnicate"})
