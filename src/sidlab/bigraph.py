@@ -370,16 +370,24 @@ def _strip(g: Bigraph, protected: frozenset[str]) -> Bigraph:
 # automorphisms and isomorphism search
 
 
-def _refine_classes(g: Bigraph) -> dict[str, tuple]:
-    """Iterated neighbor-class refinement starting from (side, degree)."""
+def _renumber(signature: dict[str, tuple]) -> dict[str, int]:
+    """Classes as ints in the sorted order of their signatures, so isomorphic
+    graphs get identical labels."""
+    rank = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
+    return {v: rank[sig] for v, sig in signature.items()}
+
+
+def _refine_classes(g: Bigraph) -> dict[str, int]:
+    """Iterated neighbor-class refinement starting from (side, degree).
+
+    Left classes number before right ones in every round, so a label-preserving
+    bijection between graphs with equal side sizes maps left to left.
+    """
     adj = g.adjacency()
-    color: dict[str, tuple] = {
-        v: (g.side(v), g.degree(v)) for v in g.vertices()
-    }
+    color = _renumber({v: (g.side(v), g.degree(v)) for v in g.vertices()})
     for _ in range(g.v):
-        nxt = {v: (color[v], tuple(sorted(color[w] for w in adj[v])))
-               for v in g.vertices()}
-        # compress to keep keys small and comparable across graphs
+        nxt = _renumber({v: (color[v], tuple(sorted(color[w] for w in adj[v])))
+                         for v in g.vertices()})
         if len(set(nxt.values())) == len(set(color.values())):
             break
         color = nxt
@@ -392,7 +400,7 @@ def _search_maps(g1: Bigraph, g2: Bigraph, prescribed: Mapping[str, str],
     if g1.v1 != g2.v1 or g1.v2 != g2.v2 or g1.e != g2.e:
         return []
     c1, c2 = _refine_classes(g1), _refine_classes(g2)
-    by_color: dict[tuple, list[str]] = {}
+    by_color: dict[int, list[str]] = {}
     for u in g2.vertices():
         by_color.setdefault(c2[u], []).append(u)
     for us in by_color.values():

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .bigraph import Bigraph, ColoredBigraph, book, cycle4, from_json_dict, star, to_json_dict
@@ -55,25 +54,6 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the randomized commands."""
-
-    trials: int = 200
-    grid: int = 4
-    seed: int = 0
-    tol: float = 1e-9
-    budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self):
-        if self.trials < 1 or self.grid < 1:
-            raise UsageError("trials and grid must be positive")
-        if not 0.0 < self.tol < 1.0:
-            raise UsageError("tol must lie in (0, 1)")
-        if self.budget < 1:
-            raise UsageError("budget must be positive")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
@@ -101,6 +81,19 @@ def _colored_graph(obj, what: str) -> ColoredBigraph:
     if not isinstance(obj, ColoredBigraph):
         raise UsageError(f"{what} requires a graph file with edge_colors")
     return obj
+
+
+def _positive(args, option: str) -> int:
+    value = getattr(args, option)
+    if value < 1:
+        raise UsageError(f"--{option} must be positive")
+    return value
+
+
+def _tolerance(args) -> float:
+    if not 0.0 < args.tol < 1.0:
+        raise UsageError("--tol must lie in (0, 1)")
+    return args.tol
 
 
 def _parse_uniformities(text: str) -> list[int]:
@@ -191,14 +184,14 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    cfg = RunConfig(budget=args.budget)
+    budget = _positive(args, "budget")
     obj = _load_graph(args.graph)
     g = _plain_graph(obj)
     pool = None
     if args.pool == "reflection":
         pool = reflection_fold_pool(IncidenceBigraph.from_bigraph(g))
     search = find_left_cut_percolating if args.mode == "left" else find_cut_percolating
-    result = search(g, pool, budget=cfg.budget)
+    result = search(g, pool, budget=budget)
     if isinstance(result, NotFound):
         print(f"no certificate: {result.reason} "
               f"({result.states_explored} states explored)", file=sys.stderr)
@@ -215,11 +208,16 @@ def _cmd_certify(args) -> int:
 def _kept_colors(args) -> list[int]:
     if args.colors is None:
         raise UsageError(f"{args.property} needs --colors")
-    return [int(c) for c in args.colors.split(",") if c]
+    try:
+        return [int(c) for c in args.colors.split(",") if c]
+    except ValueError as exc:
+        raise UsageError(f"bad --colors {args.colors!r}") from exc
 
 
-# how `sidlab test` reads each tester option, and builds each kind of input
-_TEST_OPTIONS = {"grid": lambda args: args.grid, "preset": lambda args: args.preset,
+# how `sidlab test` reads and checks each tester option, and builds each kind
+# of input; an option a property does not read is not checked
+_TEST_OPTIONS = {"grid": lambda args: _positive(args, "grid"),
+                 "preset": lambda args: args.preset,
                  "n": lambda args: args.n, "colors": _kept_colors}
 _TEST_INPUTS = {
     "plain": lambda obj, prop: _plain_graph(obj),
@@ -230,16 +228,16 @@ _TEST_INPUTS = {
 
 def _cmd_test(args) -> int:
     prop = TEST_PROPERTIES[args.property]
-    cfg = RunConfig(trials=args.trials, grid=args.grid, seed=args.seed, tol=args.tol)
+    trials, tol = _positive(args, "trials"), _tolerance(args)
+    params = {opt: _TEST_OPTIONS[opt](args) for opt in prop.cli_options}
     obj = None
     if prop.cli_input != "none":
         if args.graph is None:
             raise UsageError(f"{args.property} requires a graph file")
         obj = _load_graph(args.graph)
-    params = {opt: _TEST_OPTIONS[opt](args) for opt in prop.cli_options}
     inputs = [] if obj is None else [_TEST_INPUTS[prop.cli_input](obj, args.property)]
-    report = getattr(testers, prop.tester)(*inputs, trials=cfg.trials, seed=cfg.seed,
-                                           tol=cfg.tol, **params)
+    report = getattr(testers, prop.tester)(*inputs, trials=trials, seed=args.seed,
+                                           tol=tol, **params)
     _write_json(testers.report_to_json(report), args.output)
     return EXIT_OK if report.holds else EXIT_VIOLATED
 
@@ -267,11 +265,11 @@ def _cmd_check(args) -> int:
     if args.checker == "orbits":
         if args.graph is None or args.template is None:
             raise UsageError("orbits needs a graph file and --template")
-        cfg = RunConfig(trials=args.trials, seed=args.seed, tol=args.tol)
+        trials, tol = _positive(args, "trials"), _tolerance(args)
         g = _plain_graph(_load_graph(args.graph))
         h = _colored_graph(_load_graph(args.template), "orbits --template")
-        report = check_orbit_hypotheses(g, h, lwh_trials=cfg.trials,
-                                        seed=cfg.seed, tol=cfg.tol)
+        report = check_orbit_hypotheses(g, h, lwh_trials=trials, seed=args.seed,
+                                        tol=tol)
         _write_json({"checker": "orbits", "passed": report.passed,
                      "orbits": list(report.orbits),
                      "evidence_note": report.evidence_note,

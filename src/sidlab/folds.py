@@ -53,44 +53,27 @@ class Fold:
         return {v: (w if v in self.left else v) for v, w in self.phi_items}
 
 
-def _check_total_bijection(g: Bigraph, phi: Mapping[str, str]) -> None:
+def _cut_components(g: Bigraph, phi: Mapping[str, str]) -> str | list[frozenset[str]]:
+    """The components of G - Fix(phi) if phi is a cut-involution of g, else
+    the reason for the first axiom it fails. Raises ValueError when phi is
+    not a bijection of V(G)."""
     verts = g.vertex_set()
     if set(phi) != verts:
         raise ValueError("phi must be defined on exactly V(G)")
     if set(phi.values()) != verts:
         raise ValueError("phi must be a bijection of V(G)")
-
-
-def _is_automorphism(g: Bigraph, phi: Mapping[str, str]) -> bool:
-    lset = set(g.left)
-    if any((v in lset) != (phi[v] in lset) for v in phi):
-        return False
-    return all((phi[l], phi[r]) in g.edges for l, r in g.edges)
-
-
-def is_cut_involution(g: Bigraph, phi: Mapping[str, str]) -> bool:
-    """True iff phi is an involutive automorphism whose fixed set is a vertex cut."""
-    _check_total_bijection(g, phi)
-    if not _is_automorphism(g, phi):
-        return False
+    # a bijective endomorphism of a finite graph is an automorphism
+    if not g.is_endomorphism(phi):
+        return "phi is not an automorphism"
     if any(phi[phi[v]] != v for v in phi):
-        return False
-    fixed = {v for v in phi if phi[v] == v}
-    rest = g.without_vertices(fixed)
-    return len(rest.components()) >= 2
+        return "phi is not an involution"
+    comps = g.without_vertices(v for v in phi if phi[v] == v).components()
+    if len(comps) < 2:
+        return "Fix(phi) is not a vertex cut"
+    return comps
 
 
-def complete_to_fold(g: Bigraph, phi: Mapping[str, str]) -> Optional[Fold]:
-    """Complete a cut-involution to a fold, or return None when impossible.
-
-    A completion exists iff no connected component of G - Fix(phi) is fixed
-    by phi as a set; L is canonicalized by choosing, out of each pair of
-    phi-swapped components, the one containing the smallest vertex id.
-    """
-    if not is_cut_involution(g, phi):
-        raise ValueError("phi is not a cut-involution of g")
-    fixed = {v for v in phi if phi[v] == v}
-    comps = g.without_vertices(fixed).components()
+def _complete(phi: Mapping[str, str], comps: list[frozenset[str]]) -> Optional[Fold]:
     images = [frozenset(phi[v] for v in comp) for comp in comps]
     if any(img == comp for comp, img in zip(comps, images)):
         return None
@@ -105,25 +88,38 @@ def complete_to_fold(g: Bigraph, phi: Mapping[str, str]) -> Optional[Fold]:
     return Fold(phi, left)
 
 
+def is_cut_involution(g: Bigraph, phi: Mapping[str, str]) -> bool:
+    """True iff phi is an involutive automorphism whose fixed set is a vertex cut."""
+    return not isinstance(_cut_components(g, phi), str)
+
+
+def complete_to_fold(g: Bigraph, phi: Mapping[str, str]) -> Optional[Fold]:
+    """Complete a cut-involution to a fold, or return None when impossible.
+
+    A completion exists iff no connected component of G - Fix(phi) is fixed
+    by phi as a set; L is canonicalized by choosing, out of each pair of
+    phi-swapped components, the one containing the smallest vertex id.
+    """
+    comps = _cut_components(g, phi)
+    if isinstance(comps, str):
+        raise ValueError("phi is not a cut-involution of g")
+    return _complete(phi, comps)
+
+
 def check_fold(g: Bigraph, fold: Fold) -> None:
     """Validate every fold axiom against g; raises ValueError on failure."""
     phi = fold.phi
-    _check_total_bijection(g, phi)
-    if not _is_automorphism(g, phi):
-        raise ValueError("phi is not an automorphism")
-    if any(phi[phi[v]] != v for v in phi):
-        raise ValueError("phi is not an involution")
+    comps = _cut_components(g, phi)
+    if isinstance(comps, str):
+        raise ValueError(comps)
     fixed = fold.fixed
-    rest = g.without_vertices(fixed)
-    if len(rest.components()) < 2:
-        raise ValueError("Fix(phi) is not a vertex cut")
     left = fold.left
     phi_left = frozenset(phi[v] for v in left)
     if left & fixed or left & phi_left:
         raise ValueError("(L, Fix, phi(L)) must be disjoint")
     if left | fixed | phi_left != g.vertex_set():
         raise ValueError("(L, Fix, phi(L)) must cover V(G)")
-    for comp in rest.components():
+    for comp in comps:
         if comp & left and not comp <= left:
             raise ValueError("L must be a union of components of G - Fix(phi)")
 
@@ -144,10 +140,10 @@ def enumerate_folds(g: Bigraph) -> list[Fold]:
     for a in automorphisms(g):
         if any(a[a[v]] != v for v in a):
             continue
-        fixed = {v for v in a if a[v] == v}
-        if len(g.without_vertices(fixed).components()) < 2:
+        comps = _cut_components(g, a)
+        if isinstance(comps, str):
             continue
-        fold = complete_to_fold(g, a)
+        fold = _complete(a, comps)
         if fold is not None:
             folds.append(fold)
     return folds

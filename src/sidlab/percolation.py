@@ -3,7 +3,10 @@
 A certificate is a sequence of folds together with the trajectory of edge
 sets E_0..E_m (edge mode) or left-vertex sets U_0..U_m (left mode), where
 each step is the exact preimage of the previous set under the fold's
-left-folding map. Searches are BFS over reachable subsets, so returned
+left-folding map. What the two modes differ in lives in one table: the
+elements a state ranges over, how a vertex map moves one element, the
+goal's name and an element's JSON codec. One preimage serves the search
+and the verifier. Searches are BFS over reachable subsets, so returned
 certificates are shortest within the supplied fold pool.
 """
 
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .bigraph import Bigraph, amalgamate_left
 from .folds import Fold, check_fold, enumerate_folds, fold_from_json, fold_to_json
@@ -39,6 +42,30 @@ State = Union[LeftState, EdgeState]
 
 
 @dataclass(frozen=True)
+class _Mode:
+    elements: Callable[[Bigraph], Sequence]  # in the order of the start states
+    move: Callable[[Mapping[str, str], Any], Any]  # a vertex map's image of one element
+    goal: str
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+
+
+_MODES = {
+    "left": _Mode(lambda g: g.left, lambda m, v: m[v], "V_1(G)",
+                  lambda v: v, lambda v: v),
+    "edge": _Mode(lambda g: g.sorted_edges(), lambda m, e: (m[e[0]], m[e[1]]),
+                  "E(G)", list, tuple),
+}
+
+
+def _mode(name: str) -> _Mode:
+    spec = _MODES.get(name) if isinstance(name, str) else None
+    if spec is None:
+        raise ValueError("mode must be 'left' or 'edge'")
+    return spec
+
+
+@dataclass(frozen=True)
 class PercolationCertificate:
     """Folds plus the trajectory they induce; independently checkable."""
 
@@ -47,8 +74,7 @@ class PercolationCertificate:
     trajectory: tuple[State, ...]
 
     def __init__(self, mode: str, folds: Sequence[Fold], trajectory: Sequence[Iterable]):
-        if mode not in ("left", "edge"):
-            raise ValueError("mode must be 'left' or 'edge'")
+        _mode(mode)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "folds", tuple(folds))
         object.__setattr__(self, "trajectory",
@@ -83,20 +109,15 @@ class VerificationResult:
         return self.ok
 
 
-def _left_preimage(g: Bigraph, fold: Fold, target: LeftState) -> LeftState:
+def _moves(spec: _Mode, elements: Sequence, fold: Fold) -> list[tuple]:
+    """Each element paired with its image under the fold's left-folding map."""
     phi_l = fold.left_map()
-    return frozenset(v for v in g.left if phi_l[v] in target)
+    return [(x, spec.move(phi_l, x)) for x in elements]
 
 
-def _edge_preimage(g: Bigraph, fold: Fold, target: EdgeState) -> EdgeState:
-    phi_l = fold.left_map()
-    return frozenset(e for e in g.edges if (phi_l[e[0]], phi_l[e[1]]) in target)
-
-
-def _preimage(g: Bigraph, mode: str, fold: Fold, target: State) -> State:
-    if mode == "left":
-        return _left_preimage(g, fold, target)
-    return _edge_preimage(g, fold, target)
+def _preimage(moves: Sequence[tuple], target: State) -> State:
+    """The elements whose image lies in target."""
+    return frozenset(x for x, y in moves if y in target)
 
 
 def verify_certificate(g: Bigraph, cert: PercolationCertificate) -> VerificationResult:
@@ -112,44 +133,41 @@ def verify_certificate(g: Bigraph, cert: PercolationCertificate) -> Verification
         return VerificationResult(
             False, f"{len(cert.folds)} folds vs {len(traj)} trajectory entries")
 
-    if cert.mode == "left":
-        universe: frozenset = frozenset(g.left)
-        goal = universe
-    else:
-        universe = g.edges
-        goal = g.edges
-
+    spec = _MODES[cert.mode]
+    elements = spec.elements(g)
+    universe = frozenset(elements)
     for i, entry in enumerate(traj):
         if not entry <= universe:
             return VerificationResult(False, f"trajectory[{i}] not inside the graph")
     if len(traj[0]) != 1:
         return VerificationResult(False, "trajectory[0] must be a singleton")
-    if traj[-1] != goal:
-        return VerificationResult(
-            False, "trajectory does not end at "
-                   + ("V_1(G)" if cert.mode == "left" else "E(G)"))
+    if traj[-1] != universe:
+        return VerificationResult(False, f"trajectory does not end at {spec.goal}")
 
     for i, fold in enumerate(cert.folds, start=1):
         try:
             check_fold(g, fold)
         except ValueError as exc:
             return VerificationResult(False, f"fold {i}: {exc}")
-        expected = _preimage(g, cert.mode, fold, traj[i - 1])
-        if traj[i] != expected:
+        if traj[i] != _preimage(_moves(spec, elements, fold), traj[i - 1]):
             return VerificationResult(
                 False, f"trajectory[{i}] is not the preimage of trajectory[{i - 1}]")
     return VerificationResult(True)
 
 
-def _bfs_percolation(g: Bigraph, mode: str, pool: Sequence[Fold],
-                     starts: Sequence[State], goal: State,
-                     budget: int) -> PercolationCertificate | NotFound:
-    parents: dict[State, Optional[tuple[State, int]]] = {}
-    queue: deque[State] = deque()
-    for s in starts:
-        if s not in parents:
-            parents[s] = None
-            queue.append(s)
+def _search(g: Bigraph, mode: str, fold_pool: Optional[Sequence[Fold]],
+            budget: int) -> PercolationCertificate | NotFound:
+    """BFS from every singleton state to the set of all elements. The start
+    states count as explored; the search stops with `budget` once more than
+    budget states are explored."""
+    spec = _MODES[mode]
+    pool = _resolve_pool(g, fold_pool)
+    elements = spec.elements(g)
+    moves = [_moves(spec, elements, fold) for fold in pool]
+    goal = frozenset(elements)
+    parents: dict[State, Optional[tuple[State, int]]] = {
+        frozenset({x}): None for x in elements}
+    queue: deque[State] = deque(parents)
 
     def build(state: State) -> PercolationCertificate:
         chain: list[State] = [state]
@@ -160,17 +178,16 @@ def _bfs_percolation(g: Bigraph, mode: str, pool: Sequence[Fold],
             fold_idx.append(idx)
         chain.reverse()
         fold_idx.reverse()
-        return PercolationCertificate(mode, [pool[i] for i in fold_idx], chain)
+        return _recheck(g, PercolationCertificate(mode, [pool[i] for i in fold_idx],
+                                                  chain))
 
-    for s in starts:
-        if s == goal:
-            return build(s)
-
+    if goal in parents:
+        return build(goal)
     explored = len(parents)
     while queue:
         state = queue.popleft()
-        for idx, fold in enumerate(pool):
-            nxt = _preimage(g, mode, fold, state)
+        for idx, fold_moves in enumerate(moves):
+            nxt = _preimage(fold_moves, state)
             if not nxt or nxt in parents:
                 continue
             parents[nxt] = (state, idx)
@@ -183,10 +200,11 @@ def _bfs_percolation(g: Bigraph, mode: str, pool: Sequence[Fold],
     return NotFound("exhausted", explored)
 
 
-def _recheck(g: Bigraph, cert: PercolationCertificate) -> None:
+def _recheck(g: Bigraph, cert: PercolationCertificate) -> PercolationCertificate:
     res = verify_certificate(g, cert)
     if not res:
         raise AssertionError(f"search produced an invalid certificate: {res.reason}")
+    return cert
 
 
 def _resolve_pool(g: Bigraph, fold_pool: Optional[Sequence[Fold]]) -> list[Fold]:
@@ -208,12 +226,7 @@ def find_left_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = 
     """
     if g.v1 == 0:
         raise ValueError("graph has an empty left side")
-    pool = _resolve_pool(g, fold_pool)
-    starts = [frozenset({v}) for v in g.left]
-    result = _bfs_percolation(g, "left", pool, starts, frozenset(g.left), budget)
-    if isinstance(result, PercolationCertificate):
-        _recheck(g, result)
-    return result
+    return _search(g, "left", fold_pool, budget)
 
 
 def find_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = None,
@@ -222,12 +235,7 @@ def find_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = None,
     """Shortest edge-mode certificate within the pool, or NotFound."""
     if g.e == 0:
         raise ValueError("graph has no edges")
-    pool = _resolve_pool(g, fold_pool)
-    starts = [frozenset({e}) for e in g.sorted_edges()]
-    result = _bfs_percolation(g, "edge", pool, starts, g.edges, budget)
-    if isinstance(result, PercolationCertificate):
-        _recheck(g, result)
-    return result
+    return _search(g, "edge", fold_pool, budget)
 
 
 def lift_certificate(parts: Sequence[Bigraph], base_cert: PercolationCertificate,
@@ -283,30 +291,19 @@ def lift_certificate(parts: Sequence[Bigraph], base_cert: PercolationCertificate
 def certificate_fold_group_transitive(g: Bigraph, cert: PercolationCertificate) -> bool:
     """Orbit check: the group generated by the certificate folds acts
     transitively on V_1 (left mode) or E (edge mode)."""
+    spec = _MODES[cert.mode]
     gens = [f.phi for f in cert.folds]
-    if cert.mode == "left":
-        start = next(iter(cert.trajectory[0]))
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for phi in gens:
-                y = phi[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return orbit == set(g.left)
-    start_edge = next(iter(cert.trajectory[0]))
-    orbit_e = {start_edge}
-    frontier_e = [start_edge]
-    while frontier_e:
-        l, r = frontier_e.pop()
+    start = next(iter(cert.trajectory[0]))
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
         for phi in gens:
-            y = (phi[l], phi[r])
-            if y not in orbit_e:
-                orbit_e.add(y)
-                frontier_e.append(y)
-    return orbit_e == set(g.edges)
+            y = spec.move(phi, x)
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit == set(spec.elements(g))
 
 
 def project_to_left(g: Bigraph, cert: PercolationCertificate) -> PercolationCertificate:
@@ -324,20 +321,16 @@ def project_to_left(g: Bigraph, cert: PercolationCertificate) -> PercolationCert
 
 
 def certificate_to_json(cert: PercolationCertificate) -> dict:
-    if cert.mode == "left":
-        traj = [sorted(entry) for entry in cert.trajectory]
-    else:
-        traj = [[list(e) for e in sorted(entry)] for entry in cert.trajectory]
+    encode = _MODES[cert.mode].encode
     return {"mode": cert.mode,
             "folds": [fold_to_json(f) for f in cert.folds],
-            "trajectory": traj}
+            "trajectory": [[encode(x) for x in sorted(entry)]
+                           for entry in cert.trajectory]}
 
 
 def certificate_from_json(d: Mapping) -> PercolationCertificate:
     mode = d["mode"]
     folds = [fold_from_json(f) for f in d["folds"]]
-    if mode == "left":
-        traj = [frozenset(entry) for entry in d["trajectory"]]
-    else:
-        traj = [frozenset(tuple(e) for e in entry) for entry in d["trajectory"]]
+    decode = _mode(mode).decode
+    traj = [frozenset(decode(x) for x in entry) for entry in d["trajectory"]]
     return PercolationCertificate(mode, folds, traj)

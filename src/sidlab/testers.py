@@ -136,6 +136,9 @@ class Property:
                 for (key, codec), value in zip(self.witness, instance)}
 
     def decode(self, payload: Mapping) -> tuple:
+        for key, _ in self.witness:
+            if key not in payload:
+                raise ValueError(f"{self.name} witness lacks {key!r}")
         return tuple(codec[1](payload[key]) for key, codec in self.witness)
 
 
@@ -740,6 +743,8 @@ PROPERTIES: dict[str, Property] = {p.name: p for p in (
 
 def replay_witness(witness: Mapping) -> float:
     """Recompute the margin of a violation witness from its payload."""
+    if "property" not in witness:
+        raise ValueError("witness lacks 'property'")
     prop = PROPERTIES.get(witness["property"])
     if prop is None:
         raise ValueError(f"unknown witness property {witness['property']!r}")

@@ -28,6 +28,7 @@ from sidlab.bigraph import (
     two_core,
     two_core_flag,
 )
+from sidlab.bigraph import _refine_classes
 
 
 def incidence_oracle(n, ks):
@@ -256,6 +257,19 @@ def test_automorphism_group_closure():
             assert tuple(sorted(comp.items())) in keys
 
 
+def test_refinement_labels_stay_ints_on_a_long_path():
+    # nested class keys grew to about 590k characters on this path
+    verts = [f"v{i:02d}" for i in range(24)]
+    edges = [(verts[i], verts[i + 1]) if i % 2 == 0 else (verts[i + 1], verts[i])
+             for i in range(23)]
+    g = Bigraph(verts[0::2], verts[1::2], edges)
+    labels = _refine_classes(g)
+    assert all(type(c) is int for c in labels.values())
+    assert set(labels.values()) == set(range(len(set(labels.values()))))
+    # reversing the path swaps the sides, so only the identity remains
+    assert automorphisms(g) == [{v: v for v in g.vertices()}]
+
+
 def test_automorphism_cap():
     big = Bigraph([f"l{i}" for i in range(13)], [f"r{i}" for i in range(13)], [])
     with pytest.raises(GraphTooLargeError):
@@ -327,6 +341,10 @@ def test_graph_isomorphism():
                  [("x", "s"), ("x", "t"), ("y", "s"), ("y", "t")])
     assert graphs_isomorphic(g1, cycle4())
     assert not graphs_isomorphic(star(2), dual_star(2))
+    # the same path plus an isolated vertex, its center on opposite sides
+    center_left = Bigraph(["a", "d"], ["b", "c"], [("a", "b"), ("a", "c")])
+    center_right = Bigraph(["x", "y"], ["z", "w"], [("x", "z"), ("y", "z")])
+    assert not graphs_isomorphic(center_left, center_right)
 
 
 def test_flag_isomorphism_respects_labels():

@@ -177,6 +177,14 @@ def test_test_color_properties(tmp_path):
                      "--trials", "4"]) == 1
 
 
+def test_test_bad_colors_is_a_usage_error(tmp_path, capsys):
+    colored = make_graph(tmp_path, "construct", "incidence", "--n", "3",
+                         "--uniformities", "1,2")
+    capsys.readouterr()
+    assert main(["test", "color-restriction", str(colored), "--colors", "1,a"]) == 1
+    assert "usage error: bad --colors '1,a'" in capsys.readouterr().err
+
+
 def test_test_cs_tree_and_jensen(tmp_path):
     gpath = make_graph(tmp_path, "construct", "cycle4")
     assert main(["test", "cs-tree", str(gpath), "--trials", "30"]) == 0
@@ -279,6 +287,15 @@ def test_config_validation(tmp_path):
     assert main(["test", "sidorenko", str(gpath), "--tol", "2.0"]) == 1
     assert main(["test", "sidorenko", str(gpath), "--grid", "0"]) == 1
     assert main(["certify", str(gpath), "--mode", "left", "--budget", "0"]) == 1
+
+
+def test_grid_checked_only_where_read(tmp_path, capsys):
+    gpath = make_graph(tmp_path, "construct", "cycle4")
+    capsys.readouterr()
+    assert main(["test", "jensen", "--n", "2", "--trials", "5", "--grid", "0"]) == 0
+    capsys.readouterr()
+    assert main(["test", "sidorenko", str(gpath), "--grid", "0"]) == 1
+    assert "--grid must be positive" in capsys.readouterr().err
 
 
 def test_budget_env_override(tmp_path, monkeypatch):

@@ -36,6 +36,12 @@ def c4_left_swap():
     return {"a": "b", "b": "a", "c": "c", "d": "d"}
 
 
+def matching():
+    """Two disjoint edges and the involution swapping them."""
+    g = Bigraph(["1", "2"], ["m1", "m2"], [("1", "m1"), ("2", "m2")])
+    return g, {"1": "2", "2": "1", "m1": "m2", "m2": "m1"}
+
+
 # ---------------------------------------------------------------------------
 # is_cut_involution
 
@@ -59,9 +65,7 @@ def test_cut_involution_rejects_non_involution_and_non_automorphism():
 
 
 def test_cut_involution_disconnected_graph_empty_fix():
-    matching = Bigraph(["1", "2"], ["m1", "m2"], [("1", "m1"), ("2", "m2")])
-    phi = {"1": "2", "2": "1", "m1": "m2", "m2": "m1"}
-    assert is_cut_involution(matching, phi)  # empty set cuts a disconnected graph
+    assert is_cut_involution(*matching())  # empty set cuts a disconnected graph
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +121,32 @@ def test_complete_to_fold_matches_bruteforce_criterion():
         comps = g.without_vertices(fixed).components()
         fixed_component = any(frozenset(phi[v] for v in c) == c for c in comps)
         assert (complete_to_fold(g, phi) is None) == fixed_component
+
+
+# ---------------------------------------------------------------------------
+# check_fold: one case per axiom, in the order they are checked
+
+AXIOM_CASES = {
+    "phi must be defined on exactly V(G)": (star(2), {"0": "0", "1": "2"}, {"1"}),
+    "phi must be a bijection of V(G)": (star(2), {"0": "0", "1": "1", "2": "1"}, {"1"}),
+    "phi is not an automorphism": (cycle4(), {"a": "c", "c": "a", "b": "b", "d": "d"},
+                                   {"a"}),
+    "phi is not an involution": (star(3), {"0": "0", "1": "2", "2": "3", "3": "1"},
+                                 {"1"}),
+    "Fix(phi) is not a vertex cut": (cycle4(), {"a": "b", "b": "a", "c": "d", "d": "c"},
+                                     {"a", "c"}),
+    "(L, Fix, phi(L)) must be disjoint": (cycle4(), c4_left_swap(), {"a", "b"}),
+    "(L, Fix, phi(L)) must cover V(G)": (star(2), leaf_swap(), set()),
+    "L must be a union of components of G - Fix(phi)": (*matching(), {"1", "m2"}),
+}
+
+
+@pytest.mark.parametrize("reason", list(AXIOM_CASES))
+def test_check_fold_names_the_failed_axiom(reason):
+    g, phi, left = AXIOM_CASES[reason]
+    with pytest.raises(ValueError) as exc:
+        check_fold(g, Fold(phi, left))
+    assert str(exc.value) == reason
 
 
 # ---------------------------------------------------------------------------

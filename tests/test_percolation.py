@@ -7,6 +7,7 @@ import pytest
 from sidlab.bigraph import Bigraph, amalgamate_left, cycle4, rho, star
 from sidlab.folds import Fold, complete_to_fold, enumerate_folds
 from sidlab.percolation import (
+    DEFAULT_BUDGET,
     NotFound,
     PercolationCertificate,
     certificate_fold_group_transitive,
@@ -136,6 +137,23 @@ def test_left_search_budget_flag():
 def test_left_search_empty_left_errors():
     with pytest.raises(ValueError):
         find_left_cut_percolating(Bigraph([], ["r"], []))
+
+
+@pytest.mark.parametrize("n, mode, budget, expected", [
+    (5, "edge", DEFAULT_BUDGET, NotFound("exhausted", 6712)),
+    (6, "edge", 5000, NotFound("budget", 5001)),
+    (7, "left", DEFAULT_BUDGET, 6),
+    (8, "left", DEFAULT_BUDGET, 7),
+])
+def test_reflection_pool_search_outcomes(n, mode, budget, expected):
+    """Exhaustion and budget state counts, and shortest lengths, on incidence(n, {2,3})."""
+    ib = IncidenceBigraph(n, [2, 3])
+    search = find_left_cut_percolating if mode == "left" else find_cut_percolating
+    res = search(ib.graph, reflection_fold_pool(ib), budget=budget)
+    if isinstance(expected, NotFound):
+        assert res == expected
+    else:
+        assert isinstance(res, PercolationCertificate) and res.length == expected
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +366,10 @@ def test_certificate_json_round_trip():
     assert certificate_from_json(certificate_to_json(left_cert)) == left_cert
     edge_cert = find_cut_percolating(cycle4())
     assert certificate_from_json(certificate_to_json(edge_cert)) == edge_cert
+
+
+def test_unknown_mode_is_a_value_error():
+    with pytest.raises(ValueError, match="mode must be 'left' or 'edge'"):
+        PercolationCertificate("vertex", [], [{"a"}])
+    with pytest.raises(ValueError, match="mode must be 'left' or 'edge'"):
+        certificate_from_json({"mode": "vertex", "folds": [], "trajectory": [["a"]]})

@@ -450,16 +450,37 @@ ROUND_TRIP_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", list(props.PROPERTIES))
-def test_witness_round_trip_replays_exactly(name):
+def shipped_report(name):
     args, params = ROUND_TRIP_CASES[name]
     tester = getattr(props, props.PROPERTIES[name].tester)
     # an infinite negative tolerance makes the worst trial ship its witness
     report = tester(*args, trials=6, seed=3, tol=-math.inf, **params)
     assert report.verdict == VIOLATED and report.trials == 6 - report.skipped
+    return report
+
+
+@pytest.mark.parametrize("name", list(props.PROPERTIES))
+def test_witness_round_trip_replays_exactly(name):
+    report = shipped_report(name)
     payload = json.loads(json.dumps(report_to_json(report), sort_keys=True))
     assert payload["witness"]["property"] == name
     assert replay_witness(payload["witness"]) == report.worst_margin
+
+
+@pytest.mark.parametrize("name", list(props.PROPERTIES))
+def test_truncated_witness_names_the_missing_key(name):
+    report = shipped_report(name)
+    payload_keys = {key for key, _ in props.PROPERTIES[name].witness}
+    for key in report.witness:
+        truncated = {k: v for k, v in report.witness.items() if k != key}
+        if key == "property":
+            with pytest.raises(ValueError, match="witness lacks 'property'"):
+                replay_witness(truncated)
+        elif key in payload_keys:
+            with pytest.raises(ValueError, match=f"{name} witness lacks '{key}'"):
+                replay_witness(truncated)
+        else:  # trial and margin are reported, not replayed
+            assert replay_witness(truncated) == report.worst_margin
 
 
 def test_single_instance_witnesses_replay_exactly():
