@@ -533,7 +533,17 @@ def to_json_dict(g: Bigraph | ColoredBigraph) -> dict:
             "edges": [list(e) for e in edges]}
 
 
+def _json_object(d, what: str, *keys: str) -> None:
+    """Raise a ValueError naming `what` unless `d` is a JSON object with every key."""
+    if not isinstance(d, Mapping):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{what} lacks {key!r}")
+
+
 def from_json_dict(d: Mapping) -> Bigraph | ColoredBigraph:
+    _json_object(d, "bigraph", "v1", "v2")
     edges = [tuple(e) for e in d.get("edges", [])]
     g = Bigraph(d["v1"], d["v2"], edges)
     if "edge_colors" in d and d["edge_colors"] is not None:

@@ -11,6 +11,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .bigraph import _json_object
+
 __all__ = [
     "StepBigraphon",
     "BigraphonTuple",
@@ -199,4 +201,5 @@ def bigraphon_to_json(w: StepBigraphon) -> dict:
 
 
 def bigraphon_from_json(d: Mapping) -> StepBigraphon:
+    _json_object(d, "step bigraphon", "mu", "nu", "w")
     return StepBigraphon(d["mu"], d["nu"], d["w"])

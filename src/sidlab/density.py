@@ -1,20 +1,23 @@
 """Exact homomorphism densities over step bigraphons.
 
-The primary evaluator runs variable elimination along a greedy min-degree
-ordering; a direct sum-over-all-assignments evaluator is kept as an
-independent oracle, and the two are required to agree to 1e-12 relative.
+Every single density, colored fractional ones included, is a list of
+(variables, array) factors contracted by one greedy min-degree variable
+elimination, pinned vertices sliced out first; a direct sum over all
+assignments is kept as an independent oracle, and the two agree to 1e-12.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .bigraph import Bigraph, ColoredBigraph, Flag
 from .bigraphon import BigraphonTuple, StepBigraphon
-from .fractional import ColoredFractionalBigraph
+
+if TYPE_CHECKING:
+    from .fractional import ColoredFractionalBigraph
 
 __all__ = [
     "density",
@@ -35,20 +38,21 @@ BRUTE_FORCE_CAP = 8_000_000
 Factor = tuple[tuple[str, ...], np.ndarray]
 
 
-def _align(factors: Sequence[Factor], sizes: Mapping[str, int]) -> Factor:
-    allvars = sorted(set().union(*(set(vs) for vs, _ in factors)))
+def _align(factors: Sequence[Factor]) -> Factor:
+    sizes: dict[str, int] = {}
+    for vs, arr in factors:
+        sizes.update(zip(vs, arr.shape))
+    allvars = sorted(sizes)
     out = np.ones([sizes[v] for v in allvars])
     for vs, arr in factors:
         order = sorted(range(len(vs)), key=lambda i: vs[i])
         arr = np.transpose(arr, order)
-        vset = set(vs)
-        shape = [sizes[v] if v in vset else 1 for v in allvars]
+        shape = [sizes[v] if v in vs else 1 for v in allvars]
         out = out * arr.reshape(shape)
     return tuple(allvars), out
 
 
-def _eliminate_all(sizes: dict[str, int], factors: list[Factor],
-                   weights: dict[str, np.ndarray]) -> float:
+def _eliminate_all(factors: list[Factor], weights: Mapping[str, np.ndarray]) -> float:
     """Integrate out every variable in `weights`; min-degree greedy order."""
     scalar = 1.0
     live = [f for f in factors if f[0]]
@@ -73,7 +77,7 @@ def _eliminate_all(sizes: dict[str, int], factors: list[Factor],
         live = [f for f in live if v not in f[0]]
         if not touching:
             continue  # isolated variable: its weight sums to 1
-        vs, arr = _align(touching, sizes)
+        vs, arr = _align(touching)
         axis = vs.index(v)
         wvec = weights[v].reshape([-1 if i == axis else 1 for i in range(len(vs))])
         arr = (arr * wvec).sum(axis=axis)
@@ -82,43 +86,21 @@ def _eliminate_all(sizes: dict[str, int], factors: list[Factor],
             live.append((new_vs, arr))
         else:
             scalar *= float(arr)
-
-    for vs, arr in live:  # factors over fixed-only variables were pre-sliced
-        scalar *= float(arr)
     return scalar
-
-
-def _edge_factors(g: Bigraph, matrix_for_edge, fixed: Mapping[str, int]) -> list[Factor]:
-    factors: list[Factor] = []
-    for l, r in g.sorted_edges():
-        mat = matrix_for_edge((l, r))
-        if l in fixed and r in fixed:
-            factors.append(((), np.asarray(mat[fixed[l], fixed[r]])))
-        elif l in fixed:
-            factors.append(((r,), mat[fixed[l], :]))
-        elif r in fixed:
-            factors.append(((l,), mat[:, fixed[r]]))
-        else:
-            factors.append(((l, r), mat))
-    return factors
 
 
 def _evaluate(g: Bigraph, matrix_for_edge, mu: np.ndarray, nu: np.ndarray,
               fixed: Optional[Mapping[str, int]] = None,
               potentials: Optional[Mapping[str, np.ndarray]] = None) -> float:
-    fixed = dict(fixed or {})
-    sizes = {v: mu.size for v in g.left} | {w: nu.size for w in g.right}
-    factors = _edge_factors(g, matrix_for_edge, fixed)
-    scalar = 1.0
-    if potentials:
-        for v, vec in potentials.items():
-            if v in fixed:
-                scalar *= float(vec[fixed[v]])
-            else:
-                factors.append(((v,), np.asarray(vec, dtype=float)))
-    weights = {v: mu for v in g.left if v not in fixed}
-    weights |= {w: nu for w in g.right if w not in fixed}
-    return scalar * _eliminate_all(sizes, factors, weights)
+    factors = [((l, r), matrix_for_edge((l, r))) for l, r in g.sorted_edges()]
+    factors += [((v,), vec) for v, vec in (potentials or {}).items()]
+    weights = {v: mu for v in g.left} | {w: nu for w in g.right}
+    if fixed:
+        factors = [(tuple(v for v in vs if v not in fixed),
+                    arr[tuple(fixed.get(v, slice(None)) for v in vs)])
+                   for vs, arr in factors]
+        weights = {v: vec for v, vec in weights.items() if v not in fixed}
+    return _eliminate_all(factors, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .bigraph import Bigraph, automorphisms
+from .bigraph import Bigraph, _json_object, automorphisms
 
 __all__ = [
     "Fold",
@@ -158,4 +158,5 @@ def fold_to_json(f: Fold) -> dict:
 
 
 def fold_from_json(d: Mapping) -> Fold:
+    _json_object(d, "fold", "phi", "left")
     return Fold(dict(d["phi"]), d["left"])

@@ -4,7 +4,8 @@ A colored fractional bigraph assigns a nonnegative real weight to each
 (left-vertex subset, color) pair; it encodes the left side of a
 right-uniform colored bigraph with fractional neighborhood multiplicities.
 Its density against a bigraphon tuple integrates powered dual-star
-densities over the left space.
+densities over the left space, one elimination factor per weighted pair;
+the log-space profile batch is the one batched evaluator.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .bigraph import ColoredBigraph
 from .bigraphon import BigraphonTuple, StepBigraphon
+from .density import _eliminate_all
 
 __all__ = [
     "ColoredFractionalBigraph",
@@ -43,19 +45,24 @@ class ColoredFractionalBigraph:
             raise ValueError("duplicate vertices")
         cols = tuple(sorted(int(c) for c in colors))
         vset = set(verts)
-        items = []
+        items, named = [], set()
         for (subset, color), wgt in weights.items():
+            sub, color = tuple(sorted(str(v) for v in subset)), int(color)
+            if len(set(sub)) != len(sub):
+                raise ValueError(f"subset {sub} repeats a vertex")
+            if (sub, color) in named:
+                raise ValueError(f"subset {sub} is named twice for color {color}")
+            named.add((sub, color))
             wgt = float(wgt)
             if wgt < 0:
                 raise ValueError("weights must be nonnegative")
             if wgt == 0.0:
                 continue
-            sub = tuple(sorted(str(v) for v in subset))
             if not set(sub) <= vset:
                 raise ValueError(f"subset {sub} not inside the vertex set")
-            if int(color) not in cols:
+            if color not in cols:
                 raise ValueError(f"color {color} not in the color set")
-            items.append((sub, int(color), wgt))
+            items.append((sub, color, wgt))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "colors", cols)
         object.__setattr__(self, "weights", tuple(sorted(items)))
@@ -141,25 +148,14 @@ def dual_star_table(w: StepBigraphon, k: int) -> np.ndarray:
 def fractional_density(h: ColoredFractionalBigraph, ws: BigraphonTuple) -> float:
     """t(h, W): weighted sum over row assignments of powered dual-star densities.
 
-    0^0 is taken as 1 (zero-weight pairs are dropped at construction).
+    One elimination factor T(sub) ** h(sub, c) per pair; 0^0 is taken as 1
+    (zero-weight pairs are dropped at construction).
     """
     for _, c, _ in h.weights:
         if c not in ws:
             raise ValueError(f"tuple missing bigraphon for color {c}")
-    mu = ws.row_weights
-    rows = mu.size
-    n = len(h.vertices)
-    pos = {v: i for i, v in enumerate(h.vertices)}
-    full = np.ones((rows,) * n)
-    for sub, c, wgt in h.weights:
-        table = dual_star_table(ws[c], len(sub))
-        shape = [1] * n
-        for v in sub:
-            shape[pos[v]] = rows
-        full = full * np.power(table.reshape(shape), wgt)
-    for _ in range(n):
-        full = mu @ full.reshape(rows, -1)
-    return float(full.reshape(()))
+    factors = [(sub, dual_star_table(ws[c], len(sub)) ** wgt) for sub, c, wgt in h.weights]
+    return _eliminate_all(factors, {v: ws.row_weights for v in h.vertices})
 
 
 def batch_profile_log_densities(vertices: Sequence[str],
@@ -167,9 +163,9 @@ def batch_profile_log_densities(vertices: Sequence[str],
                                 w: StepBigraphon) -> np.ndarray:
     """log t for many single-color fractional bigraphs sharing one bigraphon.
 
-    Each profile maps nonempty left-vertex subsets to exponents. Computed
-    in log space with a shared table of dual-star densities, so batches of
-    hundreds of profiles cost two matrix products.
+    The one batched evaluator. Each profile maps nonempty left-vertex subsets
+    to exponents. Computed in log space with a shared table of dual-star
+    densities, so batches of hundreds of profiles cost two matrix products.
     """
     verts = tuple(sorted(vertices))
     n = len(verts)

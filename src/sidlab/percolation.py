@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .bigraph import Bigraph, amalgamate_left
+from .bigraph import Bigraph, _json_object, amalgamate_left
 from .folds import Fold, check_fold, enumerate_folds, fold_from_json, fold_to_json
 
 __all__ = [
@@ -329,6 +329,7 @@ def certificate_to_json(cert: PercolationCertificate) -> dict:
 
 
 def certificate_from_json(d: Mapping) -> PercolationCertificate:
+    _json_object(d, "certificate", "mode", "folds", "trajectory")
     mode = d["mode"]
     folds = [fold_from_json(f) for f in d["folds"]]
     decode = _mode(mode).decode

@@ -27,6 +27,7 @@ from .bigraph import (
     Bigraph,
     ColoredBigraph,
     GraphTooLargeError,
+    _json_object,
     from_json_dict,
     to_json_dict,
 )
@@ -701,7 +702,10 @@ def fractional_to_json(h: ColoredFractionalBigraph) -> dict:
 
 
 def fractional_from_json(d: Mapping) -> ColoredFractionalBigraph:
+    _json_object(d, "fractional bigraph", "vertices", "colors", "weights")
     weights = {(tuple(sub), int(c)): float(wgt) for sub, c, wgt in d["weights"]}
+    if len(weights) != len(d["weights"]):
+        raise ValueError("fractional bigraph: a (subset, color) pair is named twice")
     return ColoredFractionalBigraph(d["vertices"], d["colors"], weights)
 
 

@@ -97,6 +97,17 @@ def test_certify_parse_error(tmp_path):
     assert main(["certify", str(missing), "--mode", "left"]) == 1
 
 
+def test_certify_non_graph_json_names_the_problem(tmp_path, capsys):
+    for text, message in (("[]", "error: bigraph must be a JSON object\n"),
+                          ("{}", "error: bigraph lacks 'v1'\n")):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(text)
+        capsys.readouterr()
+        assert main(["certify", str(gpath), "--mode", "left"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
+
+
 def test_certify_reflection_pool_requires_incidence(tmp_path):
     gpath = make_graph(tmp_path, "construct", "cycle4")
     assert main(["certify", str(gpath), "--mode", "left",

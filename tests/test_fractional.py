@@ -19,6 +19,7 @@ from sidlab.fractional import (
     rainbow_star,
 )
 from sidlab.reflection import build_incidence
+from sidlab.testers import fractional_from_json, fractional_to_json
 
 
 def tuple_of(seeds, rows=3, cols=3):
@@ -49,6 +50,22 @@ def test_construction_validation():
         ColoredFractionalBigraph(["u"], [1], {(("z",), 1): 1.0})
     with pytest.raises(ValueError):
         ColoredFractionalBigraph(["u"], [1], {(("u",), 9): 1.0})
+    with pytest.raises(ValueError, match="repeats a vertex"):
+        ColoredFractionalBigraph(["a", "b"], [1], {(("a", "a"), 1): 1.0})
+    with pytest.raises(ValueError, match="named twice"):
+        ColoredFractionalBigraph(
+            ["a", "b"], [1], {(("a", "b"), 1): 1.0, (("b", "a"), 1): 2.0})
+    with pytest.raises(ValueError, match="named twice"):
+        fractional_from_json({"vertices": ["a", "b"], "colors": [1],
+                              "weights": [[["a", "b"], 1, 1.0], [["a", "b"], 1, 2.0]]})
+
+
+def test_json_round_trip():
+    made = [from_right_uniform(build_incidence(n, us))
+            for n, us in ((3, [2]), (3, [1, 2]), (4, [2, 3]))]
+    made += [color_power(made[1], {1: 0.5, 2: 1.25}), rainbow_star(made[2])]
+    for h in made:
+        assert fractional_from_json(fractional_to_json(h)) == h
 
 
 def test_zero_weights_dropped():
@@ -145,6 +162,41 @@ def test_fractional_density_matches_colored_incidence():
     ws2 = tuple_of({1: 33, 2: 34})
     assert fractional_density(frac2, ws2) == pytest.approx(
         colored_density(h2, ws2), rel=1e-12)
+
+
+def fractional_density_brute_force(h, ws):
+    """Sum over every row assignment; each dual star is an explicit column sum."""
+    mu = ws.row_weights
+    total = 0.0
+    for xs in itertools.product(range(mu.size), repeat=len(h.vertices)):
+        x = dict(zip(h.vertices, xs))
+        term = math.prod(mu[i] for i in xs)
+        for sub, c, wgt in h.weights:
+            w = ws[c]
+            star = sum(w.col_weights[y] * math.prod(w.values[x[v], y] for v in sub)
+                       for y in range(w.cols))
+            term *= star ** wgt
+        total += term
+    return total
+
+
+def test_fractional_density_matches_brute_force():
+    mu, nu = [0.2, 0.5, 0.3], [0.1, 0.6, 0.3]
+    rng = np.random.default_rng(12)
+    zero = rng.uniform(0.1, 1.0, size=(3, 3))
+    zero[1, :] = 0.0  # row 1 kills every dual star that touches it
+    ws = BigraphonTuple({1: StepBigraphon(mu, nu, rng.uniform(0.1, 2.0, size=(3, 3))),
+                         2: StepBigraphon(mu, nu, zero)})
+    cases = [
+        {(("u", "v"), 1): 0.5, (("v", "w"), 2): 1.7, (("u",), 2): 2.25},
+        {((), 1): 3.0, (("u", "v", "w"), 2): 0.3},  # the empty subset
+        {(("u",), 1): 1.5, (("v",), 2): 0.75},  # w lies in no subset
+        {(("u", "w"), 1): 1.0, (("u", "w"), 2): 1.0, (("v",), 1): 2.0},
+    ]
+    for weights in cases:
+        h = ColoredFractionalBigraph(["u", "v", "w"], [1, 2], weights)
+        expected = fractional_density_brute_force(h, ws)
+        assert fractional_density(h, ws) == pytest.approx(expected, rel=1e-12)
 
 
 def test_fractional_density_missing_color():

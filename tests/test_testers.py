@@ -1,5 +1,6 @@
 """Tests for the property testers and the Cauchy-Schwarz/threshold machinery."""
 
+import copy
 import itertools
 import json
 import math
@@ -481,6 +482,44 @@ def test_truncated_witness_names_the_missing_key(name):
                 replay_witness(truncated)
         else:  # trial and margin are reported, not replayed
             assert replay_witness(truncated) == report.worst_margin
+
+
+# each fixed-schema JSON object in a witness, by the first key it requires
+SCHEMAS = {"v1": "bigraph", "mu": "step bigraphon", "phi": "fold",
+           "vertices": "fractional bigraph"}
+
+
+def nested_objects(node, path=()):
+    """(path, first required key) of every fixed-schema object below the top."""
+    if isinstance(node, dict):
+        key = next((k for k in SCHEMAS if k in node), None)
+        if path and key is not None:
+            yield path, key
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for step, child in children:
+        yield from nested_objects(child, path + (step,))
+
+
+@pytest.mark.parametrize("name", list(props.PROPERTIES))
+def test_emptied_nested_object_names_the_key(name):
+    witness = json.loads(json.dumps(report_to_json(shipped_report(name))))["witness"]
+    found = list(nested_objects(witness))
+    assert found or name == "jensen"  # jensen's payload holds only vectors
+    for path, key in found:
+        for empty, message in (({}, f"{SCHEMAS[key]} lacks '{key}'"),
+                               ([], f"{SCHEMAS[key]} must be a JSON object")):
+            broken = copy.deepcopy(witness)
+            node = broken
+            for step in path[:-1]:
+                node = node[step]
+            node[path[-1]] = empty
+            with pytest.raises(ValueError) as info:
+                replay_witness(broken)
+            assert str(info.value) == message, path
 
 
 def test_single_instance_witnesses_replay_exactly():
