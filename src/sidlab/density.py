@@ -8,6 +8,7 @@ assignments is kept as an independent oracle, and the two agree to 1e-12.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
@@ -38,34 +39,30 @@ BRUTE_FORCE_CAP = 8_000_000
 Factor = tuple[tuple[str, ...], np.ndarray]
 
 
-def _align(factors: Sequence[Factor]) -> Factor:
-    sizes: dict[str, int] = {}
-    for vs, arr in factors:
-        sizes.update(zip(vs, arr.shape))
-    allvars = sorted(sizes)
-    out = np.ones([sizes[v] for v in allvars])
-    for vs, arr in factors:
-        order = sorted(range(len(vs)), key=lambda i: vs[i])
-        arr = np.transpose(arr, order)
-        shape = [sizes[v] if v in vs else 1 for v in allvars]
-        out = out * arr.reshape(shape)
-    return tuple(allvars), out
+_PLAN_CACHE_SIZE = 32
+_ALL = slice(None)  # one object shared by every cached broadcast index
 
 
-def _eliminate_all(factors: list[Factor], weights: Mapping[str, np.ndarray]) -> float:
-    """Integrate out every variable in `weights`; min-degree greedy order."""
-    scalar = 1.0
-    live = [f for f in factors if f[0]]
-    for vs, arr in factors:
-        if not vs:
-            scalar *= float(arr)
-
-    remaining = set(weights)
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(scopes: tuple[tuple[str, ...], ...], variables: tuple[str, ...]):
+    """The greedy min-degree elimination of `variables` over factors with
+    these scopes, ties broken by name. Returns the slots of the constant
+    factors and one step per eliminated variable that touches a factor:
+    (variable, inputs, sizes, weight shape, summed axis, keep). Each input
+    is (slot, transpose order, broadcast index) into the sorted variables
+    of the step; sizes names, per variable, the (slot, axis) whose length
+    it takes. A kept output takes the next free slot; otherwise it is a
+    scalar. The plan depends on scopes and names only, never on sizes."""
+    constants = tuple(i for i, vs in enumerate(scopes) if not vs)
+    live = [(i, vs) for i, vs in enumerate(scopes) if vs]
+    free = len(scopes)
+    steps = []
+    remaining = set(variables)
     while remaining:
         neighbor_count = {}
         for v in remaining:
             others = set()
-            for vs, _ in live:
+            for _, vs in live:
                 if v in vs:
                     others |= set(vs)
             others.discard(v)
@@ -73,19 +70,43 @@ def _eliminate_all(factors: list[Factor], weights: Mapping[str, np.ndarray]) -> 
         v = min(sorted(remaining), key=lambda u: (neighbor_count[u], u))
         remaining.discard(v)
 
-        touching = [f for f in live if v in f[0]]
-        live = [f for f in live if v not in f[0]]
+        touching = [f for f in live if v in f[1]]
+        live = [f for f in live if v not in f[1]]
         if not touching:
             continue  # isolated variable: its weight sums to 1
-        vs, arr = _align(touching)
-        axis = vs.index(v)
-        wvec = weights[v].reshape([-1 if i == axis else 1 for i in range(len(vs))])
-        arr = (arr * wvec).sum(axis=axis)
-        new_vs = tuple(u for u in vs if u != v)
-        if new_vs:
-            live.append((new_vs, arr))
+        size_of = {u: (i, a) for i, vs in touching for a, u in enumerate(vs)}
+        allvars = sorted(size_of)
+        inputs = tuple((i, tuple(sorted(range(len(vs)), key=lambda a: vs[a])),
+                        tuple(_ALL if u in vs else None for u in allvars))
+                       for i, vs in touching)
+        axis = allvars.index(v)
+        out = tuple(u for u in allvars if u != v)
+        steps.append((v, inputs, tuple(size_of[u] for u in allvars),
+                      tuple(-1 if a == axis else 1 for a in range(len(allvars))),
+                      axis, bool(out)))
+        if out:
+            live.append((free, out))
+            free += 1
+    return constants, tuple(steps)
+
+
+def _eliminate_all(factors: list[Factor], weights: Mapping[str, np.ndarray]) -> float:
+    """Integrate out every variable in `weights` along the cached plan for
+    the factors' scopes; sizes are read from the arrays on every call."""
+    constants, steps = _plan(tuple(vs for vs, _ in factors), tuple(sorted(weights)))
+    arrs = [arr for _, arr in factors]
+    scalar = 1.0
+    for i in constants:
+        scalar *= float(arrs[i])
+    for v, inputs, sizes, wshape, axis, keep in steps:
+        acc = np.ones([arrs[i].shape[a] for i, a in sizes])
+        for i, order, index in inputs:
+            acc = acc * arrs[i].transpose(order)[index]
+        acc = (acc * weights[v].reshape(wshape)).sum(axis=axis)
+        if keep:
+            arrs.append(acc)
         else:
-            scalar *= float(arr)
+            scalar *= float(acc)
     return scalar
 
 

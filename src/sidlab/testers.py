@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -85,6 +86,7 @@ HOLDS = "holds-on-all-trials"
 VIOLATED = "violated"
 
 PROFILE_CLASS_CAP = 200_000
+_PROFILE_CHUNK = 1 << 16  # profile x permutation x subset codes per batch
 CS_TREE_DEPTH_CAP = 20
 
 
@@ -120,8 +122,10 @@ class Property:
     tester names its public test function, which checks the input, defines
     the per-trial sampler and hands both to the runner. An instance is the
     arguments of margin; witness gives each argument's JSON key and (encode,
-    decode) codec. cli_input is what `sidlab test` loads (plain, colored,
-    fractional or none); cli_options are the options it passes to tester.
+    decode) codec, and check names what a decoded instance lacks across its
+    fields, or returns None. cli_input is what `sidlab test` loads (plain,
+    colored, fractional or none); cli_options are the options it passes to
+    tester.
     """
 
     name: str
@@ -131,6 +135,7 @@ class Property:
     tester: str
     margin: Callable[..., float]
     witness: tuple[tuple[str, tuple[Callable, Callable]], ...]
+    check: Callable[..., Optional[str]] = lambda *instance: None
 
     def encode(self, instance: tuple) -> dict:
         return {key: codec[0](value)
@@ -140,7 +145,11 @@ class Property:
         for key, _ in self.witness:
             if key not in payload:
                 raise ValueError(f"{self.name} witness lacks {key!r}")
-        return tuple(codec[1](payload[key]) for key, codec in self.witness)
+        instance = tuple(codec[1](payload[key]) for key, codec in self.witness)
+        problem = self.check(*instance)
+        if problem is not None:
+            raise ValueError(f"{self.name} witness {problem}")
+        return instance
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -223,30 +232,71 @@ def _random_labels(rng: np.random.Generator, keys: Sequence,
     return n, {k: int(c) for k, c in zip(keys, rng.integers(1, n + 1, size=len(keys)))}
 
 
+def _json_list(d, what: str) -> list:
+    """Raise a ValueError naming `what` unless `d` is a JSON list."""
+    if not isinstance(d, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return d
+
+
+def _number_list(d, what: str, kind: type = numbers.Real) -> list:
+    """Raise a ValueError naming `what` unless `d` is a JSON list of numbers."""
+    if not isinstance(d, list) or not all(isinstance(x, kind) for x in d):
+        raise ValueError(f"{what} must be a list of {kind.__name__.lower()} numbers")
+    return d
+
+
+def _labels_from_json(d) -> dict:
+    _json_object(d, "label map")
+    for v, t in d.items():
+        if not isinstance(t, numbers.Integral):
+            raise ValueError(f"label map entry {v!r} must be an integer")
+    return {v: int(t) for v, t in d.items()}
+
+
+def _vector_map_from_json(d) -> dict:
+    _json_object(d, "vector map")
+    return {v: np.asarray(_number_list(vec, f"vector map entry {v!r}"))
+            for v, vec in d.items()}
+
+
+def _tuple_from_json(d) -> BigraphonTuple:
+    _json_object(d, "bigraphon tuple")
+    return BigraphonTuple({int(c): bigraphon_from_json(w) for c, w in d.items()})
+
+
+def _vectors_from_json(d) -> list:
+    return [np.asarray(_number_list(vec, "vector list entry"))
+            for vec in _json_list(d, "vector list")]
+
+
+def _missing_vertex(key: str, mapping: Mapping, vertices: Iterable[str]) -> Optional[str]:
+    return next((f"{key!r} lacks vertex {v!r}" for v in vertices if v not in mapping),
+                None)
+
+
 # Witness field codecs, (to JSON, from JSON). Functions are looked up at call
 # time, as testers are by name, so wrappers installed on the module functions
 # (the benchmark's tracer) see every call.
 _GRAPH = (lambda g: to_json_dict(g), lambda d: from_json_dict(d))
 _GRAPHON = (lambda w: bigraphon_to_json(w), lambda d: bigraphon_from_json(d))
 _TUPLE = (lambda ws: {str(c): bigraphon_to_json(w) for c, w in ws.parts},
-          lambda d: BigraphonTuple({int(c): bigraphon_from_json(w)
-                                    for c, w in d.items()}))
+          _tuple_from_json)
 _FRACTIONAL = (lambda h: fractional_to_json(h), lambda d: fractional_from_json(d))
 _FOLDS = (lambda folds: [fold_to_json(f) for f in folds],
-          lambda d: [fold_from_json(f) for f in d])
+          lambda d: [fold_from_json(f) for f in _json_list(d, "fold list")])
 _COLORING = (lambda coloring: [[list(e), c] for e, c in sorted(coloring.items())],
-             lambda d: {tuple(e): int(c) for e, c in d})
+             lambda d: {tuple(e): int(c) for e, c in _json_list(d, "coloring")})
 _PROFILE = (lambda profile: [[sorted(s), c] for s, c in sorted(
                 profile.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))],
-            lambda d: {frozenset(s): c for s, c in d})
-_LABELS = (lambda labels: dict(sorted(labels.items())),
-           lambda d: {v: int(t) for v, t in d.items()})
+            lambda d: {frozenset(s): c for s, c in _json_list(d, "profile")})
+_LABELS = (lambda labels: dict(sorted(labels.items())), _labels_from_json)
 _VECTOR_MAP = (lambda vecs: {v: list(vec) for v, vec in sorted(vecs.items())},
-               lambda d: {v: np.asarray(vec) for v, vec in d.items()})
-_VECTORS = (lambda vecs: [list(vec) for vec in vecs],
-            lambda d: [np.asarray(vec) for vec in d])
-_VECTOR = (list, np.asarray)
-_LIST = (list, list)
+               _vector_map_from_json)
+_VECTORS = (lambda vecs: [list(vec) for vec in vecs], _vectors_from_json)
+_VECTOR = (list, lambda d: np.asarray(_number_list(d, "vector")))
+_NUMBERS = (list, lambda d: list(_number_list(d, "number list")))
+_COLORS = (list, lambda d: list(_number_list(d, "color list", numbers.Integral)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +375,17 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
     Profiles are deduplicated up to relabeling of the left side, which
     identifies exactly the induced subgraphs with isomorphic edge
     structure (isolated vertices do not affect any density).
+
+    Profiles are enumerated per left subset, counts in product order. Each
+    is coded as the sorted list of its (subset bitmask, count) pairs, bit i
+    for g.left[i]; its class key is the least such list over all left
+    permutations, so the first profile seen of each class represents it.
+    Classes are ordered by the least relabeled, sorted (subset, count) list
+    of their representative.
     """
     left = g.left
     if len(left) > 8:
         raise GraphTooLargeError("profile enumeration capped at 8 left vertices")
-    perms = [dict(zip(left, p)) for p in itertools.permutations(left)]
-
-    def canonical(profile: dict[frozenset, int]) -> tuple:
-        best = None
-        for perm in perms:
-            key = tuple(sorted((tuple(sorted(perm[v] for v in s)), c)
-                               for s, c in profile.items()))
-            if best is None or key < best:
-                best = key
-        return best
-
     traces_full = [frozenset(g.neighbors(w)) for w in g.right]
     work = []
     total = 0
@@ -354,13 +400,56 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
                 raise GraphTooLargeError("too many induced subgraph classes")
             work.append(items)
 
-    seen: dict[tuple, dict[frozenset, int]] = {}
+    # subset-image table, uint8 under the 8-vertex cap: images[m, p] is the
+    # mask of left subset m under permutation p
+    n = len(left)
+    bit = {v: 1 << i for i, v in enumerate(left)}
+    perm_index = np.array(list(itertools.permutations(range(n))),
+                          dtype=np.uint8).reshape(math.factorial(n), n)
+    masks = np.arange(1 << n, dtype=np.uint8)
+    images = (((masks[:, None] >> np.arange(n, dtype=np.uint8)) & 1)
+              @ (np.uint8(1) << perm_index.T))
+    # subset m held by c > 0 right vertices has code m * (most + 1) + c; an
+    # absent subset has code 0, so zeros lead a sorted list of codes
+    most = max((c for items in work for _, c in items), default=0)
+    width = max(map(len, work))
+    dtype = np.min_scalar_type((most + 1) << n)
+    top = np.iinfo(dtype).max
+    chunk = max(1, _PROFILE_CHUNK // (len(perm_index) * max(width, 1)))
+
+    seen: dict[bytes, dict[frozenset, int]] = {}
     for items in work:
-        ranges = [range(c + 1) for _, c in items]
-        for counts in itertools.product(*ranges):
-            profile = {s: c for (s, _), c in zip(items, counts) if c > 0}
-            seen.setdefault(canonical(profile), profile)
-    return [seen[k] for k in sorted(seen)]
+        codes = images[[sum(bit[v] for v in s) for s, _ in items]].T.astype(dtype)
+        codes *= most + 1
+        radices = [c + 1 for _, c in items]
+        count = math.prod(radices)
+        for start in range(0, count, chunk):
+            index = np.arange(start, min(start + chunk, count))
+            counts = np.empty((len(index), len(items)), dtype=dtype)
+            for k in reversed(range(len(items))):
+                index, counts[:, k] = np.divmod(index, radices[k])
+            permuted = np.where(counts[:, None, :] > 0, codes + counts[:, None, :], 0)
+            permuted.sort(axis=2)
+            # the key is the least sorted code list over all permutations
+            keys = np.zeros((len(counts), width), dtype=dtype)
+            alive = np.ones(permuted.shape[:2], dtype=bool)
+            for k in range(len(items)):
+                vals = np.where(alive, permuted[:, :, k], top)
+                keys[:, width - len(items) + k] = low = vals.min(axis=1)
+                alive &= vals == low[:, None]
+            for row, key in zip(counts, keys):
+                key = key.tobytes()
+                if key not in seen:
+                    seen[key] = {s: int(c) for (s, _), c in zip(items, row) if c}
+
+    perms = [dict(zip(left, p)) for p in itertools.permutations(left)]
+
+    def canonical(profile: dict[frozenset, int]) -> tuple:
+        return min(tuple(sorted((tuple(sorted(perm[v] for v in s)), c)
+                                for s, c in profile.items()))
+                   for perm in perms)
+
+    return sorted(seen.values(), key=canonical)
 
 
 def _profile_edge_count(profile: Mapping[frozenset, float]) -> float:
@@ -618,6 +707,15 @@ def _jensen_margin(weights: np.ndarray, gvec: np.ndarray,
     return math.expm1(math.log(lhs_val) - log_rhs)
 
 
+def _jensen_shape(weights: np.ndarray, gvec: np.ndarray,
+                  fvecs: Sequence[np.ndarray], ps: Sequence[float]) -> Optional[str]:
+    if any(len(vec) != len(weights) for vec in [gvec, *fvecs]):
+        return "'g' and 'fs' must match the length of 'weights'"
+    if len(ps) != len(fvecs):
+        return "'ps' must hold one exponent per vector of 'fs'"
+    return None
+
+
 def test_inductive_jensen(n: int, trials: int = 200, seed: int = 0,
                           tol: float = 1e-9) -> TestReport:
     """Moment form of Jensen's bound with exponents p_1 >= ... >= p_n >= 1,
@@ -717,7 +815,9 @@ PROPERTIES: dict[str, Property] = {p.name: p for p in (
     Property("strong-sidorenko", "strong-sidorenko", "plain", _GRID_PRESET,
              "test_strong_sidorenko", _strong_sidorenko_margin,
              (("graph", _GRAPH), ("bigraphon", _GRAPHON), ("f", _VECTOR_MAP),
-              ("g", _VECTOR_MAP))),
+              ("g", _VECTOR_MAP)),
+             lambda g, w, fs, gs: (_missing_vertex("f", fs, g.left)
+                                   or _missing_vertex("g", gs, g.right))),
     # two graphs, and the CLI has no way to name the second one
     Property("weak-domination", None, None, (), "test_weak_domination",
              _weak_domination_margin,
@@ -730,7 +830,8 @@ PROPERTIES: dict[str, Property] = {p.name: p for p in (
              (("graph", _GRAPH), ("coloring", _COLORING), ("tuple", _TUPLE))),
     Property("left-weak-holder", "left-weak-holder", "colored", _GRID_PRESET,
              "test_left_weak_holder", _left_weak_holder_margin,
-             (("colored", _GRAPH), ("ell", _LABELS), ("tuple", _TUPLE))),
+             (("colored", _GRAPH), ("ell", _LABELS), ("tuple", _TUPLE)),
+             lambda h, ell, ws: _missing_vertex("ell", ell, h.graph.left)),
     Property("color-sidorenko", "color-sidorenko", "fractional", _GRID_PRESET,
              "test_color_sidorenko", _color_sidorenko_margin,
              (("fractional", _FRACTIONAL), ("tuple", _TUPLE))),
@@ -738,17 +839,19 @@ PROPERTIES: dict[str, Property] = {p.name: p for p in (
              (("graph", _GRAPH), ("coloring", _COLORING), ("folds", _FOLDS),
               ("tuple", _TUPLE))),
     Property("jensen", "jensen", "none", ("n",), "test_inductive_jensen", _jensen_margin,
-             (("weights", _VECTOR), ("g", _VECTOR), ("fs", _VECTORS), ("ps", _LIST))),
+             (("weights", _VECTOR), ("g", _VECTOR), ("fs", _VECTORS), ("ps", _NUMBERS)),
+             _jensen_shape),
     Property("color-restriction", "color-restriction", "colored", ("grid", "colors"),
              "test_color_restriction_trials", _color_restriction_margin,
-             (("colored", _GRAPH), ("keep_colors", _LIST), ("tuple", _TUPLE))),
+             (("colored", _GRAPH), ("keep_colors", _COLORS), ("tuple", _TUPLE))),
 )}
 
 
 def replay_witness(witness: Mapping) -> float:
     """Recompute the margin of a violation witness from its payload."""
-    if "property" not in witness:
-        raise ValueError("witness lacks 'property'")
+    _json_object(witness, "witness", "property")
+    if not isinstance(witness["property"], str):
+        raise ValueError("witness 'property' must be a string")
     prop = PROPERTIES.get(witness["property"])
     if prop is None:
         raise ValueError(f"unknown witness property {witness['property']!r}")

@@ -1,12 +1,15 @@
 """Tests for the density engine: plain, flag, colored, weighted densities."""
 
 import itertools
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from sidlab.bigraph import Bigraph, ColoredBigraph, Flag, cycle4, left_labeled, rho
 from sidlab.bigraphon import BigraphonTuple, StepBigraphon, random_step_bigraphon
+from sidlab.fractional import ColoredFractionalBigraph, fractional_density, rainbow_star
 from sidlab.density import (
     colored_density,
     density,
@@ -331,6 +334,121 @@ def test_colored_density_random_against_oracle():
                              for c in (1, 2)})
         assert colored_density(h, ws) == pytest.approx(
             loop_colored_oracle(h, ws), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the cached elimination plan against per-call planning
+
+
+def _reference_align(factors):
+    sizes = {}
+    for vs, arr in factors:
+        sizes.update(zip(vs, arr.shape))
+    allvars = sorted(sizes)
+    out = np.ones([sizes[v] for v in allvars])
+    for vs, arr in factors:
+        order = sorted(range(len(vs)), key=lambda i: vs[i])
+        arr = np.transpose(arr, order)
+        shape = [sizes[v] if v in vs else 1 for v in allvars]
+        out = out * arr.reshape(shape)
+    return tuple(allvars), out
+
+
+def reference_eliminate_all(factors, weights):
+    """Greedy min-degree elimination replanned on every call."""
+    scalar = 1.0
+    live = [f for f in factors if f[0]]
+    for vs, arr in factors:
+        if not vs:
+            scalar *= float(arr)
+    remaining = set(weights)
+    while remaining:
+        neighbor_count = {}
+        for v in remaining:
+            others = set()
+            for vs, _ in live:
+                if v in vs:
+                    others |= set(vs)
+            others.discard(v)
+            neighbor_count[v] = len(others)
+        v = min(sorted(remaining), key=lambda u: (neighbor_count[u], u))
+        remaining.discard(v)
+        touching = [f for f in live if v in f[0]]
+        live = [f for f in live if v not in f[0]]
+        if not touching:
+            continue
+        vs, arr = _reference_align(touching)
+        axis = vs.index(v)
+        wvec = weights[v].reshape([-1 if i == axis else 1 for i in range(len(vs))])
+        arr = (arr * wvec).sum(axis=axis)
+        new_vs = tuple(u for u in vs if u != v)
+        if new_vs:
+            live.append((new_vs, arr))
+        else:
+            scalar *= float(arr)
+    return scalar
+
+
+def non_uniform_bigraphon(rng):
+    rows, cols = (int(k) for k in rng.integers(1, 5, size=2))
+    return StepBigraphon(rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(cols)),
+                         rng.uniform(1e-3, 1.0, size=(rows, cols)))
+
+
+def test_plan_is_bit_identical_to_per_call_planning(monkeypatch):
+    planned = sys.modules["sidlab.density"]._eliminate_all
+    seen = Counter()
+
+    def both(factors, weights):
+        value = planned(factors, weights)
+        assert value == reference_eliminate_all(factors, weights)
+        seen["calls"] += 1
+        return value
+    monkeypatch.setattr(sys.modules["sidlab.density"], "_eliminate_all", both)
+    monkeypatch.setattr(sys.modules["sidlab.fractional"], "_eliminate_all", both)
+
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        g = random_bigraph(rng, max_side=4, max_total=8)
+        w = non_uniform_bigraphon(rng)
+        density(g, w)
+        weighted_density(g, w, {v: rng.uniform(0.1, 2.0, size=w.rows) for v in g.left},
+                         {u: rng.uniform(0.1, 2.0, size=w.cols) for u in g.right})
+        labeled = tuple(v for v in g.vertices() if rng.random() < 0.5)
+        seen["pinned"] += bool(labeled)
+        flag_density(Flag(g, labeled), w, {
+            v: int(rng.integers(0, w.rows if v in set(g.left) else w.cols))
+            for v in labeled})
+        coloring = {e: int(rng.integers(1, 3)) for e in g.sorted_edges()}
+        ws = BigraphonTuple({c: w.with_values(rng.uniform(1e-3, 1.0, size=w.values.shape))
+                             for c in (1, 2)})
+        colored_density(ColoredBigraph(g, coloring), ws)
+        h = ColoredFractionalBigraph(
+            ["u", "v", "w"], [1, 2],
+            {(sub, c): float(rng.choice([0.0, 0.5, 1.0, 1.7]))
+             for sub in itertools.chain.from_iterable(
+                 itertools.combinations("uvw", k) for k in range(4))
+             for c in (1, 2) if rng.random() < 0.3})
+        if h.total_edge_mass() > 0:
+            fractional_density(h, ws)
+            fractional_density(rainbow_star(h), ws)
+    assert seen["pinned"] >= 30 and seen["calls"] >= 200, seen
+
+
+def test_plan_is_cached_per_factor_structure():
+    plan = sys.modules["sidlab.density"]._plan
+    g = cycle4()
+    w = random_step_bigraphon(3, 2, seed=8)
+    value = density(g, w)
+    misses = plan.cache_info().misses
+    assert density(g, w) == value
+    assert density(g, random_step_bigraphon(4, 4, seed=9)) > 0  # sizes are not keyed
+    assert plan.cache_info().misses == misses
+    relabeled = Bigraph([v + "'" for v in g.left], [u + "'" for u in g.right],
+                        [(l + "'", r + "'") for l, r in g.edges])
+    assert density(relabeled, w) == value
+    assert plan.cache_info().misses == misses + 1
+    assert plan.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------------------------

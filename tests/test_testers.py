@@ -504,6 +504,15 @@ def nested_objects(node, path=()):
         yield from nested_objects(child, path + (step,))
 
 
+# free-form fields an empty list leaves a valid instance: no profile entry,
+# no fold, no kept color
+EMPTY_IS_VALID = {"profile", "folds", "keep_colors"}
+# maps keyed by the vertices of a side of the witness graph
+VERTEX_MAPS = {("strong-sidorenko", "f"): ("graph", "v1"),
+               ("strong-sidorenko", "g"): ("graph", "v2"),
+               ("left-weak-holder", "ell"): ("colored", "v1")}
+
+
 @pytest.mark.parametrize("name", list(props.PROPERTIES))
 def test_emptied_nested_object_names_the_key(name):
     witness = json.loads(json.dumps(report_to_json(shipped_report(name))))["witness"]
@@ -520,6 +529,29 @@ def test_emptied_nested_object_names_the_key(name):
             with pytest.raises(ValueError) as info:
                 replay_witness(broken)
             assert str(info.value) == message, path
+
+    # free-form fields: every retyped or emptied one is refused with a
+    # ValueError, and a vertex map that misses a vertex names both
+    for key in ["property"] + [k for k, _ in props.PROPERTIES[name].witness]:
+        for value in ({}, [], "x"):
+            broken = {**witness, key: value}
+            if value == [] and key in EMPTY_IS_VALID:
+                assert math.isfinite(replay_witness(broken))
+            else:
+                with pytest.raises(ValueError):
+                    replay_witness(broken)
+        if (name, key) in VERTEX_MAPS:
+            graph, side = VERTEX_MAPS[name, key]
+            vertex = witness[graph][side][-1]
+            broken = {**witness,
+                      key: {v: x for v, x in witness[key].items() if v != vertex}}
+            with pytest.raises(ValueError) as info:
+                replay_witness(broken)
+            assert str(info.value) == f"{name} witness '{key}' lacks vertex {vertex!r}"
+    if name == "jensen":
+        for key, value in (("g", witness["g"][1:]), ("ps", witness["ps"][1:])):
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                replay_witness({**witness, key: value})
 
 
 def test_single_instance_witnesses_replay_exactly():
