@@ -7,6 +7,7 @@ lists are kept sorted so every emitted artifact is deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -39,7 +40,27 @@ AUTOMORPHISM_VERTEX_CAP = 24
 
 
 class GraphTooLargeError(ValueError):
-    """Raised when an exhaustive operation exceeds its documented size cap."""
+    """Raised when an exhaustive operation exceeds its documented size cap
+    or work budget."""
+
+
+@dataclass(frozen=True)
+class _VertexIndex:
+    """Integer view of a bigraph: vertex i is `names[i]`, in `vertices()`
+    order, so indices below v1 are left vertices; bit j of `adj[i]` is set
+    iff vertices i and j are adjacent."""
+
+    names: tuple[str, ...]
+    pos: dict[str, int]
+    adj: tuple[int, ...]
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -90,13 +111,26 @@ class Bigraph:
     def vertex_set(self) -> frozenset[str]:
         return frozenset(self.left) | frozenset(self.right)
 
+    @functools.cached_property
+    def _index(self) -> _VertexIndex:
+        names = self.vertices()
+        pos = {v: i for i, v in enumerate(names)}
+        adj = [0] * len(names)
+        for l, r in self.edges:
+            i, j = pos[l], pos[r]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return _VertexIndex(names, pos, tuple(adj))
+
+    def _position(self, v: str) -> int:
+        i = self._index.pos.get(v)
+        if i is None:
+            raise ValueError(f"unknown vertex {v!r}")
+        return i
+
     def side(self, v: str) -> int:
         """1 for left vertices, 2 for right vertices."""
-        if v in set(self.left):
-            return 1
-        if v in set(self.right):
-            return 2
-        raise ValueError(f"unknown vertex {v!r}")
+        return 1 if self._position(v) < self.v1 else 2
 
     def sorted_edges(self) -> list[tuple[str, str]]:
         return sorted(self.edges)
@@ -109,14 +143,11 @@ class Bigraph:
         return {u: frozenset(ns) for u, ns in adj.items()}
 
     def neighbors(self, v: str) -> frozenset[str]:
-        if v in set(self.left):
-            return frozenset(r for l, r in self.edges if l == v)
-        if v in set(self.right):
-            return frozenset(l for l, r in self.edges if r == v)
-        raise ValueError(f"unknown vertex {v!r}")
+        index = self._index
+        return frozenset(index.names[j] for j in _bits(index.adj[self._position(v)]))
 
     def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
+        return self._index.adj[self._position(v)].bit_count()
 
     def isolated_vertices(self) -> frozenset[str]:
         touched = {u for e in self.edges for u in e}
@@ -542,12 +573,34 @@ def _json_object(d, what: str, *keys: str) -> None:
             raise ValueError(f"{what} lacks {key!r}")
 
 
+def _json_list(d: Mapping, key: str, is_item, items: str) -> list:
+    """d[key] if it is a list whose every entry passes is_item, else a
+    ValueError naming the key."""
+    value = d[key]
+    if not isinstance(value, (list, tuple)) or not all(map(is_item, value)):
+        raise ValueError(f"bigraph {key!r} must be a list of {items}")
+    return list(value)
+
+
+def _is_name(x) -> bool:
+    return isinstance(x, str)
+
+
+def _is_pair(x) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_name, x))
+
+
 def from_json_dict(d: Mapping) -> Bigraph | ColoredBigraph:
+    """Decode the bigraph schema above. `edges` may be omitted, for an
+    edgeless graph; a value of the wrong type raises ValueError naming its key."""
     _json_object(d, "bigraph", "v1", "v2")
-    edges = [tuple(e) for e in d.get("edges", [])]
-    g = Bigraph(d["v1"], d["v2"], edges)
-    if "edge_colors" in d and d["edge_colors"] is not None:
-        colors = d["edge_colors"]
+    left = _json_list(d, "v1", _is_name, "strings")
+    right = _json_list(d, "v2", _is_name, "strings")
+    edges = [tuple(e) for e in _json_list(d, "edges", _is_pair, "[left, right] string pairs")
+             ] if "edges" in d else []
+    g = Bigraph(left, right, edges)
+    if d.get("edge_colors") is not None:
+        colors = _json_list(d, "edge_colors", lambda c: type(c) is int, "ints")
         if len(colors) != len(edges):
             raise ValueError("edge_colors must parallel edges")
         return ColoredBigraph(g, dict(zip(edges, colors)))

@@ -5,16 +5,30 @@ sets E_0..E_m (edge mode) or left-vertex sets U_0..U_m (left mode), where
 each step is the exact preimage of the previous set under the fold's
 left-folding map. What the two modes differ in lives in one table: the
 elements a state ranges over, how a vertex map moves one element, the
-goal's name and an element's JSON codec. One preimage serves the search
-and the verifier. Searches are BFS over reachable subsets, so returned
-certificates are shortest within the supplied fold pool.
+goal's name and an element's JSON codec. Searches are BFS over reachable
+subsets, so returned certificates are shortest within the supplied fold
+pool.
+
+The search runs on integers. Each fold is compiled once into an index
+array over the elements, so a preimage is a gather; each BFS level is a
+packed bit array, expanded in bounded chunks of rows. Candidates are
+deduplicated against one set of packed states in (state row, fold) order.
+A FIFO queue pops the states of one level in the order they were found and
+tries the folds in pool order, so that is the order a queue-based BFS meets
+them in; parents, certificates, state counts, and where the goal check and
+the budget stop fall, are therefore the same as for a queue. Parents are
+kept per level as (parent row, fold index) arrays, and a certificate's
+states are recomputed from its start element and folds.
+`verify_certificate` recomputes every preimage over frozensets, apart from
+the search.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .bigraph import Bigraph, _json_object, amalgamate_left
 from .folds import Fold, check_fold, enumerate_folds, fold_from_json, fold_to_json
@@ -35,6 +49,10 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**6
+
+# frontier rows expanded together are capped so that one chunk gathers at
+# most about this many candidate cells (one byte each before packing)
+_CHUNK_CELLS = 1 << 20
 
 LeftState = frozenset[str]
 EdgeState = frozenset[tuple[str, str]]
@@ -159,44 +177,85 @@ def _search(g: Bigraph, mode: str, fold_pool: Optional[Sequence[Fold]],
             budget: int) -> PercolationCertificate | NotFound:
     """BFS from every singleton state to the set of all elements. The start
     states count as explored; the search stops with `budget` once more than
-    budget states are explored."""
+    budget states are explored, before any expansion when the start states
+    alone are more than budget (unless one of them is the goal)."""
     spec = _MODES[mode]
     pool = _resolve_pool(g, fold_pool)
     elements = spec.elements(g)
-    moves = [_moves(spec, elements, fold) for fold in pool]
-    goal = frozenset(elements)
-    parents: dict[State, Optional[tuple[State, int]]] = {
-        frozenset({x}): None for x in elements}
-    queue: deque[State] = deque(parents)
+    n, n_folds = len(elements), len(pool)
+    where = {x: i for i, x in enumerate(elements)}
+    # imgs[f, i] is the index of element i's image under fold f's
+    # left-folding map, so a state's preimage under f is state[imgs[f]]
+    imgs = np.array([[where[y] for _, y in _moves(spec, elements, fold)]
+                     for fold in pool], dtype=np.intp).reshape(n_folds, n)
+    # states are packed to whole bytes; padding bits are zero, so index n
+    # (a padding bit whenever padding exists) pads each row of imgs too
+    nbytes = (n + 7) // 8
+    gather = np.pad(imgs, ((0, 0), (0, 8 * nbytes - n)), constant_values=n)
 
-    def build(state: State) -> PercolationCertificate:
-        chain: list[State] = [state]
-        fold_idx: list[int] = []
-        while parents[state] is not None:
-            state, idx = parents[state]  # type: ignore[misc]
+    def build(start: int, fold_idx: list[int]) -> PercolationCertificate:
+        state = np.zeros(n, dtype=bool)
+        state[start] = True
+        chain = [state]
+        for f in fold_idx:
+            state = state[imgs[f]]
             chain.append(state)
-            fold_idx.append(idx)
-        chain.reverse()
-        fold_idx.reverse()
-        return _recheck(g, PercolationCertificate(mode, [pool[i] for i in fold_idx],
-                                                  chain))
+        return _recheck(g, PercolationCertificate(
+            mode, [pool[f] for f in fold_idx],
+            [[elements[i] for i in np.flatnonzero(s)] for s in chain]))
 
-    if goal in parents:
-        return build(goal)
-    explored = len(parents)
-    while queue:
-        state = queue.popleft()
-        for idx, fold_moves in enumerate(moves):
-            nxt = _preimage(fold_moves, state)
-            if not nxt or nxt in parents:
+    frontier = np.packbits(np.eye(n, dtype=bool), axis=1)
+    key_type = np.dtype((np.void, nbytes))
+    goal = np.packbits(np.ones(n, dtype=bool)).tobytes()
+    # the empty state is never explored; seeding it skips empty preimages
+    seen = set(frontier.view(key_type).ravel().tolist()) | {bytes(nbytes)}
+    if goal in seen:
+        return build(0, [])
+    explored = n
+    if explored > budget:
+        return NotFound("budget", explored)
+    # per level after the first: each state's parent row and fold index
+    parents: list[tuple[np.ndarray, np.ndarray]] = []
+    rows_per_chunk = max(1, _CHUNK_CELLS // max(1, n_folds * n))
+    while len(frontier) and n_folds:
+        level_rows, level_parents, level_folds = [], [], []
+        for lo in range(0, len(frontier), rows_per_chunk):
+            # one row of bits per element, so the gather copies whole rows
+            bits = np.unpackbits(frontier[lo:lo + rows_per_chunk], axis=1).T.copy()
+            # candidates in (state row, fold) order, which is the order a
+            # FIFO queue would generate them in
+            cands = np.packbits(bits[gather].transpose(2, 0, 1).ravel())
+            cands = cands.reshape(-1, nbytes)
+            keys = cands.view(key_type).ravel().tolist()
+            fresh = []
+            for k, key in enumerate(keys):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(k)
+            if not fresh:
                 continue
-            parents[nxt] = (state, idx)
-            explored += 1
-            if nxt == goal:
-                return build(nxt)
-            if explored > budget:
-                return NotFound("budget", explored)
-            queue.append(nxt)
+            over = budget - explored  # fresh[over] would pass the budget
+            if goal in seen:
+                j = next(j for j, k in enumerate(fresh) if keys[k] == goal)
+                if j <= over:
+                    row, f = divmod(fresh[j], n_folds)
+                    row += lo
+                    fold_idx = [f]
+                    for rows, folds in reversed(parents):
+                        fold_idx.append(int(folds[row]))
+                        row = int(rows[row])
+                    return build(row, fold_idx[::-1])
+            if len(fresh) > over:
+                return NotFound("budget", budget + 1)
+            explored += len(fresh)
+            fresh_idx = np.array(fresh)
+            level_rows.append(cands[fresh_idx])
+            level_parents.append(lo + fresh_idx // n_folds)
+            level_folds.append(fresh_idx % n_folds)
+        if not level_rows:
+            break
+        frontier = np.concatenate(level_rows)
+        parents.append((np.concatenate(level_parents), np.concatenate(level_folds)))
     return NotFound("exhausted", explored)
 
 

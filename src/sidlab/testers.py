@@ -377,11 +377,12 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
     structure (isolated vertices do not affect any density).
 
     Profiles are enumerated per left subset, counts in product order. Each
-    is coded as the sorted list of its (subset bitmask, count) pairs, bit i
-    for g.left[i]; its class key is the least such list over all left
-    permutations, so the first profile seen of each class represents it.
-    Classes are ordered by the least relabeled, sorted (subset, count) list
-    of their representative.
+    is coded as the sorted list of its (subset rank, count) pairs, where
+    subsets are ranked by their sorted tuples of vertex names; its class key
+    is the least such list over all left permutations, so the first profile
+    seen of each class represents it. Classes are ordered by their keys,
+    which is the order of the least relabeled, sorted (subset, count) list
+    of their representatives.
     """
     left = g.left
     if len(left) > 8:
@@ -409,17 +410,22 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
     masks = np.arange(1 << n, dtype=np.uint8)
     images = (((masks[:, None] >> np.arange(n, dtype=np.uint8)) & 1)
               @ (np.uint8(1) << perm_index.T))
-    # subset m held by c > 0 right vertices has code m * (most + 1) + c; an
-    # absent subset has code 0, so zeros lead a sorted list of codes
+    # rank[m] orders subsets by their sorted name tuples; g.left is sorted
+    order = sorted(range(1 << n), key=lambda m: [left[i] for i in range(n) if m >> i & 1])
+    rank = np.empty(1 << n, dtype=np.int64)
+    rank[order] = np.arange(1 << n)
+    # subset m held by c > 0 right vertices has code rank[m] * (most + 1) + c,
+    # which orders (subset, count) pairs as their name tuples do; an absent
+    # subset has code 0, so zeros lead a sorted list of codes
     most = max((c for items in work for _, c in items), default=0)
     width = max(map(len, work))
     dtype = np.min_scalar_type((most + 1) << n)
     top = np.iinfo(dtype).max
     chunk = max(1, _PROFILE_CHUNK // (len(perm_index) * max(width, 1)))
 
-    seen: dict[bytes, dict[frozenset, int]] = {}
+    seen: dict[bytes, tuple[list[int], dict[frozenset, int]]] = {}
     for items in work:
-        codes = images[[sum(bit[v] for v in s) for s, _ in items]].T.astype(dtype)
+        codes = rank[images[[sum(bit[v] for v in s) for s, _ in items]].T].astype(dtype)
         codes *= most + 1
         radices = [c + 1 for _, c in items]
         count = math.prod(radices)
@@ -438,18 +444,12 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
                 keys[:, width - len(items) + k] = low = vals.min(axis=1)
                 alive &= vals == low[:, None]
             for row, key in zip(counts, keys):
-                key = key.tobytes()
-                if key not in seen:
-                    seen[key] = {s: int(c) for (s, _), c in zip(items, row) if c}
+                code = key.tobytes()
+                if code not in seen:
+                    seen[code] = ([c for c in key.tolist() if c],
+                                  {s: int(c) for (s, _), c in zip(items, row) if c})
 
-    perms = [dict(zip(left, p)) for p in itertools.permutations(left)]
-
-    def canonical(profile: dict[frozenset, int]) -> tuple:
-        return min(tuple(sorted((tuple(sorted(perm[v] for v in s)), c)
-                                for s, c in profile.items()))
-                   for perm in perms)
-
-    return sorted(seen.values(), key=canonical)
+    return [profile for _, profile in sorted(seen.values(), key=lambda kp: kp[0])]
 
 
 def _profile_edge_count(profile: Mapping[frozenset, float]) -> float:

@@ -14,9 +14,11 @@ import pytest
 from sidlab import testers as props
 from sidlab.bigraph import (
     Bigraph,
+    GraphTooLargeError,
     book,
     cycle4,
     graphs_isomorphic,
+    star,
     two_core,
 )
 from sidlab.bigraphon import BigraphonTuple, random_step_bigraphon
@@ -317,3 +319,12 @@ def test_criterion_11_rtd_verifier():
                 bags, [(0, 1), (1, 2)]))
             assert not report.passed
             assert "running intersection" in report.reason
+
+
+def test_criterion_12_fold_enumeration_follows_involutions():
+    with criterion(12, "fold enumeration follows involutions", 10):
+        # star(10) has 10! automorphisms but only 9,496 involutions
+        assert len(enumerate_folds(star(10))) == 9495
+        empty = Bigraph([f"l{i}" for i in range(13)], [f"r{i}" for i in range(13)], [])
+        with pytest.raises(GraphTooLargeError, match="search nodes"):
+            enumerate_folds(empty)

@@ -3,7 +3,9 @@
 import json
 from pathlib import Path
 
-from sidlab.bigraph import from_json_dict
+import pytest
+
+from sidlab.bigraph import Bigraph, from_json_dict
 from sidlab.cli import TEST_PROPERTIES, main
 from sidlab.percolation import certificate_from_json, verify_certificate
 
@@ -106,6 +108,42 @@ def test_certify_non_graph_json_names_the_problem(tmp_path, capsys):
         assert main(["certify", str(gpath), "--mode", "left"]) == 1
         captured = capsys.readouterr()
         assert captured.err == message and captured.out == ""
+
+
+V1 = "bigraph 'v1' must be a list of strings"
+EDGES = "bigraph 'edges' must be a list of [left, right] string pairs"
+COLORS = "bigraph 'edge_colors' must be a list of ints"
+MISTYPED_GRAPHS = {
+    "v1 entry an object": ({"v1": [{}], "v2": ["b"]}, V1),
+    "v1 a string": ({"v1": "ab", "v2": ["c"], "edges": [["a", "c"]]}, V1),
+    "v1 entry an int": ({"v1": [1], "v2": ["b"], "edges": [[1, "b"]]}, V1),
+    "v2 null": ({"v1": ["a"], "v2": None},
+                "bigraph 'v2' must be a list of strings"),
+    "edge of one vertex": ({"v1": ["a"], "v2": ["b"], "edges": [["a"]]}, EDGES),
+    "edges an object": ({"v1": ["a"], "v2": ["b"], "edges": {}}, EDGES),
+    "edge_colors entry an object": ({"v1": ["a"], "v2": ["b"], "edges": [["a", "b"]],
+                                     "edge_colors": [{}]}, COLORS),
+    "edge_colors a string": ({"v1": ["a"], "v2": ["b"], "edges": [["a", "b"]],
+                              "edge_colors": "1"}, COLORS),
+}
+
+
+@pytest.mark.parametrize("case", list(MISTYPED_GRAPHS))
+def test_bigraph_decoder_names_the_mistyped_key(tmp_path, capsys, case):
+    payload, message = MISTYPED_GRAPHS[case]
+    with pytest.raises(ValueError) as exc:
+        from_json_dict(payload)
+    assert str(exc.value) == message
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["certify", str(gpath), "--mode", "left"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_bigraph_edges_may_be_omitted():
+    assert from_json_dict({"v1": ["a"], "v2": ["b"]}) == Bigraph(["a"], ["b"])
 
 
 def test_certify_reflection_pool_requires_incidence(tmp_path):

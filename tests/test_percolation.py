@@ -134,6 +134,14 @@ def test_left_search_budget_flag():
     assert res.budget_exhausted
 
 
+def test_budget_below_start_count_unless_a_start_is_the_goal():
+    path = Bigraph(["a", "b"], ["c", "d"], [("a", "c"), ("b", "c"), ("b", "d")])
+    # the pool is empty, so only the budget rule tells these apart
+    assert find_left_cut_percolating(path, budget=1) == NotFound("budget", 2)
+    assert find_left_cut_percolating(path, budget=2) == NotFound("exhausted", 2)
+    assert find_cut_percolating(rho(), budget=0).length == 0
+
+
 def test_left_search_empty_left_errors():
     with pytest.raises(ValueError):
         find_left_cut_percolating(Bigraph([], ["r"], []))
@@ -142,6 +150,8 @@ def test_left_search_empty_left_errors():
 @pytest.mark.parametrize("n, mode, budget, expected", [
     (5, "edge", DEFAULT_BUDGET, NotFound("exhausted", 6712)),
     (6, "edge", 5000, NotFound("budget", 5001)),
+    # a budget below the 90 start states stops before any expansion
+    (6, "edge", 50, NotFound("budget", 90)),
     (7, "left", DEFAULT_BUDGET, 6),
     (8, "left", DEFAULT_BUDGET, 7),
 ])
