@@ -573,12 +573,12 @@ def _json_object(d, what: str, *keys: str) -> None:
             raise ValueError(f"{what} lacks {key!r}")
 
 
-def _json_list(d: Mapping, key: str, is_item, items: str) -> list:
+def _json_list(d: Mapping, key: str, is_item, items: str, what: str = "bigraph") -> list:
     """d[key] if it is a list whose every entry passes is_item, else a
-    ValueError naming the key."""
+    ValueError naming the format and the key."""
     value = d[key]
     if not isinstance(value, (list, tuple)) or not all(map(is_item, value)):
-        raise ValueError(f"bigraph {key!r} must be a list of {items}")
+        raise ValueError(f"{what} {key!r} must be a list of {items}")
     return list(value)
 
 

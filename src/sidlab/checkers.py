@@ -17,6 +17,9 @@ from .bigraph import (
     Bigraph,
     ColoredBigraph,
     Flag,
+    _is_name,
+    _json_list,
+    _json_object,
     colored_automorphisms,
     flags_isomorphic,
     induced_subgraph,
@@ -37,6 +40,7 @@ __all__ = [
     "OrbitReport",
     "check_orbit_hypotheses",
     "ReflectiveTreeDecomposition",
+    "decomposition_from_json",
     "RtdReport",
     "verify_rtd",
 ]
@@ -302,6 +306,25 @@ class ReflectiveTreeDecomposition:
         while path[-1] != a:
             path.append(parent[path[-1]])
         return path[::-1]
+
+
+def _is_bag(x) -> bool:
+    return isinstance(x, list) and all(map(_is_name, x))
+
+
+def _is_tree_edge(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(type(i) is int for i in x)
+
+
+def decomposition_from_json(d) -> ReflectiveTreeDecomposition:
+    """Decode `{"bags": [[vertex, ...], ...], "edges": [[i, j], ...]}`.
+    `edges` may be omitted, for a single bag; a value of the wrong type
+    raises ValueError naming its key."""
+    _json_object(d, "decomposition", "bags")
+    bags = _json_list(d, "bags", _is_bag, "string lists", "decomposition")
+    edges = (_json_list(d, "edges", _is_tree_edge, "integer pairs", "decomposition")
+             if "edges" in d else [])
+    return ReflectiveTreeDecomposition(bags, [tuple(e) for e in edges])
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,12 @@ from .bigraph import Bigraph, ColoredBigraph, book, cycle4, from_json_dict, star
 from .checkers import (
     DegreeProfile,
     PreconditionError,
-    ReflectiveTreeDecomposition,
     check_conlonlee_divisibility,
     check_conlonlee_profile,
     check_largeright,
     check_largeright_profile,
     check_orbit_hypotheses,
+    decomposition_from_json,
     verify_rtd,
 )
 from .percolation import (
@@ -282,8 +282,7 @@ def _cmd_check(args) -> int:
     g = _plain_graph(_load_graph(args.graph))
     with open(args.decomposition, encoding="utf-8") as fh:
         d = json.load(fh)
-    t = ReflectiveTreeDecomposition(d["bags"], [tuple(e) for e in d.get("edges", [])])
-    report = verify_rtd(g, t)
+    report = verify_rtd(g, decomposition_from_json(d))
     payload = {"checker": "rtd", "passed": report.passed, "reason": report.reason,
                "core": to_json_dict(report.core) if report.core is not None else None}
     _write_json(payload, args.output)

@@ -324,6 +324,40 @@ def test_check_rtd(tmp_path):
     assert main(["check", "rtd", str(gpath), "--decomposition", str(bad)]) == 3
 
 
+BAGS = "decomposition 'bags' must be a list of string lists"
+TREE_EDGES = "decomposition 'edges' must be a list of integer pairs"
+MALFORMED_DECOMPOSITIONS = {
+    "top-level list": ([["p", "q"]], "decomposition must be a JSON object"),
+    "no bags": ({"edges": []}, "decomposition lacks 'bags'"),
+    "bags an object": ({"bags": {}}, BAGS),
+    "bag an int": ({"bags": [["a"], 3]}, BAGS),
+    "bag entry an int": ({"bags": [["p", 1]]}, BAGS),
+    "edges a string": ({"bags": [["p"], ["q"]], "edges": "01"}, TREE_EDGES),
+    "edge of one index": ({"bags": [["p"], ["q"]], "edges": [[0]]}, TREE_EDGES),
+    "edge of strings": ({"bags": [["p"], ["q"]], "edges": [["0", "1"]]}, TREE_EDGES),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_DECOMPOSITIONS))
+def test_check_rtd_names_the_malformed_key(tmp_path, capsys, case):
+    payload, message = MALFORMED_DECOMPOSITIONS[case]
+    gpath = make_graph(tmp_path, "construct", "book", "--k", "2")
+    dpath = tmp_path / "decomp.json"
+    dpath.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["check", "rtd", str(gpath), "--decomposition", str(dpath)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_check_rtd_edges_may_be_omitted(tmp_path):
+    gpath = make_graph(tmp_path, "construct", "book", "--k", "2")
+    dpath = tmp_path / "decomp.json"
+    dpath.write_text(json.dumps({"bags": [sorted(from_json_dict(
+        read_json(gpath)).vertices())]}))
+    assert main(["check", "rtd", str(gpath), "--decomposition", str(dpath)]) == 0
+
+
 def test_check_usage_errors():
     assert main(["check", "largeright"]) == 1
     assert main(["check", "orbits"]) == 1

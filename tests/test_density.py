@@ -1,14 +1,20 @@
 """Tests for the density engine: plain, flag, colored, weighted densities."""
 
 import itertools
+import json
+import math
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+import test_fractional
 
 from sidlab.bigraph import Bigraph, ColoredBigraph, Flag, cycle4, left_labeled, rho
 from sidlab.bigraphon import BigraphonTuple, StepBigraphon, random_step_bigraphon
+from sidlab.reflection import build_incidence
+from sidlab.testers import replay_witness, report_to_json, test_sidorenko as sidorenko_tester
 from sidlab.fractional import ColoredFractionalBigraph, fractional_density, rainbow_star
 from sidlab.density import (
     colored_density,
@@ -20,6 +26,7 @@ from sidlab.density import (
 )
 
 DIAG = StepBigraphon.uniform([[1.0, 0.0], [0.0, 1.0]])
+DENSITY = sys.modules["sidlab.density"]
 
 
 def random_bigraph(rng, max_side=5, max_total=10):
@@ -395,16 +402,19 @@ def non_uniform_bigraphon(rng):
                          rng.uniform(1e-3, 1.0, size=(rows, cols)))
 
 
-def test_plan_is_bit_identical_to_per_call_planning(monkeypatch):
-    planned = sys.modules["sidlab.density"]._eliminate_all
+def check_every_density_kind(monkeypatch, agree):
+    """Run every single-density entry point on random graphs and
+    non-uniform bigraphons; each elimination must `agree` with per-call
+    planning."""
+    planned = DENSITY._eliminate_all
     seen = Counter()
 
     def both(factors, weights):
         value = planned(factors, weights)
-        assert value == reference_eliminate_all(factors, weights)
+        assert agree(value, reference_eliminate_all(factors, weights))
         seen["calls"] += 1
         return value
-    monkeypatch.setattr(sys.modules["sidlab.density"], "_eliminate_all", both)
+    monkeypatch.setattr(DENSITY, "_eliminate_all", both)
     monkeypatch.setattr(sys.modules["sidlab.fractional"], "_eliminate_all", both)
 
     rng = np.random.default_rng(31)
@@ -435,8 +445,12 @@ def test_plan_is_bit_identical_to_per_call_planning(monkeypatch):
     assert seen["pinned"] >= 30 and seen["calls"] >= 200, seen
 
 
+def test_plan_is_bit_identical_to_per_call_planning(monkeypatch):
+    check_every_density_kind(monkeypatch, lambda value, reference: value == reference)
+
+
 def test_plan_is_cached_per_factor_structure():
-    plan = sys.modules["sidlab.density"]._plan
+    plan = DENSITY._plan
     g = cycle4()
     w = random_step_bigraphon(3, 2, seed=8)
     value = density(g, w)
@@ -449,6 +463,96 @@ def test_plan_is_cached_per_factor_structure():
     assert density(relabeled, w) == value
     assert plan.cache_info().misses == misses + 1
     assert plan.cache_info().maxsize is not None
+
+
+# ---------------------------------------------------------------------------
+# the einsum branch for buckets past the product threshold
+
+
+@pytest.mark.parametrize("oracle_test", [
+    test_density_matches_brute_force_and_oracle,
+    test_flag_density_random_against_oracle,
+    test_colored_density_random_against_oracle,
+    test_weighted_density_random_against_oracle,
+    test_fractional.test_fractional_density_matches_brute_force,
+], ids=lambda f: f.__name__)
+def test_einsum_branch_against_oracles(monkeypatch, oracle_test):
+    """With the threshold at 0 every step contracts along an einsum path;
+    the oracle cross-checks hold at the same tolerances."""
+    monkeypatch.setattr(DENSITY, "_SMALL_BUCKET", 0)
+    calls = DENSITY._einsum_path.cache_info()
+    oracle_test()
+    after = DENSITY._einsum_path.cache_info()
+    assert after.hits + after.misses > calls.hits + calls.misses
+
+
+def test_einsum_branch_matches_per_call_planning(monkeypatch):
+    """Unlike the symmetric factors of the small oracle graphs, colored and
+    weighted buckets here catch a subscript that permutes an output."""
+    monkeypatch.setattr(DENSITY, "_SMALL_BUCKET", 0)
+    check_every_density_kind(
+        monkeypatch, lambda value, reference: value == pytest.approx(reference, rel=1e-12))
+
+
+def test_branches_agree_on_a_grid_16_incidence_graph(monkeypatch):
+    g = build_incidence(5, (2, 3)).graph
+    w = random_step_bigraphon(16, 16, seed=3)
+    mixed = density(g, w)
+    monkeypatch.setattr(DENSITY, "_SMALL_BUCKET", 0)
+    assert density(g, w) == pytest.approx(mixed, rel=1e-12)
+    monkeypatch.setattr(DENSITY, "_SMALL_BUCKET", math.inf)
+    assert density(g, w) == pytest.approx(mixed, rel=1e-12)
+
+
+def test_grid_4_incidence_plans_stay_on_the_product_branch():
+    for n in range(3, 9):
+        g = build_incidence(n, (2, 3)).graph
+        _, steps = DENSITY._plan(tuple(g.sorted_edges()), tuple(sorted(g.vertices())))
+        assert max(4 ** len(sizes) for _, _, sizes, *_ in steps) <= DENSITY._SMALL_BUCKET
+
+
+def test_einsum_path_is_cached_per_subscripts_and_shapes(monkeypatch):
+    monkeypatch.setattr(DENSITY, "_SMALL_BUCKET", 0)
+    path = DENSITY._einsum_path
+    path.cache_clear()
+    w = random_step_bigraphon(3, 2, seed=8)
+    value = density(cycle4(), w)
+    first = path.cache_info()
+    steps = first.hits + first.misses
+    # both left vertices of C4 eliminate along "ab,ac,a->bc" on equal shapes
+    assert 0 < first.misses == first.currsize < steps
+    assert density(cycle4(), w) == value
+    again = path.cache_info()
+    assert again.misses == first.misses and again.hits == first.hits + steps
+    density(cycle4(), random_step_bigraphon(4, 2, seed=9))  # sizes are keyed
+    assert path.cache_info().misses > first.misses
+    assert path.cache_info().maxsize is not None
+
+
+def test_replay_is_exact_on_a_grid_16_sidorenko_witness():
+    g = build_incidence(5, (2, 3)).graph
+    calls = DENSITY._einsum_path.cache_info()
+    # an infinite negative tolerance ships the worst trial as a witness
+    report = sidorenko_tester(g, trials=3, grid=16, seed=0, tol=-math.inf)
+    after = DENSITY._einsum_path.cache_info()
+    assert after.hits + after.misses > calls.hits + calls.misses
+    assert report.witness is not None
+    assert replay_witness(report.witness) == report.worst_margin
+    shipped = json.loads(json.dumps(report_to_json(report)))["witness"]
+    assert replay_witness(shipped) == report.worst_margin
+
+
+def test_incidence_6_at_grid_16_stays_under_64_mb():
+    g = build_incidence(6, (2, 3)).graph
+    w = random_step_bigraphon(16, 16, seed=0)
+    tracemalloc.start()
+    try:
+        value = density(g, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0
+    assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -271,6 +272,23 @@ def test_batch_matches_engine_on_real_induced_profiles():
     for prof, logt in zip(nonempty, logs):
         built = profile_graph(g.left, prof)
         assert logt == pytest.approx(math.log(density(built, w)), abs=1e-11)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 3, 7])
+def test_batch_blocks_match_one_product(monkeypatch, rows_per_block):
+    """Blocks of the profile batch agree with one whole product. The BLAS
+    may pick another kernel for a few rows, so bits are not asserted."""
+    from sidlab.testers import induced_subgraph_profiles
+
+    g = build_incidence(4, [2, 3]).graph
+    profiles = [p for p in induced_subgraph_profiles(g) if p]
+    w = random_step_bigraphon(4, 4, seed=78)
+    whole = batch_profile_log_densities(g.left, profiles, w)
+    assert len(profiles) == 227
+    fractional = sys.modules["sidlab.fractional"]
+    monkeypatch.setattr(fractional, "_BLOCK_CELLS", rows_per_block * 4 ** g.v1)
+    blocked = batch_profile_log_densities(g.left, profiles, w)
+    np.testing.assert_allclose(blocked, whole, rtol=1e-15, atol=0)
 
 
 def test_batch_profile_handles_integer_exponents_only_graphs():
