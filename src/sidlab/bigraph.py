@@ -36,9 +36,6 @@ __all__ = [
     "from_json_dict",
 ]
 
-AUTOMORPHISM_VERTEX_CAP = 24
-
-
 class GraphTooLargeError(ValueError):
     """Raised when an exhaustive operation exceeds its documented size cap
     or work budget."""
@@ -53,6 +50,22 @@ class _VertexIndex:
     names: tuple[str, ...]
     pos: dict[str, int]
     adj: tuple[int, ...]
+
+    def components(self, mask: int) -> list[frozenset[str]]:
+        """The connected components of the subgraph induced by the vertices
+        in mask, in order of their lowest index."""
+        comps = []
+        while mask:
+            comp = frontier = mask & -mask
+            while frontier:
+                reach = 0
+                for i in _bits(frontier):
+                    reach |= self.adj[i]
+                frontier = reach & mask & ~comp
+                comp |= frontier
+            comps.append(frozenset(self.names[i] for i in _bits(comp)))
+            mask &= ~comp
+        return comps
 
 
 def _bits(mask: int):
@@ -155,23 +168,7 @@ class Bigraph:
 
     def components(self) -> list[frozenset[str]]:
         """Connected components, sorted by smallest member id."""
-        adj = self.adjacency()
-        seen: set[str] = set()
-        comps = []
-        for start in self.vertices():
-            if start in seen:
-                continue
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                u = frontier.pop()
-                for w in adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        frontier.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return sorted(comps, key=lambda c: min(c))
+        return sorted(self._index.components((1 << self.v) - 1), key=min)
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -425,71 +422,108 @@ def _refine_classes(g: Bigraph) -> dict[str, int]:
     return color
 
 
-def _search_maps(g1: Bigraph, g2: Bigraph, prescribed: Mapping[str, str],
-                 find_all: bool) -> list[dict[str, str]]:
-    """Backtracking search for side/edge-preserving bijections g1 -> g2."""
+# candidate images a map search may try before it refuses a graph
+_SEARCH_NODES = 10**6
+
+
+def _maps(g1: Bigraph, g2: Bigraph, prescribed: Mapping[str, str] = {},
+          involutive: bool = False):
+    """Yield every side- and edge-preserving bijection g1 -> g2 extending
+    `prescribed`, as an image list over g1.vertices() into indices of
+    g2.vertices(); with `involutive` (g2 is g1), only the involutions.
+
+    Backtracks over g1's vertices by refinement-class size, class and name,
+    trying images in name order. Candidates u for v are the unused members
+    of v's class adjacent to the images of v's assigned neighbours (one
+    bitmask AND each); u is kept iff those are all its used neighbours. An
+    involution sets phi(v) = u and phi(u) = v together, so the same check
+    covers u. Raises GraphTooLargeError once more than _SEARCH_NODES
+    candidates have been tried.
+    """
     if g1.v1 != g2.v1 or g1.v2 != g2.v2 or g1.e != g2.e:
-        return []
-    c1, c2 = _refine_classes(g1), _refine_classes(g2)
-    by_color: dict[int, list[str]] = {}
-    for u in g2.vertices():
-        by_color.setdefault(c2[u], []).append(u)
-    for us in by_color.values():
-        us.sort()
-    adj1, adj2 = g1.adjacency(), g2.adjacency()
-
-    order = sorted(g1.vertices(),
-                   key=lambda v: (len(by_color.get(c1[v], ())), c1[v], v))
-    img: dict[str, str] = {}
-    used: set[str] = set()
-    out: list[dict[str, str]] = []
-
+        return
+    i1, i2 = g1._index, g2._index
+    c1 = _refine_classes(g1)
+    c2 = c1 if g2 is g1 else _refine_classes(g2)
+    members: dict[int, int] = {}
+    for j, u in enumerate(i2.names):
+        members[c2[u]] = members.get(c2[u], 0) | 1 << j
+    allowed = [members.get(c1[v], 0) for v in i1.names]
+    n = len(allowed)
+    order = sorted(range(n), key=lambda i: (allowed[i].bit_count(),
+                                            c1[i1.names[i]], i1.names[i]))
     for v, u in prescribed.items():
-        if c1.get(v) != c2.get(u):
-            return []
+        if v not in i1.pos or u not in i2.pos:
+            return
+        allowed[i1.pos[v]] &= 1 << i2.pos[u]
+    if not all(allowed):
+        return
+    adj1, adj2 = i1.adj, i2.adj
+    phi = [-1] * n  # entries outside `assigned` are stale
+    assigned = used = 0  # bitmasks of phi's domain in g1 and image in g2
 
-    def consistent(v: str, u: str) -> bool:
-        if v in prescribed and prescribed[v] != u:
-            return False
-        for w, wu in img.items():
-            if (w in adj1[v]) != (wu in adj2[u]):
-                return False
-        return True
+    def candidates(v: int) -> tuple[int, int]:
+        """phi of v's assigned neighbours, and the mask of candidate images."""
+        image, cands = 0, allowed[v] & ~used
+        for w in _bits(adj1[v] & assigned):
+            image |= 1 << phi[w]
+            cands &= adj2[phi[w]]
+        return image, cands
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            out.append(dict(img))
-            return not find_all
-        v = order[i]
-        for u in by_color.get(c1[v], ()):
-            if u in used or not consistent(v, u):
+    if n == 0:
+        yield phi
+        return
+    trail = []  # (order position, image, candidates left, assigned, used) per open choice
+    nodes = k = 0
+    image, cands = candidates(order[0])
+    while True:
+        v, u = order[k], -1
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            nodes += 1
+            if adj2[low.bit_length() - 1] & used == image:
+                u = low.bit_length() - 1
+                break
+        if nodes > _SEARCH_NODES:
+            raise GraphTooLargeError(
+                f"{'fold enumeration' if involutive else 'map search'} stopped after "
+                f"{nodes} search nodes (budget {_SEARCH_NODES})")
+        if u >= 0:
+            trail.append((k, image, cands, assigned, used))
+            phi[v] = u
+            assigned, used = assigned | 1 << v, used | 1 << u
+            if involutive:
+                phi[u] = v
+                assigned, used = assigned | 1 << u, used | 1 << v
+            while k < n and assigned >> order[k] & 1:
+                k += 1
+            if k < n:
+                image, cands = candidates(order[k])
                 continue
-            img[v] = u
-            used.add(u)
-            if extend(i + 1):
-                return True
-            del img[v]
-            used.discard(u)
-        return False
+            yield phi.copy()
+        if not trail:
+            return
+        k, image, cands, assigned, used = trail.pop()
 
-    extend(0)
-    return out
+
+def _named(g1: Bigraph, g2: Bigraph, image: list[int]) -> dict[str, str]:
+    """A map g1 -> g2 as a dict of names, from its image list."""
+    names = g2.vertices()
+    return dict(zip(g1.vertices(), (names[j] for j in image)))
 
 
 def automorphisms(g: Bigraph) -> list[dict[str, str]]:
-    """All side-preserving edge-preserving vertex bijections, in canonical order.
+    """All side-preserving edge-preserving vertex bijections, sorted by
+    their images of g.vertices().
 
-    Exhaustive enumeration; graphs above the documented cap of
-    24 vertices raise GraphTooLargeError.
+    Exhaustive enumeration, bounded by the search nodes visited, not by
+    vertex count: incidence(6,{2,3}) (41 vertices, 720 maps) is listed,
+    while a graph with a huge group, such as star(10) with 10! maps,
+    raises GraphTooLargeError naming the nodes visited.
     """
-    if g.v > AUTOMORPHISM_VERTEX_CAP:
-        raise GraphTooLargeError(
-            f"automorphism enumeration capped at {AUTOMORPHISM_VERTEX_CAP} vertices "
-            f"(got {g.v})")
-    maps = _search_maps(g, g, {}, find_all=True)
-    verts = g.vertices()
-    maps.sort(key=lambda m: tuple(m[v] for v in verts))
-    return maps
+    # images are compared on the same side, where index order is name order
+    return [_named(g, g, image) for image in sorted(_maps(g, g))]
 
 
 def colored_automorphisms(h: ColoredBigraph) -> list[dict[str, str]]:
@@ -504,7 +538,11 @@ def colored_automorphisms(h: ColoredBigraph) -> list[dict[str, str]]:
 
 def is_color_edge_transitive(h: ColoredBigraph) -> bool:
     """Each color class of edges is a single orbit of Aut(h) acting pointwise."""
-    auts = colored_automorphisms(h)
+    return _edge_transitive(h, colored_automorphisms(h))
+
+
+def _edge_transitive(h: ColoredBigraph, auts: list[dict[str, str]]) -> bool:
+    """is_color_edge_transitive, given the colored automorphisms of h."""
     orbit_of: dict[tuple[str, str], int] = {}
     for idx, (edge, _) in enumerate(h.edge_colors):
         if edge in orbit_of:
@@ -520,11 +558,11 @@ def is_color_edge_transitive(h: ColoredBigraph) -> bool:
 def find_isomorphism(g1: Bigraph, g2: Bigraph,
                      prescribed: Optional[Mapping[str, str]] = None
                      ) -> Optional[dict[str, str]]:
-    """One isomorphism g1 -> g2 extending `prescribed`, or None."""
-    if max(g1.v, g2.v) > AUTOMORPHISM_VERTEX_CAP:
-        raise GraphTooLargeError("isomorphism search capped at 24 vertices")
-    maps = _search_maps(g1, g2, dict(prescribed or {}), find_all=False)
-    return maps[0] if maps else None
+    """The first isomorphism g1 -> g2 extending `prescribed` that the map
+    search meets, or None. The search is the one `automorphisms` runs, under
+    the same node budget: past it, GraphTooLargeError."""
+    image = next(_maps(g1, g2, prescribed or {}), None)
+    return None if image is None else _named(g1, g2, image)
 
 
 def graphs_isomorphic(g1: Bigraph, g2: Bigraph) -> bool:

@@ -17,13 +17,13 @@ from .bigraph import (
     Bigraph,
     ColoredBigraph,
     Flag,
+    _edge_transitive,
     _is_name,
     _json_list,
     _json_object,
     colored_automorphisms,
     flags_isomorphic,
     induced_subgraph,
-    is_color_edge_transitive,
     two_core,
     two_core_flag,
 )
@@ -201,7 +201,8 @@ def check_orbit_hypotheses(g: Bigraph, h: ColoredBigraph,
         problems.append("g has isolated vertices")
     if problems:
         raise PreconditionError(problems)
-    if not is_color_edge_transitive(h):
+    auts = colored_automorphisms(h)
+    if not _edge_transitive(h, auts):
         problems.append("h is not color-edge-transitive")
     lwh = testers.test_left_weak_holder(h, trials=lwh_trials, seed=seed, tol=tol)
     if not lwh.holds:
@@ -209,7 +210,6 @@ def check_orbit_hypotheses(g: Bigraph, h: ColoredBigraph,
     if problems:
         raise PreconditionError(problems)
 
-    auts = colored_automorphisms(h)
     d_g = _neighborhood_counts(g)
     d_h = _neighborhood_counts(hg)
     relevant = {u for u in set(d_g) | set(d_h) if len(u) >= 2}

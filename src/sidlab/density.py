@@ -141,8 +141,9 @@ def _eliminate_all(factors: list[Factor], weights: Mapping[str, np.ndarray]) -> 
             path = _einsum_path(expr, tuple(op.shape for op in operands))
             acc = np.einsum(expr, *operands, optimize=path)
         else:
-            acc = np.ones(shape)
-            for i, order, index in inputs:
+            (i, order, index), *rest = inputs
+            acc = arrs[i].transpose(order)[index]
+            for i, order, index in rest:
                 acc = acc * arrs[i].transpose(order)[index]
             acc = (acc * weights[v].reshape(wshape)).sum(axis=axis)
         if keep:

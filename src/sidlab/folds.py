@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .bigraph import Bigraph, GraphTooLargeError, _bits, _json_object, _refine_classes
+from .bigraph import Bigraph, _json_object, _maps, _named
 
 __all__ = [
     "Fold",
@@ -67,7 +67,8 @@ def _cut_components(g: Bigraph, phi: Mapping[str, str]) -> str | list[frozenset[
         return "phi is not an automorphism"
     if any(phi[phi[v]] != v for v in phi):
         return "phi is not an involution"
-    comps = g.without_vertices(v for v in phi if phi[v] == v).components()
+    comps = g._index.components(sum(1 << i for i, v in enumerate(g.vertices())
+                                    if phi[v] != v))
     if len(comps) < 2:
         return "Fix(phi) is not a vertex cut"
     return comps
@@ -130,110 +131,26 @@ def folding_maps(g: Bigraph, fold: Fold) -> tuple[dict[str, str], dict[str, str]
     return fold.left_map(), fold.right_map()
 
 
-# candidate images the involution search may try before it refuses a graph
-_INVOLUTION_SEARCH_NODES = 10**6
-
-
-def _involutions(g: Bigraph) -> list[list[int]]:
-    """Every involutive automorphism of g, as image lists over g.vertices().
-
-    Backtracks over vertices in order of refinement-class size, assigning
-    phi(v) = u and phi(u) = v together. Candidates u are the unassigned
-    members of v's class adjacent to the images of all of v's assigned
-    neighbours; u is kept iff those are all of its assigned neighbours.
-    phi is an involution on the assigned set, so that one check covers u
-    as well. (The refinement classes are equitable and each lies on one
-    side, so taking them in turn already gives v and u equally many
-    assigned neighbours; the check keeps the search exact without relying
-    on that.) Raises GraphTooLargeError once more than
-    _INVOLUTION_SEARCH_NODES candidates have been tried.
-    """
-    index = g._index
-    names, adj = index.names, index.adj
-    n = len(names)
-    color = _refine_classes(g)
-    members: dict[int, int] = {}
-    for i, v in enumerate(names):
-        members[color[v]] = members.get(color[v], 0) | 1 << i
-    same_class = [members[color[v]] for v in names]
-    order = sorted(range(n), key=lambda i: (same_class[i].bit_count(),
-                                            color[names[i]], names[i]))
-    phi = [-1] * n
-    assigned = 0  # bitmask of the vertices phi is defined on
-
-    def free_from(k: int) -> int:
-        while k < n and phi[order[k]] >= 0:
-            k += 1
-        return k
-
-    def candidates(v: int) -> tuple[int, int]:
-        """phi of v's assigned neighbours, and the mask of candidate images."""
-        image, cands = 0, same_class[v] & ~assigned
-        for w in _bits(adj[v] & assigned):
-            image |= 1 << phi[w]
-            cands &= adj[phi[w]]
-        return image, cands
-
-    out: list[list[int]] = []
-    trail: list[tuple[int, int, int]] = []  # (order position, image, candidates left)
-    nodes = 0
-    k = free_from(0)
-    if k == n:
-        return [phi]
-    image, cands = candidates(order[k])
-    while True:
-        v = order[k]
-        u = -1
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            nodes += 1
-            if adj[low.bit_length() - 1] & assigned == image:
-                u = low.bit_length() - 1
-                break
-        if nodes > _INVOLUTION_SEARCH_NODES:
-            raise GraphTooLargeError(
-                f"fold enumeration stopped after {nodes} search nodes "
-                f"(budget {_INVOLUTION_SEARCH_NODES})")
-        if u < 0:  # no image left for v: reopen the last pair
-            if not trail:
-                return out
-            k, image, cands = trail.pop()
-            v = order[k]
-            u = phi[v]
-        else:
-            phi[v], phi[u] = u, v
-            assigned |= (1 << v) | (1 << u)
-            nxt = free_from(k + 1)
-            if nxt < n:
-                trail.append((k, image, cands))
-                k = nxt
-                image, cands = candidates(order[k])
-                continue
-            out.append(phi.copy())
-        phi[v] = phi[u] = -1
-        assigned &= ~((1 << v) | (1 << u))
-
-
 def enumerate_folds(g: Bigraph) -> list[Fold]:
     """All folds of g up to the canonical choice of L, in deterministic order.
 
     Searches the involutive automorphisms directly, never the whole group,
     keeps those whose fixed set is a cut and whose components complete to a
-    fold, and sorts them by their images of g.vertices(). The search is
-    bounded by a budget of nodes visited, not by vertex count; past it,
-    GraphTooLargeError names the nodes visited.
+    fold, and sorts them by their images of g.vertices(). The search shares
+    the node budget of every map search, not a vertex count; past it,
+    GraphTooLargeError names the nodes visited. The search guarantees
+    bijection, automorphism and involution, so only the cut is checked.
     """
-    names = g.vertices()
-    found: list[tuple[tuple[str, ...], Fold]] = []
-    for image in _involutions(g):
-        phi = dict(zip(names, (names[j] for j in image)))
-        comps = _cut_components(g, phi)
-        if isinstance(comps, str):
+    found: list[tuple[list[int], Fold]] = []
+    # the whole search runs before any filtering, so a refusal comes at once
+    for image in list(_maps(g, g, involutive=True)):
+        comps = g._index.components(sum(1 << i for i, j in enumerate(image) if i != j))
+        if len(comps) < 2:
             continue
-        fold = _complete(phi, comps)
+        fold = _complete(_named(g, g, image), comps)
         if fold is not None:
-            found.append((tuple(phi.values()), fold))
+            found.append((image, fold))
+    # images are compared on the same side, where index order is name order
     found.sort(key=lambda kf: kf[0])
     return [fold for _, fold in found]
 

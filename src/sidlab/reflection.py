@@ -10,6 +10,7 @@ sign(1_U(a) - 1_U(b)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -118,7 +119,7 @@ class IncidenceBigraph:
     def graph(self) -> Bigraph:
         return self.colored.graph
 
-    @property
+    @functools.cached_property
     def colored(self) -> ColoredBigraph:
         left = [point_id(v) for v in range(1, self.n + 1)]
         right, edges, colors = [], [], {}

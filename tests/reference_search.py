@@ -1,17 +1,24 @@
-"""Reference fold enumeration and percolation search, kept as test oracles.
+"""Reference map search, fold enumeration and percolation search, kept as
+test oracles.
 
-`involutions` builds the whole automorphism group and keeps its
-involutions, and `enumerate_folds` completes those to folds; `search` is a FIFO BFS over frozenset states with one
-preimage per (state, fold) pair. Both are the straightforward forms of
-what `sidlab.folds` and `sidlab.percolation` compute on integer indices.
-The reference search reports a budget stop the same way as the engine:
-before any expansion when the start states alone exceed the budget.
+`_search_maps` is a backtracking search over string dicts with no node
+budget. `automorphisms` lists the whole group with it, `involutions`
+keeps the group's involutions, and `enumerate_folds` completes those to
+folds, taking components by a BFS over string adjacency sets; `search` is a FIFO BFS over frozenset states with one preimage per
+(state, fold) pair. They are the straightforward forms of what
+`sidlab.bigraph`, `sidlab.folds` and `sidlab.percolation` compute on
+integer indices. The reference search reports a budget stop the same way
+as the engine: before any expansion when the start states alone exceed
+the budget.
 """
 
-from collections import deque
+from __future__ import annotations
 
-from sidlab.bigraph import automorphisms
-from sidlab.folds import _complete, _cut_components
+from collections import deque
+from typing import Mapping
+
+from sidlab.bigraph import Bigraph, _refine_classes
+from sidlab.folds import _complete
 from sidlab.percolation import (
     _MODES,
     NotFound,
@@ -21,17 +28,97 @@ from sidlab.percolation import (
 )
 
 
+def _search_maps(g1: Bigraph, g2: Bigraph, prescribed: Mapping[str, str],
+                 find_all: bool) -> list[dict[str, str]]:
+    """Backtracking search for side/edge-preserving bijections g1 -> g2."""
+    if g1.v1 != g2.v1 or g1.v2 != g2.v2 or g1.e != g2.e:
+        return []
+    c1, c2 = _refine_classes(g1), _refine_classes(g2)
+    by_color: dict[int, list[str]] = {}
+    for u in g2.vertices():
+        by_color.setdefault(c2[u], []).append(u)
+    for us in by_color.values():
+        us.sort()
+    adj1, adj2 = g1.adjacency(), g2.adjacency()
+
+    order = sorted(g1.vertices(),
+                   key=lambda v: (len(by_color.get(c1[v], ())), c1[v], v))
+    img: dict[str, str] = {}
+    used: set[str] = set()
+    out: list[dict[str, str]] = []
+
+    for v, u in prescribed.items():
+        if c1.get(v) != c2.get(u):
+            return []
+
+    def consistent(v: str, u: str) -> bool:
+        if v in prescribed and prescribed[v] != u:
+            return False
+        for w, wu in img.items():
+            if (w in adj1[v]) != (wu in adj2[u]):
+                return False
+        return True
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            out.append(dict(img))
+            return not find_all
+        v = order[i]
+        for u in by_color.get(c1[v], ()):
+            if u in used or not consistent(v, u):
+                continue
+            img[v] = u
+            used.add(u)
+            if extend(i + 1):
+                return True
+            del img[v]
+            used.discard(u)
+        return False
+
+    extend(0)
+    return out
+
+
+def automorphisms(g):
+    """The whole automorphism group of g, sorted by images of g.vertices()."""
+    maps = _search_maps(g, g, {}, find_all=True)
+    verts = g.vertices()
+    maps.sort(key=lambda m: tuple(m[v] for v in verts))
+    return maps
+
+
 def involutions(g):
     """The involutive automorphisms of g, filtered from the whole group."""
     return [a for a in automorphisms(g) if all(a[a[v]] == v for v in a)]
+
+
+def components(g: Bigraph) -> list[frozenset[str]]:
+    """Connected components by a BFS over string adjacency sets."""
+    adj = g.adjacency()
+    seen: set[str] = set()
+    comps = []
+    for start in g.vertices():
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            u = frontier.pop()
+            for w in adj[u]:
+                if w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return sorted(comps, key=lambda c: min(c))
 
 
 def enumerate_folds(g, involutive):
     """The folds of g, given its involutive automorphisms in canonical order."""
     folds = []
     for a in involutive:
-        comps = _cut_components(g, a)
-        if isinstance(comps, str):
+        comps = components(g.without_vertices(v for v in a if a[v] == v))
+        if len(comps) < 2:
             continue
         fold = _complete(a, comps)
         if fold is not None:

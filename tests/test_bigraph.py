@@ -271,9 +271,17 @@ def test_refinement_labels_stay_ints_on_a_long_path():
 
 
 def test_automorphism_cap():
-    big = Bigraph([f"l{i}" for i in range(13)], [f"r{i}" for i in range(13)], [])
-    with pytest.raises(GraphTooLargeError):
-        automorphisms(big)
+    # groups of 13!^2 and 10! maps exceed the search node budget
+    for big in [Bigraph([f"l{i}" for i in range(13)], [f"r{i}" for i in range(13)], []),
+                star(10)]:
+        with pytest.raises(GraphTooLargeError, match="search nodes"):
+            automorphisms(big)
+
+
+@pytest.mark.parametrize("n, order", [(5, 120), (6, 720)])
+def test_automorphisms_past_24_vertices(n, order):
+    # 25 and 41 vertices: the budget bounds nodes visited, not vertex count
+    assert len(automorphisms(incidence_oracle(n, [2, 3]))) == order
 
 
 def test_colored_automorphisms():

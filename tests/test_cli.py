@@ -305,6 +305,18 @@ def test_check_orbits(tmp_path):
                  "--trials", "5"]) == 4
 
 
+def test_check_orbits_on_25_vertices(tmp_path):
+    # incidence(5,{2,3}) has 25 vertices and a group of order 120
+    template = make_graph(tmp_path, "construct", "incidence", "--n", "5",
+                          "--uniformities", "2,3")
+    out = tmp_path / "orbits.json"
+    assert main(["check", "orbits", str(template), "--template", str(template),
+                 "--trials", "2", "-o", str(out)]) == 0
+    report = read_json(out)
+    assert report["passed"] is True
+    assert [row["orbit_size"] for row in report["orbits"]] == [10, 10]
+
+
 def test_check_rtd(tmp_path):
     gpath = make_graph(tmp_path, "construct", "book", "--k", "2")
     dpath = tmp_path / "decomp.json"

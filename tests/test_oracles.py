@@ -1,6 +1,7 @@
-"""The involution search and the level-synchronous BFS against the reference
-implementations in `reference_search`: equal fold lists in equal order, and
-equal certificates or equal NotFound verdicts and state counts."""
+"""The map search and the level-synchronous BFS against the reference
+implementations in `reference_search`: equal automorphism groups, first
+isomorphisms and fold lists in equal order, and equal certificates or equal
+NotFound verdicts and state counts."""
 
 import functools
 
@@ -8,8 +9,19 @@ import numpy as np
 import pytest
 
 import reference_search as ref
-from sidlab.bigraph import Bigraph, book, cycle4, star
-from sidlab.folds import _involutions, enumerate_folds
+from sidlab.bigraph import (
+    Bigraph,
+    Flag,
+    _maps,
+    automorphisms,
+    book,
+    cycle4,
+    dual_star,
+    find_isomorphism,
+    flags_isomorphic,
+    star,
+)
+from sidlab.folds import enumerate_folds
 from sidlab.percolation import DEFAULT_BUDGET, find_cut_percolating, find_left_cut_percolating
 from sidlab.reflection import IncidenceBigraph, reflection_fold_pool
 
@@ -43,6 +55,8 @@ def random_bigraph(seed):
                    edges + [(mirror[l], mirror[r]) for l, r in edges])
 
 
+# star(9)'s group of 9! maps takes the engine's search between 950,001 and
+# 1,000,000 nodes, just inside its budget
 NAMED = {f"star({d})": star(d) for d in range(1, 10)}
 NAMED |= {"cycle4": cycle4(), "book(2)": book(2), "book(3)": book(3),
           "incidence(4,{2})": IncidenceBigraph(4, [2]).graph,
@@ -65,9 +79,62 @@ def test_folds_match_reference(name):
     g = GRAPHS[name]
     involutive, folds = reference(name)
     names = g.vertices()
-    assert sorted(tuple(names[j] for j in image) for image in _involutions(g)) == \
-        [tuple(a[v] for v in names) for a in involutive]
+    assert sorted(tuple(names[j] for j in image) for image in _maps(g, g, involutive=True)) \
+        == [tuple(a[v] for v in names) for a in involutive]
     assert enumerate_folds(g) == folds
+    assert g.components() == ref.components(g)
+
+
+@pytest.mark.parametrize("name", list(GRAPHS))
+def test_automorphisms_match_reference(name):
+    g = GRAPHS[name]
+    assert automorphisms(g) == ref.automorphisms(g)
+
+
+@pytest.mark.parametrize("name", list(GRAPHS))
+def test_first_isomorphism_matches_reference(name):
+    g = GRAPHS[name]
+    h = relabeled(g, 1000 + len(name))
+    first = ref._search_maps(g, h, {}, find_all=False)
+    assert first and find_isomorphism(g, h) == first[0]
+
+
+NON_ISOMORPHIC = [
+    (star(2), dual_star(2)),
+    # the same path plus an isolated vertex, its center on opposite sides
+    (Bigraph(["a", "d"], ["b", "c"], [("a", "b"), ("a", "c")]),
+     Bigraph(["x", "y"], ["z", "w"], [("x", "z"), ("y", "z")])),
+]
+
+
+@pytest.mark.parametrize("pair", range(len(NON_ISOMORPHIC)))
+def test_non_isomorphic_pairs(pair):
+    g, h = NON_ISOMORPHIC[pair]
+    assert find_isomorphism(g, h) is None
+    assert ref._search_maps(g, h, {}, find_all=False) == []
+
+
+def test_flags_isomorphic_matches_reference():
+    """Labels of g against the same, shuffled or reversed labels of a
+    relabeled copy: both verdicts occur, and the engine agrees each time."""
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for name, g in GRAPHS.items():
+        if g.v > 12:
+            continue
+        h = relabeled(g, 2000 + len(name))
+        to_h = find_isomorphism(g, h)
+        for size in range(1, min(g.v, 3) + 1):
+            labels = [g.vertices()[k] for k in rng.choice(g.v, size, replace=False)]
+            images = [to_h[v] for v in labels]
+            shuffled = [images[k] for k in rng.permutation(size)]
+            for image_labels in (images, shuffled, images[::-1]):
+                got = flags_isomorphic(Flag(g, labels), Flag(h, image_labels))
+                want = bool(ref._search_maps(g, h, dict(zip(labels, image_labels)),
+                                             find_all=False))
+                assert got == want, (name, labels, image_labels)
+                verdicts.append(got)
+    assert 100 < verdicts.count(True) and 100 < verdicts.count(False)
 
 
 def test_random_graphs_have_folds():

@@ -50,6 +50,14 @@ def test_build_incidence_out_of_range():
         build_incidence(4, [0])
 
 
+def test_colored_graph_is_built_once():
+    ib = IncidenceBigraph(4, [2, 3])
+    assert ib.colored is ib.colored and ib.graph is ib.colored.graph
+    fresh = IncidenceBigraph(4, [2, 3])
+    assert ib == fresh and hash(ib) == hash(fresh)
+    assert reflection_fold_pool(ib) == reflection_fold_pool(fresh)
+
+
 def test_incidence_is_left_amalgamation_of_slices():
     joint = build_incidence(4, [2, 3]).graph
     pairs = build_incidence(4, [2]).graph
