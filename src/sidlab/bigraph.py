@@ -51,9 +51,9 @@ class _VertexIndex:
     pos: dict[str, int]
     adj: tuple[int, ...]
 
-    def components(self, mask: int) -> list[frozenset[str]]:
-        """The connected components of the subgraph induced by the vertices
-        in mask, in order of their lowest index."""
+    def components(self, mask: int) -> list[int]:
+        """The vertex masks of the connected components of the subgraph
+        induced by the vertices in mask, in order of their lowest index."""
         comps = []
         while mask:
             comp = frontier = mask & -mask
@@ -63,7 +63,7 @@ class _VertexIndex:
                     reach |= self.adj[i]
                 frontier = reach & mask & ~comp
                 comp |= frontier
-            comps.append(frozenset(self.names[i] for i in _bits(comp)))
+            comps.append(comp)
             mask &= ~comp
         return comps
 
@@ -168,7 +168,9 @@ class Bigraph:
 
     def components(self) -> list[frozenset[str]]:
         """Connected components, sorted by smallest member id."""
-        return sorted(self._index.components((1 << self.v) - 1), key=min)
+        names = self._index.names
+        return sorted((frozenset(names[i] for i in _bits(comp))
+                       for comp in self._index.components((1 << self.v) - 1)), key=min)
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -283,10 +285,6 @@ class ColoredBigraph:
         kept = {e: c for e, c in self.edge_colors if c in keepset}
         g = Bigraph(self.graph.left, self.graph.right, kept.keys())
         return ColoredBigraph(g, kept)
-
-    def induced(self, u: Iterable[str]) -> "ColoredBigraph":
-        g = induced_subgraph(self.graph, u)
-        return ColoredBigraph(g, {e: self.colors[e] for e in g.edges})
 
 
 # ---------------------------------------------------------------------------

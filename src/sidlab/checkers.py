@@ -172,10 +172,6 @@ class OrbitReport:
         return self.passed
 
 
-def _neighborhood_counts(g: Bigraph) -> dict[frozenset, int]:
-    return dict(Counter(frozenset(g.neighbors(w)) for w in g.right))
-
-
 def check_orbit_hypotheses(g: Bigraph, h: ColoredBigraph,
                            lwh_trials: int = 50, seed: int = 0,
                            tol: float = 1e-9) -> OrbitReport:
@@ -210,8 +206,9 @@ def check_orbit_hypotheses(g: Bigraph, h: ColoredBigraph,
     if problems:
         raise PreconditionError(problems)
 
-    d_g = _neighborhood_counts(g)
-    d_h = _neighborhood_counts(hg)
+    # no isolated vertices, so every right vertex is counted
+    d_g = testers._own_profile(g)
+    d_h = testers._own_profile(hg)
     relevant = {u for u in set(d_g) | set(d_h) if len(u) >= 2}
 
     orbit_of: dict[frozenset, frozenset] = {}

@@ -4,6 +4,9 @@ A fold is a pair (phi, L): phi is an involutive automorphism whose fixed
 set is a vertex cut, and L is a union of connected components of
 G - Fix(phi) such that (L, Fix(phi), phi(L)) partitions V(G). The derived
 left/right folding maps phi_L and phi_L* are endomorphisms.
+
+Inside sidlab a fold travels as an (image, left mask) pair over the indices
+of `Bigraph._index`; `Fold` is built only at the boundary: returns, JSON.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .bigraph import Bigraph, _json_object, _maps, _named
+from .bigraph import Bigraph, _bits, _json_object, _maps, _named
 
 __all__ = [
     "Fold",
@@ -53,10 +56,10 @@ class Fold:
         return {v: (w if v in self.left else v) for v, w in self.phi_items}
 
 
-def _cut_components(g: Bigraph, phi: Mapping[str, str]) -> str | list[frozenset[str]]:
-    """The components of G - Fix(phi) if phi is a cut-involution of g, else
-    the reason for the first axiom it fails. Raises ValueError when phi is
-    not a bijection of V(G)."""
+def _cut_components(g: Bigraph, phi: Mapping[str, str]) -> str | list[int]:
+    """The component masks of G - Fix(phi) if phi is a cut-involution of g,
+    else the reason for the first axiom it fails. Raises ValueError when phi
+    is not a bijection of V(G)."""
     verts = g.vertex_set()
     if set(phi) != verts:
         raise ValueError("phi must be defined on exactly V(G)")
@@ -74,19 +77,26 @@ def _cut_components(g: Bigraph, phi: Mapping[str, str]) -> str | list[frozenset[
     return comps
 
 
-def _complete(phi: Mapping[str, str], comps: list[frozenset[str]]) -> Optional[Fold]:
-    images = [frozenset(phi[v] for v in comp) for comp in comps]
-    if any(img == comp for comp, img in zip(comps, images)):
-        return None
-    left: set[str] = set()
-    taken: set[frozenset[str]] = set()
-    for comp, img in zip(comps, images):
-        if comp in taken or img in taken:
-            continue
-        chosen = comp if min(comp) <= min(img) else img
-        left |= chosen
-        taken |= {comp, img}
-    return Fold(phi, left)
+def _complete(g: Bigraph, image: list[int], comps: list[int]) -> Optional[int]:
+    """The canonical left mask: of each swapped pair of comps, the one with
+    the smallest vertex name (index order is name order only within a side).
+    None when `image` maps a component onto itself."""
+    names = g._index.names
+    left = taken = 0
+    for comp in comps:
+        img = sum(1 << image[i] for i in _bits(comp))
+        if img == comp:
+            return None
+        if not comp & taken:
+            left |= min(comp, img, key=lambda m: min(names[i] for i in _bits(m)))
+            taken |= comp | img
+    return left
+
+
+def _fold(g: Bigraph, image: list[int], left: int) -> Fold:
+    """The Fold of an (image, left mask) pair over g.vertices()."""
+    names = g._index.names
+    return Fold(_named(g, g, image), (names[i] for i in _bits(left)))
 
 
 def is_cut_involution(g: Bigraph, phi: Mapping[str, str]) -> bool:
@@ -104,7 +114,10 @@ def complete_to_fold(g: Bigraph, phi: Mapping[str, str]) -> Optional[Fold]:
     comps = _cut_components(g, phi)
     if isinstance(comps, str):
         raise ValueError("phi is not a cut-involution of g")
-    return _complete(phi, comps)
+    pos = g._index.pos
+    image = [pos[phi[v]] for v in g.vertices()]
+    left = _complete(g, image, comps)
+    return None if left is None else _fold(g, image, left)
 
 
 def check_fold(g: Bigraph, fold: Fold) -> None:
@@ -120,15 +133,31 @@ def check_fold(g: Bigraph, fold: Fold) -> None:
         raise ValueError("(L, Fix, phi(L)) must be disjoint")
     if left | fixed | phi_left != g.vertex_set():
         raise ValueError("(L, Fix, phi(L)) must cover V(G)")
-    for comp in comps:
-        if comp & left and not comp <= left:
-            raise ValueError("L must be a union of components of G - Fix(phi)")
+    left_mask = sum(1 << g._index.pos[v] for v in left)
+    if any(comp & left_mask and comp & ~left_mask for comp in comps):
+        raise ValueError("L must be a union of components of G - Fix(phi)")
 
 
 def folding_maps(g: Bigraph, fold: Fold) -> tuple[dict[str, str], dict[str, str]]:
     """The left- and right-folding maps (phi_L, phi_L*), both endomorphisms of g."""
     check_fold(g, fold)
     return fold.left_map(), fold.right_map()
+
+
+def _fold_maps(g: Bigraph) -> list[tuple[list[int], int]]:
+    """`enumerate_folds` as (image over g.vertices(), left mask) pairs."""
+    found = []
+    # the whole search runs before any filtering, so a refusal comes at once
+    for image in list(_maps(g, g, involutive=True)):
+        comps = g._index.components(sum(1 << i for i, j in enumerate(image) if i != j))
+        if len(comps) < 2:
+            continue
+        left = _complete(g, image, comps)
+        if left is not None:
+            found.append((image, left))
+    # images are compared on the same side, where index order is name order
+    found.sort(key=lambda pair: pair[0])
+    return found
 
 
 def enumerate_folds(g: Bigraph) -> list[Fold]:
@@ -141,18 +170,7 @@ def enumerate_folds(g: Bigraph) -> list[Fold]:
     GraphTooLargeError names the nodes visited. The search guarantees
     bijection, automorphism and involution, so only the cut is checked.
     """
-    found: list[tuple[list[int], Fold]] = []
-    # the whole search runs before any filtering, so a refusal comes at once
-    for image in list(_maps(g, g, involutive=True)):
-        comps = g._index.components(sum(1 << i for i, j in enumerate(image) if i != j))
-        if len(comps) < 2:
-            continue
-        fold = _complete(_named(g, g, image), comps)
-        if fold is not None:
-            found.append((image, fold))
-    # images are compared on the same side, where index order is name order
-    found.sort(key=lambda kf: kf[0])
-    return [fold for _, fold in found]
+    return [_fold(g, image, left) for image, left in _fold_maps(g)]
 
 
 # ---------------------------------------------------------------------------

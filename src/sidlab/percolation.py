@@ -9,18 +9,20 @@ goal's name and an element's JSON codec. Searches are BFS over reachable
 subsets, so returned certificates are shortest within the supplied fold
 pool.
 
-The search runs on integers. Each fold is compiled once into an index
-array over the elements, so a preimage is a gather; each BFS level is a
-packed bit array, expanded in bounded chunks of rows. Candidates are
-deduplicated against one set of packed states in (state row, fold) order.
-A FIFO queue pops the states of one level in the order they were found and
-tries the folds in pool order, so that is the order a queue-based BFS meets
-them in; parents, certificates, state counts, and where the goal check and
-the budget stop fall, are therefore the same as for a queue. Parents are
-kept per level as (parent row, fold index) arrays, and a certificate's
-states are recomputed from its start element and folds.
+The search runs on integers. Its pool is (image, left mask) pairs (see
+`sidlab.folds`); a supplied pool of `Fold`s is checked once and converted
+on entry. Each pair is compiled once into an index array over the
+elements, so a preimage is a gather; each BFS level is a packed bit array,
+expanded in bounded chunks of rows. Candidates are deduplicated against
+one set of packed states in (state row, fold) order. A FIFO queue pops the
+states of one level in the order they were found and tries the folds in
+pool order, so that is the order a queue-based BFS meets them in; parents,
+certificates, state counts, and where the goal check and the budget stop
+fall, are therefore the same as for a queue. Parents are kept per level as
+(parent row, fold index) arrays, and a certificate's states are recomputed
+from its start element and folds; only its folds become `Fold`s.
 `verify_certificate` recomputes every preimage over frozensets, apart from
-the search.
+the search, once per returned certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .bigraph import Bigraph, _json_object, amalgamate_left
-from .folds import Fold, check_fold, enumerate_folds, fold_from_json, fold_to_json
+from .folds import Fold, _fold, _fold_maps, check_fold, fold_from_json, fold_to_json
 
 __all__ = [
     "PercolationCertificate",
@@ -127,17 +129,6 @@ class VerificationResult:
         return self.ok
 
 
-def _moves(spec: _Mode, elements: Sequence, fold: Fold) -> list[tuple]:
-    """Each element paired with its image under the fold's left-folding map."""
-    phi_l = fold.left_map()
-    return [(x, spec.move(phi_l, x)) for x in elements]
-
-
-def _preimage(moves: Sequence[tuple], target: State) -> State:
-    """The elements whose image lies in target."""
-    return frozenset(x for x, y in moves if y in target)
-
-
 def verify_certificate(g: Bigraph, cert: PercolationCertificate) -> VerificationResult:
     """Re-check every fold axiom and every trajectory step from first principles.
 
@@ -167,7 +158,8 @@ def verify_certificate(g: Bigraph, cert: PercolationCertificate) -> Verification
             check_fold(g, fold)
         except ValueError as exc:
             return VerificationResult(False, f"fold {i}: {exc}")
-        if traj[i] != _preimage(_moves(spec, elements, fold), traj[i - 1]):
+        phi_l = fold.left_map()
+        if traj[i] != frozenset(x for x in elements if spec.move(phi_l, x) in traj[i - 1]):
             return VerificationResult(
                 False, f"trajectory[{i}] is not the preimage of trajectory[{i - 1}]")
     return VerificationResult(True)
@@ -183,11 +175,15 @@ def _search(g: Bigraph, mode: str, fold_pool: Optional[Sequence[Fold]],
     pool = _resolve_pool(g, fold_pool)
     elements = spec.elements(g)
     n, n_folds = len(elements), len(pool)
-    where = {x: i for i, x in enumerate(elements)}
+    # each element over vertex indices, and its position among the elements
+    where = {spec.move(g._index.pos, x): i for i, x in enumerate(elements)}
     # imgs[f, i] is the index of element i's image under fold f's
     # left-folding map, so a state's preimage under f is state[imgs[f]]
-    imgs = np.array([[where[y] for _, y in _moves(spec, elements, fold)]
-                     for fold in pool], dtype=np.intp).reshape(n_folds, n)
+    table = []
+    for image, left in pool:
+        phi_l = [i if left >> i & 1 else j for i, j in enumerate(image)]
+        table.append([where[spec.move(phi_l, k)] for k in where])
+    imgs = np.array(table, dtype=np.intp).reshape(n_folds, n)
     # states are packed to whole bytes; padding bits are zero, so index n
     # (a padding bit whenever padding exists) pads each row of imgs too
     nbytes = (n + 7) // 8
@@ -200,9 +196,13 @@ def _search(g: Bigraph, mode: str, fold_pool: Optional[Sequence[Fold]],
         for f in fold_idx:
             state = state[imgs[f]]
             chain.append(state)
-        return _recheck(g, PercolationCertificate(
-            mode, [pool[f] for f in fold_idx],
-            [[elements[i] for i in np.flatnonzero(s)] for s in chain]))
+        cert = PercolationCertificate(
+            mode, [_fold(g, *pool[f]) for f in fold_idx],
+            [[elements[i] for i in np.flatnonzero(s)] for s in chain])
+        res = verify_certificate(g, cert)
+        if not res:
+            raise AssertionError(f"search produced an invalid certificate: {res.reason}")
+        return cert
 
     frontier = np.packbits(np.eye(n, dtype=bool), axis=1)
     key_type = np.dtype((np.void, nbytes))
@@ -259,20 +259,15 @@ def _search(g: Bigraph, mode: str, fold_pool: Optional[Sequence[Fold]],
     return NotFound("exhausted", explored)
 
 
-def _recheck(g: Bigraph, cert: PercolationCertificate) -> PercolationCertificate:
-    res = verify_certificate(g, cert)
-    if not res:
-        raise AssertionError(f"search produced an invalid certificate: {res.reason}")
-    return cert
-
-
-def _resolve_pool(g: Bigraph, fold_pool: Optional[Sequence[Fold]]) -> list[Fold]:
+def _resolve_pool(g: Bigraph, fold_pool: Optional[Sequence[Fold]]) -> list[tuple[list[int], int]]:
     if fold_pool is None:
-        return enumerate_folds(g)
-    pool = list(fold_pool)
-    for fold in pool:
+        return _fold_maps(g)
+    pos, pairs = g._index.pos, []
+    for fold in fold_pool:
         check_fold(g, fold)
-    return pool
+        phi = fold.phi
+        pairs.append(([pos[phi[v]] for v in g._index.names], sum(1 << pos[v] for v in fold.left)))
+    return pairs
 
 
 def find_left_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = None,

@@ -18,7 +18,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .bigraph import Bigraph, ColoredBigraph
-from .folds import Fold, check_fold
+from .folds import Fold
 
 __all__ = [
     "TypeAReflectionSystem",
@@ -165,7 +165,6 @@ def reflection_fold(ib: IncidenceBigraph, a: int, b: int) -> Fold:
     """The fold induced by the transposition t_{ab} (1 <= a < b <= n)."""
     if not (1 <= a < b <= ib.n):
         raise ValueError(f"need 1 <= a < b <= n, got a={a}, b={b}")
-    g = ib.graph
 
     def swap(v: int) -> int:
         return b if v == a else a if v == b else v
@@ -174,17 +173,15 @@ def reflection_fold(ib: IncidenceBigraph, a: int, b: int) -> Fold:
     left: set[str] = {point_id(a)}
     for v in range(1, ib.n + 1):
         phi[point_id(v)] = point_id(swap(v))
-    for rid in g.right:
-        subset, slot = parse_right_id(rid)
-        phi[rid] = right_id({swap(v) for v in subset}, slot)
-        if a in subset and b not in subset:
-            left.add(rid)
-    fold = Fold(phi, left)
-    check_fold(g, fold)
-    return fold
+    for slot, k in enumerate(ib.uniformities, start=1):
+        for subset in itertools.combinations(range(1, ib.n + 1), k):
+            rid = right_id(subset, slot)
+            phi[rid] = right_id(map(swap, subset), slot)
+            if a in subset and b not in subset:
+                left.add(rid)
+    return Fold(phi, left)
 
 
 def reflection_fold_pool(ib: IncidenceBigraph) -> list[Fold]:
     """All C(n,2) transposition folds, ordered by (a, b)."""
-    return [reflection_fold(ib, a, b)
-            for a in range(1, ib.n + 1) for b in range(a + 1, ib.n + 1)]
+    return [reflection_fold(ib, a, b) for a, b in TypeAReflectionSystem(ib.n).reflections()]

@@ -4,28 +4,23 @@ test oracles.
 `_search_maps` is a backtracking search over string dicts with no node
 budget. `automorphisms` lists the whole group with it, `involutions`
 keeps the group's involutions, and `enumerate_folds` completes those to
-folds, taking components by a BFS over string adjacency sets; `search` is a FIFO BFS over frozenset states with one preimage per
-(state, fold) pair. They are the straightforward forms of what
-`sidlab.bigraph`, `sidlab.folds` and `sidlab.percolation` compute on
-integer indices. The reference search reports a budget stop the same way
-as the engine: before any expansion when the start states alone exceed
-the budget.
+folds on string sets (`_complete`), taking components by a BFS over
+string adjacency sets; `search` is a FIFO BFS over frozenset states with
+one preimage per (state, fold) pair, taken from string maps. They are
+the straightforward forms of what `sidlab.bigraph`, `sidlab.folds` and
+`sidlab.percolation` compute on integer indices. The reference search
+reports a budget stop the same way as the engine: before any expansion
+when the start states alone exceed the budget.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Mapping
+from typing import Mapping, Optional
 
 from sidlab.bigraph import Bigraph, _refine_classes
-from sidlab.folds import _complete
-from sidlab.percolation import (
-    _MODES,
-    NotFound,
-    PercolationCertificate,
-    _moves,
-    _preimage,
-)
+from sidlab.folds import Fold
+from sidlab.percolation import _MODES, NotFound, PercolationCertificate
 
 
 def _search_maps(g1: Bigraph, g2: Bigraph, prescribed: Mapping[str, str],
@@ -113,6 +108,23 @@ def components(g: Bigraph) -> list[frozenset[str]]:
     return sorted(comps, key=lambda c: min(c))
 
 
+def _complete(phi: Mapping[str, str], comps: list[frozenset[str]]) -> Optional[Fold]:
+    """The fold completing phi, L taking of each swapped pair of components
+    the one with the smallest vertex name; None when phi fixes a component."""
+    images = [frozenset(phi[v] for v in comp) for comp in comps]
+    if any(img == comp for comp, img in zip(comps, images)):
+        return None
+    left: set[str] = set()
+    taken: set[frozenset[str]] = set()
+    for comp, img in zip(comps, images):
+        if comp in taken or img in taken:
+            continue
+        chosen = comp if min(comp) <= min(img) else img
+        left |= chosen
+        taken |= {comp, img}
+    return Fold(phi, left)
+
+
 def enumerate_folds(g, involutive):
     """The folds of g, given its involutive automorphisms in canonical order."""
     folds = []
@@ -124,6 +136,17 @@ def enumerate_folds(g, involutive):
         if fold is not None:
             folds.append(fold)
     return folds
+
+
+def _moves(spec, elements, fold):
+    """Each element paired with its image under the fold's left-folding map."""
+    phi_l = fold.left_map()
+    return [(x, spec.move(phi_l, x)) for x in elements]
+
+
+def _preimage(moves, target):
+    """The elements whose image lies in target."""
+    return frozenset(x for x, y in moves if y in target)
 
 
 def search(g, mode, pool, budget):

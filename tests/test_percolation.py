@@ -1,11 +1,13 @@
 """Tests for percolation certificate search, verification, and lifting."""
 
 import math
+import sys
 
 import pytest
 
-from sidlab.bigraph import Bigraph, amalgamate_left, cycle4, rho, star
-from sidlab.folds import Fold, complete_to_fold, enumerate_folds
+from sidlab.bigraph import Bigraph, amalgamate_left, book, cycle4, rho, star
+from sidlab.cli import main
+from sidlab.folds import Fold, check_fold, complete_to_fold, enumerate_folds
 from sidlab.percolation import (
     DEFAULT_BUDGET,
     NotFound,
@@ -365,6 +367,56 @@ def test_lift_rejects_disagreeing_maps():
     ident_like = complete_to_fold(g2, {"a": "a", "b": "b", "e": "f", "f": "e"})
     with pytest.raises(ValueError):
         lift_certificate([g1, g2], base, [[ident_like]])
+
+
+# ---------------------------------------------------------------------------
+# each fold is checked once, each certificate verified once
+
+
+def spy(monkeypatch, func):
+    """The argument tuples of every later call to func, made through any
+    sidlab module that binds it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return func(*args)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sidlab" and getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("search", [find_left_cut_percolating, find_cut_percolating])
+def test_supplied_pool_folds_are_checked_once(monkeypatch, search):
+    """n checks for an n-fold pool, plus one per certificate fold when
+    verify_certificate checks the certificate; none to build the pool."""
+    checks = spy(monkeypatch, check_fold)
+    ib = IncidenceBigraph(4, [2])
+    pool = reflection_fold_pool(ib)
+    assert checks == []
+    cert = search(ib.graph, pool)
+    assert cert.length > 0 and len(checks) == len(pool) + cert.length
+    checks.clear()
+    folds = enumerate_folds(book(2))
+    assert isinstance(search(book(2), folds), NotFound)
+    assert len(checks) == len(folds) > 0
+    # the default pool needs no check; only the certificate's folds get one
+    checks.clear()
+    cert = search(ib.graph)
+    assert cert.length > 0 and len(checks) == cert.length
+
+
+def test_certify_verifies_each_certificate_once(monkeypatch, tmp_path):
+    gpath = tmp_path / "graph.json"
+    assert main(["construct", "incidence", "--n", "4", "--uniformities", "2",
+                 "-o", str(gpath)]) == 0
+    verifications = spy(monkeypatch, verify_certificate)
+    for mode in ("left", "edge"):
+        verifications.clear()
+        assert main(["certify", str(gpath), "--mode", mode, "--pool", "reflection",
+                     "-o", str(tmp_path / "cert.json")]) == 0
+        assert len(verifications) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from sidlab.bigraph import (
     graphs_isomorphic,
     is_color_edge_transitive,
 )
-from sidlab.folds import check_fold, enumerate_folds
+from sidlab.folds import Fold, check_fold, complete_to_fold, enumerate_folds
 from sidlab.reflection import (
     IncidenceBigraph,
     TypeAReflectionSystem,
@@ -135,6 +135,40 @@ def test_reflection_folds_are_canonical_completions():
         ib = IncidenceBigraph(n, ks)
         for fold in reflection_fold_pool(ib):
             assert complete_to_fold(ib.graph, fold.phi) == fold
+
+
+def chamber_pool(n, ks):
+    """The transposition folds built from id strings: t_ab swaps a and b in
+    every id, and L holds a and each subset that has a but not b."""
+    pool = []
+    for a, b in itertools.combinations(range(1, n + 1), 2):
+        swap = {str(a): str(b), str(b): str(a)}
+        phi = {str(v): swap.get(str(v), str(v)) for v in range(1, n + 1)}
+        left = {str(a)}
+        for slot, k in enumerate(ks, start=1):
+            for subset in itertools.combinations(range(1, n + 1), k):
+                rid = "{%s}@%d" % (",".join(map(str, subset)), slot)
+                image = sorted(int(phi[str(v)]) for v in subset)
+                phi[rid] = "{%s}@%d" % (",".join(map(str, image)), slot)
+                if a in subset and b not in subset:
+                    left.add(rid)
+        pool.append(Fold(phi, left))
+    return pool
+
+
+@pytest.mark.parametrize("n, ks", [(10, [2, 3]), (11, [2])])
+def test_reflection_folds_keep_the_chamber_rule_past_nine(n, ks):
+    # "10" < "2": the smallest-id completion takes the side of b = 10, while
+    # the chamber rule keeps the side of a = 2
+    ib = IncidenceBigraph(n, ks)
+    pool = reflection_fold_pool(ib)
+    assert pool == chamber_pool(n, ks)
+    for fold in pool:
+        check_fold(ib.graph, fold)
+    fold = reflection_fold(ib, 2, 10)
+    assert "2" in fold.left and "10" not in fold.left
+    completed = complete_to_fold(ib.graph, fold.phi)
+    assert completed.phi == fold.phi and "10" in completed.left
 
 
 def test_natural_coloring_invariant_under_transpositions():

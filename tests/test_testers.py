@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sidlab.bigraph import Bigraph, ColoredBigraph, book, cycle4, rho, star
-from sidlab.bigraphon import BigraphonTuple, random_step_bigraphon
+from sidlab.bigraphon import BigraphonTuple, SinkhornError, random_step_bigraphon
 from sidlab.density import exponent_balance
 from sidlab.folds import complete_to_fold
 from sidlab.fractional import from_right_uniform, rainbow_star
@@ -167,6 +167,31 @@ def test_weakly_norming_c4_and_edge_hold():
     assert props.test_weakly_norming(cycle4(), trials=60, seed=16).holds
     assert props.test_weakly_norming(rho(), trials=20, seed=17).holds
     assert props.test_weakly_norming(star(2), trials=30, seed=18).holds
+
+
+def test_weakly_norming_edgeless_graph_holds_vacuously():
+    report = props.test_weakly_norming(Bigraph(["a", "b"], ["c"]), trials=10, seed=19)
+    assert report.holds and report.witness is None
+    assert (report.trials, report.skipped, report.worst_margin) == (0, 0, 0.0)
+
+
+@pytest.mark.parametrize("fail_every", [3, 1])
+def test_trials_sinkhorn_cannot_balance_are_skipped(monkeypatch, fail_every):
+    """Every fail_every-th Sinkhorn call raises; those trials are skipped and
+    trials + skipped is the requested count. When every call fails, no trial
+    runs and the report holds vacuously."""
+    real, calls = props.sinkhorn_biregularize, itertools.count()
+
+    def flaky(w):
+        if next(calls) % fail_every == 0:
+            raise SinkhornError("no convergence")
+        return real(w)
+    monkeypatch.setattr(props, "sinkhorn_biregularize", flaky)
+    report = props.test_weak_domination(cycle4(), rho(), trials=12, seed=20)
+    assert report.skipped == 12 // fail_every
+    assert report.trials + report.skipped == 12
+    if fail_every == 1:
+        assert report.holds and report.witness is None and report.worst_margin == 0.0
 
 
 # ---------------------------------------------------------------------------
