@@ -267,42 +267,35 @@ class ReflectiveTreeDecomposition:
         # connected and acyclic
         if len(edges_t) != n - 1:
             raise ValueError("a tree on n bags has exactly n-1 edges")
-        adj = {i: set() for i in range(n)}
-        for a, b in edges_t:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != n:
+        if len(_parents(n, edges_t, 0)) != n:
             raise ValueError("tree is not connected")
         object.__setattr__(self, "bags", bags_t)
         object.__setattr__(self, "tree_edges", edges_t)
 
     def path(self, a: int, b: int) -> list[int]:
-        adj = {i: set() for i in range(len(self.bags))}
-        for x, y in self.tree_edges:
-            adj[x].add(y)
-            adj[y].add(x)
-        parent = {a: None}
-        stack = [a]
-        while stack:
-            cur = stack.pop()
-            if cur == b:
-                break
-            for nxt in adj[cur]:
-                if nxt not in parent:
-                    parent[nxt] = cur
-                    stack.append(nxt)
+        parent = _parents(len(self.bags), self.tree_edges, a)
         path = [b]
         while path[-1] != a:
             path.append(parent[path[-1]])
         return path[::-1]
+
+
+def _parents(n: int, edges: Sequence[tuple[int, int]], root: int) -> dict[int, Optional[int]]:
+    """Parent pointers of a walk from root over the edges among n bags; it
+    holds every bag iff the edges connect them."""
+    adj = {i: set() for i in range(n)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    parent = {root: None}
+    stack = [root]
+    while stack:
+        cur = stack.pop()
+        for nxt in adj[cur]:
+            if nxt not in parent:
+                parent[nxt] = cur
+                stack.append(nxt)
+    return parent
 
 
 def _is_bag(x) -> bool:

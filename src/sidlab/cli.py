@@ -31,11 +31,12 @@ from .checkers import (
 from .percolation import (
     DEFAULT_BUDGET,
     NotFound,
+    _search,
     certificate_to_json,
     find_cut_percolating,
     find_left_cut_percolating,
 )
-from .reflection import IncidenceBigraph, build_incidence, reflection_fold_pool
+from .reflection import IncidenceBigraph, _reflection_pairs, build_incidence
 from . import testers
 from .fractional import from_right_uniform
 
@@ -46,7 +47,6 @@ EXIT_VIOLATED = 3
 EXIT_PRECONDITION = 4
 
 TEST_PROPERTIES = {p.cli: p for p in testers.PROPERTIES.values() if p.cli}
-CHECKERS = ("largeright", "conlonlee", "orbits", "rtd")
 
 
 class UsageError(Exception):
@@ -120,7 +120,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     con = sub.add_parser("construct", help="emit a bigraph JSON file")
-    con.add_argument("kind", choices=("incidence", "book", "star", "cycle4"))
+    con.add_argument("kind", choices=CONSTRUCTORS)
     con.add_argument("--n", type=int, help="ground-set size for incidence")
     con.add_argument("--uniformities", help="comma-separated, e.g. 2,3")
     con.add_argument("--k", type=int, help="page count for book")
@@ -163,34 +163,36 @@ def build_parser() -> _Parser:
     return parser
 
 
+# each kind `sidlab construct` builds: (the options it needs, its builder)
+CONSTRUCTORS = {
+    "incidence": (("n", "uniformities"),
+                  lambda n, ks: build_incidence(n, _parse_uniformities(ks))),
+    "book": (("k",), book),
+    "star": (("d",), star),
+    "cycle4": ((), cycle4),
+}
+
+
 def _cmd_construct(args) -> int:
-    if args.kind == "incidence":
-        if args.n is None or args.uniformities is None:
-            raise UsageError("incidence needs --n and --uniformities")
-        g = build_incidence(args.n, _parse_uniformities(args.uniformities))
-    elif args.kind == "book":
-        if args.k is None:
-            raise UsageError("book needs --k")
-        g = book(args.k)
-    elif args.kind == "star":
-        if args.d is None:
-            raise UsageError("star needs --d")
-        g = star(args.d)
-    else:
-        g = cycle4()
-    _write_json(to_json_dict(g), args.output)
+    options, build = CONSTRUCTORS[args.kind]
+    values = [getattr(args, opt) for opt in options]
+    if None in values:
+        raise UsageError(f"{args.kind} needs " + " and ".join(f"--{opt}" for opt in options))
+    _write_json(to_json_dict(build(*values)), args.output)
     return EXIT_OK
 
 
 def _cmd_certify(args) -> int:
     budget = _positive(args, "budget")
-    obj = _load_graph(args.graph)
-    g = _plain_graph(obj)
-    pool = None
+    g = _plain_graph(_load_graph(args.graph))
     if args.pool == "reflection":
-        pool = reflection_fold_pool(IncidenceBigraph.from_bigraph(g))
-    search = find_left_cut_percolating if args.mode == "left" else find_cut_percolating
-    result = search(g, pool, budget=budget)
+        # folds by construction, so unchecked; an incidence bigraph has a
+        # left side and edges, so no refusal of the find_* functions applies
+        result = _search(g, args.mode, _reflection_pairs(IncidenceBigraph.from_bigraph(g)),
+                         budget)
+    else:
+        search = find_left_cut_percolating if args.mode == "left" else find_cut_percolating
+        result = search(g, budget=budget)
     if isinstance(result, NotFound):
         print(f"no certificate: {result.reason} "
               f"({result.states_explored} states explored)", file=sys.stderr)
@@ -242,16 +244,21 @@ def _profile_from_args(args) -> DegreeProfile:
     return DegreeProfile(args.v1, _parse_profile(args.profile))
 
 
+# the degree-profile checkers: (on a graph file, on --v1 and --profile)
+_PROFILE_CHECKS = {
+    "largeright": (check_largeright, check_largeright_profile),
+    "conlonlee": (check_conlonlee_divisibility, check_conlonlee_profile),
+}
+CHECKERS = (*_PROFILE_CHECKS, "orbits", "rtd")
+
+
 def _cmd_check(args) -> int:
-    if args.checker in ("largeright", "conlonlee"):
+    if args.checker in _PROFILE_CHECKS:
+        on_graph, on_profile = _PROFILE_CHECKS[args.checker]
         if args.graph is not None:
-            g = _plain_graph(_load_graph(args.graph))
-            report = (check_largeright(g) if args.checker == "largeright"
-                      else check_conlonlee_divisibility(g))
+            report = on_graph(_plain_graph(_load_graph(args.graph)))
         else:
-            prof = _profile_from_args(args)
-            report = (check_largeright_profile(prof) if args.checker == "largeright"
-                      else check_conlonlee_profile(prof))
+            report = on_profile(_profile_from_args(args))
         _write_json({"checker": args.checker, "passed": report.passed,
                      "per_degree": list(report.per_degree)}, args.output)
         return EXIT_OK if report.passed else EXIT_VIOLATED
@@ -283,17 +290,15 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATED
 
 
+_COMMANDS = {"construct": _cmd_construct, "certify": _cmd_certify, "test": _cmd_test,
+             "check": _cmd_check}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "test":
-            return _cmd_test(args)
-        return _cmd_check(args)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

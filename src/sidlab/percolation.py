@@ -10,19 +10,21 @@ subsets, so returned certificates are shortest within the supplied fold
 pool.
 
 The search runs on integers. Its pool is (image, left mask) pairs (see
-`sidlab.folds`); a supplied pool of `Fold`s is checked once and converted
-on entry. Each pair is compiled once into an index array over the
-elements, so a preimage is a gather; each BFS level is a packed bit array,
-expanded in bounded chunks of rows. Candidates are deduplicated against
-one set of packed states in (state row, fold) order. A FIFO queue pops the
-states of one level in the order they were found and tries the folds in
-pool order, so that is the order a queue-based BFS meets them in; parents,
-certificates, state counts, and where the goal check and the budget stop
-fall, are therefore the same as for a queue. Parents are kept per level as
-(parent row, fold index) arrays, and a certificate's states are recomputed
-from its start element and folds; only its folds become `Fold`s.
-`verify_certificate` recomputes every preimage over frozensets, apart from
-the search, once per returned certificate.
+`sidlab.folds`). A fold is checked once, where it enters: a supplied pool
+of `Fold`s is checked and converted, while the default and reflection
+pools are built as pairs and go to the search unchecked. Each pair is
+compiled once into an index array over the elements, so a preimage is a
+gather; each BFS level is a packed bit array, expanded in bounded chunks
+of rows. Candidates are deduplicated against one set of packed states in
+(state row, fold) order. A FIFO queue pops the states of one level in the
+order they were found and tries the folds in pool order, so that is the
+order a queue-based BFS meets them in; parents, certificates, state
+counts, and where the goal check and the budget stop fall, are therefore
+the same as for a queue. Parents are kept per level as (parent row, fold
+index) arrays, and a certificate's states are recomputed from its start
+element and folds; only its folds become `Fold`s. `verify_certificate`
+recomputes every preimage over frozensets, apart from the search, once per
+returned certificate.
 """
 
 from __future__ import annotations
@@ -165,14 +167,14 @@ def verify_certificate(g: Bigraph, cert: PercolationCertificate) -> Verification
     return VerificationResult(True)
 
 
-def _search(g: Bigraph, mode: str, fold_pool: Optional[Sequence[Fold]],
+def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
             budget: int) -> PercolationCertificate | NotFound:
-    """BFS from every singleton state to the set of all elements. The start
-    states count as explored; the search stops with `budget` once more than
-    budget states are explored, before any expansion when the start states
-    alone are more than budget (unless one of them is the goal)."""
+    """BFS over `pool`, (image, left mask) pairs taken to be folds of g, from
+    every singleton state to the set of all elements. The start states
+    count as explored; the search stops with `budget` once more than budget
+    states are explored, before any expansion when the start states alone
+    are more than budget (unless one of them is the goal)."""
     spec = _MODES[mode]
-    pool = _resolve_pool(g, fold_pool)
     elements = spec.elements(g)
     n, n_folds = len(elements), len(pool)
     # each element over vertex indices, and its position among the elements
@@ -280,7 +282,7 @@ def find_left_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = 
     """
     if g.v1 == 0:
         raise ValueError("graph has an empty left side")
-    return _search(g, "left", fold_pool, budget)
+    return _search(g, "left", _resolve_pool(g, fold_pool), budget)
 
 
 def find_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = None,
@@ -289,7 +291,7 @@ def find_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = None,
     """Shortest edge-mode certificate within the pool, or NotFound."""
     if g.e == 0:
         raise ValueError("graph has no edges")
-    return _search(g, "edge", fold_pool, budget)
+    return _search(g, "edge", _resolve_pool(g, fold_pool), budget)
 
 
 def lift_certificate(parts: Sequence[Bigraph], base_cert: PercolationCertificate,

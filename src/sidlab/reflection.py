@@ -3,9 +3,11 @@
 The incidence bigraph of the complete hypergraph on [n] in uniformities
 k_1..k_t has left side [n] and one right vertex per (k_i-subset, slot);
 its natural coloring colors each edge by the slot of its right endpoint.
-Each transposition t_{ab} induces a fold: the involution permutes points
-and subsets, and the left side is read off the chamber side rule
-sign(1_U(a) - 1_U(b)).
+Each transposition t_{ab} induces a fold: the involution swaps bits a and
+b of each subset's point mask, and the left side is read off the chamber
+side rule sign(1_U(a) - 1_U(b)). The fold is built as an (image, left
+mask) pair (see `sidlab.folds`), a fold by construction, so `sidlab
+certify` hands the pairs to the search unchecked.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .bigraph import Bigraph, ColoredBigraph
-from .folds import Fold
+from .folds import Fold, _fold
 
 __all__ = [
     "TypeAReflectionSystem",
@@ -29,10 +31,6 @@ __all__ = [
 ]
 
 _RIGHT_ID = re.compile(r"^\{(\d+(?:,\d+)*)\}@(\d+)$")
-
-
-def point_id(v: int) -> str:
-    return str(v)
 
 
 def right_id(subset: Iterable[int], slot: int) -> str:
@@ -121,16 +119,25 @@ class IncidenceBigraph:
 
     @functools.cached_property
     def colored(self) -> ColoredBigraph:
-        left = [point_id(v) for v in range(1, self.n + 1)]
-        right, edges, colors = [], [], {}
+        left = [str(v) for v in range(1, self.n + 1)]
+        right, colors = [], {}
         for slot, k in enumerate(self.uniformities, start=1):
             for subset in itertools.combinations(range(1, self.n + 1), k):
                 rid = right_id(subset, slot)
                 right.append(rid)
                 for v in subset:
-                    edges.append((point_id(v), rid))
-                    colors[(point_id(v), rid)] = slot
-        return ColoredBigraph(Bigraph(left, right, edges), colors)
+                    colors[(str(v), rid)] = slot
+        return ColoredBigraph(Bigraph(left, right, colors), colors)
+
+    @functools.cached_property
+    def _right_index(self) -> dict[tuple[int, int], int]:
+        """The vertex index in `graph` of each right vertex, by (point mask,
+        slot), enumerated as in `colored`; bit v - 1 of a point mask is set
+        iff point v is in the subset."""
+        pos = self.graph._index.pos
+        return {(sum(1 << v - 1 for v in subset), slot): pos[right_id(subset, slot)]
+                for slot, k in enumerate(self.uniformities, start=1)
+                for subset in itertools.combinations(range(1, self.n + 1), k)}
 
     @classmethod
     def from_bigraph(cls, g: Bigraph) -> "IncidenceBigraph":
@@ -161,27 +168,35 @@ def build_incidence(n: int, ks: Sequence[int]) -> ColoredBigraph:
     return IncidenceBigraph(n, ks).colored
 
 
+def _reflection_pair(ib: IncidenceBigraph, a: int, b: int) -> tuple[list[int], int]:
+    """The fold of t_{ab} as an (image, left mask) pair over ib.graph.vertices().
+    L holds a and each subset that has a but not b (the chamber rule)."""
+    pos, right = ib.graph._index.pos, ib._right_index
+    image = list(range(len(pos)))
+    i, j = pos[str(a)], pos[str(b)]
+    image[i], image[j] = j, i
+    left = 1 << i
+    bit_a, bit_b = 1 << a - 1, 1 << b - 1
+    for (mask, slot), u in right.items():
+        if mask & bit_a and not mask & bit_b:
+            w = right[mask ^ bit_a ^ bit_b, slot]
+            image[u], image[w] = w, u
+            left |= 1 << u
+    return image, left
+
+
+def _reflection_pairs(ib: IncidenceBigraph) -> list[tuple[list[int], int]]:
+    """The pairs of all C(n,2) transposition folds, ordered by (a, b)."""
+    return [_reflection_pair(ib, a, b) for a, b in TypeAReflectionSystem(ib.n).reflections()]
+
+
 def reflection_fold(ib: IncidenceBigraph, a: int, b: int) -> Fold:
     """The fold induced by the transposition t_{ab} (1 <= a < b <= n)."""
     if not (1 <= a < b <= ib.n):
         raise ValueError(f"need 1 <= a < b <= n, got a={a}, b={b}")
-
-    def swap(v: int) -> int:
-        return b if v == a else a if v == b else v
-
-    phi: dict[str, str] = {}
-    left: set[str] = {point_id(a)}
-    for v in range(1, ib.n + 1):
-        phi[point_id(v)] = point_id(swap(v))
-    for slot, k in enumerate(ib.uniformities, start=1):
-        for subset in itertools.combinations(range(1, ib.n + 1), k):
-            rid = right_id(subset, slot)
-            phi[rid] = right_id(map(swap, subset), slot)
-            if a in subset and b not in subset:
-                left.add(rid)
-    return Fold(phi, left)
+    return _fold(ib.graph, *_reflection_pair(ib, a, b))
 
 
 def reflection_fold_pool(ib: IncidenceBigraph) -> list[Fold]:
     """All C(n,2) transposition folds, ordered by (a, b)."""
-    return [reflection_fold(ib, a, b) for a, b in TypeAReflectionSystem(ib.n).reflections()]
+    return [_fold(ib.graph, *pair) for pair in _reflection_pairs(ib)]

@@ -123,9 +123,9 @@ class Property:
     the per-trial sampler and hands both to the runner. An instance is the
     arguments of margin; witness gives each argument's JSON key and (encode,
     decode) codec, and check names what a decoded instance lacks across its
-    fields, or returns None. cli_input is what `sidlab test` loads (plain,
-    colored, fractional or none); cli_options are the options it passes to
-    tester.
+    fields or raises ValueError with the reason, or returns None. cli_input
+    is what `sidlab test` loads (plain, colored, fractional or none);
+    cli_options are the options it passes to tester.
     """
 
     name: str
@@ -600,16 +600,28 @@ def test_color_sidorenko(h: ColoredFractionalBigraph, trials: int = 200,
 # Cauchy-Schwarz trees
 
 
-def cs_tree_leaves(g: Bigraph, coloring: Mapping[tuple, int],
-                   folds: Sequence[Fold]) -> list[dict[tuple, int]]:
-    """Leaf colorings (with multiplicity, leftmost first) of the binary
-    tree generated by composing left/right folding maps."""
+def _cs_check(g: Bigraph, coloring: Mapping[tuple, int], folds: Sequence[Fold],
+              *_) -> None:
+    """Raise ValueError unless the sequence is at most CS_TREE_DEPTH_CAP folds
+    of g and coloring colors exactly its edges; test_cs_tree's trials skip it."""
     if len(folds) > CS_TREE_DEPTH_CAP:
         raise ValueError(f"fold sequences capped at depth {CS_TREE_DEPTH_CAP}")
     for fold in folds:
         check_fold(g, fold)
     if set(coloring) != g.edges:
         raise ValueError("coloring must cover exactly the edge set")
+
+
+def cs_tree_leaves(g: Bigraph, coloring: Mapping[tuple, int],
+                   folds: Sequence[Fold]) -> list[dict[tuple, int]]:
+    """Leaf colorings (with multiplicity, leftmost first) of the binary
+    tree generated by composing left/right folding maps."""
+    _cs_check(g, coloring, folds)
+    return _leaves(g, coloring, folds)
+
+
+def _leaves(g: Bigraph, coloring: Mapping[tuple, int],
+            folds: Sequence[Fold]) -> list[dict[tuple, int]]:
     m = len(folds)
     maps = [(f.left_map(), f.right_map()) for f in folds]
     leaves = []
@@ -625,7 +637,7 @@ def cs_tree_leaves(g: Bigraph, coloring: Mapping[tuple, int],
 def _cs_margin(g: Bigraph, coloring: Mapping[tuple, int], folds: Sequence[Fold],
                ws: BigraphonTuple) -> float:
     lhs = colored_density(ColoredBigraph(g, dict(coloring)), ws)
-    leaves = cs_tree_leaves(g, coloring, folds)
+    leaves = _leaves(g, coloring, folds)
     counts = Counter(tuple(sorted(leaf.items())) for leaf in leaves)
     log_rhs = 0.0
     for leaf_key, cnt in sorted(counts.items()):
@@ -639,14 +651,23 @@ def verify_cs_inequality(g: Bigraph, coloring: Mapping[tuple, int],
                          folds: Sequence[Fold], ws: BigraphonTuple,
                          tol: float = 1e-9) -> TestReport:
     """Single-instance check of the geometric-mean bound over the leaf colorings."""
+    _cs_check(g, coloring, folds)
     return _single_report("cs-tree", (g, coloring, folds, ws), tol)
 
 
 def test_cs_tree(g: Bigraph, trials: int = 200, grid: int = 4, seed: int = 0,
                  tol: float = 1e-9, fold_pool: Optional[Sequence[Fold]] = None,
                  max_depth: int = 3, preset: str = "uniform") -> TestReport:
-    """Random (coloring, fold sequence, tuple) instances of the leaf bound."""
-    pool = list(fold_pool) if fold_pool is not None else enumerate_folds(g)
+    """Random (coloring, fold sequence, tuple) instances of the leaf bound.
+    A supplied fold pool is checked once, here; the trials check no fold."""
+    if max_depth > CS_TREE_DEPTH_CAP:
+        raise ValueError(f"fold sequences capped at depth {CS_TREE_DEPTH_CAP}")
+    if fold_pool is None:
+        pool = enumerate_folds(g)
+    else:
+        pool = list(fold_pool)
+        for fold in pool:
+            check_fold(g, fold)
     edges = g.sorted_edges()
 
     def sample(rng):
@@ -837,7 +858,7 @@ PROPERTIES: dict[str, Property] = {p.name: p for p in (
              (("fractional", _FRACTIONAL), ("tuple", _TUPLE))),
     Property("cs-tree", "cs-tree", "plain", _GRID_PRESET, "test_cs_tree", _cs_margin,
              (("graph", _GRAPH), ("coloring", _COLORING), ("folds", _FOLDS),
-              ("tuple", _TUPLE))),
+              ("tuple", _TUPLE)), _cs_check),
     Property("jensen", "jensen", "none", ("n",), "test_inductive_jensen", _jensen_margin,
              (("weights", _VECTOR), ("g", _VECTOR), ("fs", _VECTORS), ("ps", _NUMBERS)),
              _jensen_shape),

@@ -1,5 +1,6 @@
 """Tests for percolation certificate search, verification, and lifting."""
 
+import json
 import math
 import sys
 
@@ -22,6 +23,7 @@ from sidlab.percolation import (
     verify_certificate,
 )
 from sidlab.reflection import IncidenceBigraph, reflection_fold, reflection_fold_pool
+from sidlab.testers import test_cs_tree as run_cs_tree
 
 
 def c4_left_fold():
@@ -408,15 +410,33 @@ def test_supplied_pool_folds_are_checked_once(monkeypatch, search):
 
 
 def test_certify_verifies_each_certificate_once(monkeypatch, tmp_path):
-    gpath = tmp_path / "graph.json"
+    """The reflection pool goes to the search unchecked, so the only fold
+    checks are verify_certificate's, one per certificate fold."""
+    gpath, cpath = tmp_path / "graph.json", tmp_path / "cert.json"
     assert main(["construct", "incidence", "--n", "4", "--uniformities", "2",
                  "-o", str(gpath)]) == 0
     verifications = spy(monkeypatch, verify_certificate)
+    checks = spy(monkeypatch, check_fold)
     for mode in ("left", "edge"):
         verifications.clear()
+        checks.clear()
         assert main(["certify", str(gpath), "--mode", mode, "--pool", "reflection",
-                     "-o", str(tmp_path / "cert.json")]) == 0
+                     "-o", str(cpath)]) == 0
         assert len(verifications) == 1
+        length = len(json.loads(cpath.read_text())["folds"])
+        assert length > 0 and len(checks) == length
+
+
+def test_cs_tree_checks_a_supplied_pool_once(monkeypatch):
+    """No check for the default pool, one per fold for a supplied pool, and
+    none in the trials."""
+    checks = spy(monkeypatch, check_fold)
+    g = IncidenceBigraph(4, [2]).graph
+    assert run_cs_tree(g, trials=200).trials == 200
+    assert checks == []
+    pool = enumerate_folds(g)[:4]
+    assert run_cs_tree(g, trials=200, fold_pool=pool).trials == 200
+    assert len(checks) == len(pool)
 
 
 # ---------------------------------------------------------------------------

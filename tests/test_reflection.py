@@ -156,6 +156,13 @@ def chamber_pool(n, ks):
     return pool
 
 
+@pytest.mark.parametrize("n, ks", sorted({
+    (n, ks) for n in range(1, 12)
+    for ks in ((2,), (2, 3), (1, 2), (2, 2), (1,), (n,)) if max(ks) <= n}))
+def test_reflection_pool_is_the_chamber_pool(n, ks):
+    assert reflection_fold_pool(IncidenceBigraph(n, ks)) == chamber_pool(n, ks)
+
+
 @pytest.mark.parametrize("n, ks", [(10, [2, 3]), (11, [2])])
 def test_reflection_folds_keep_the_chamber_rule_past_nine(n, ks):
     # "10" < "2": the smallest-id completion takes the side of b = 10, while

@@ -11,7 +11,7 @@ import pytest
 from sidlab.bigraph import Bigraph, ColoredBigraph, book, cycle4, rho, star
 from sidlab.bigraphon import BigraphonTuple, SinkhornError, random_step_bigraphon
 from sidlab.density import exponent_balance
-from sidlab.folds import complete_to_fold
+from sidlab.folds import Fold, check_fold, complete_to_fold, fold_to_json
 from sidlab.fractional import from_right_uniform, rainbow_star
 from sidlab.percolation import find_left_cut_percolating
 from sidlab.reflection import IncidenceBigraph, build_incidence, reflection_fold_pool
@@ -591,6 +591,25 @@ def test_single_instance_witnesses_replay_exactly():
         assert report.verdict == VIOLATED and "trial" not in report.witness
         payload = json.loads(json.dumps(report.witness))
         assert replay_witness(payload) == report.worst_margin
+
+
+def test_cs_tree_broken_fold_is_refused_with_check_folds_message():
+    g = cycle4()
+    c = {e: i % 2 + 1 for i, e in enumerate(sorted(g.edges))}
+    ws = BigraphonTuple({1: random_step_bigraphon(3, 3, seed=70),
+                         2: random_step_bigraphon(3, 3, seed=71)})
+    good = c4_left_fold()
+    broken = Fold(good.phi, good.left | {"c"})  # L meets Fix(phi)
+    with pytest.raises(ValueError) as expected:
+        check_fold(g, broken)
+    witness = verify_cs_inequality(g, c, [good], ws, tol=-math.inf).witness
+    payload = json.loads(json.dumps({**witness, "folds": [fold_to_json(broken)]}))
+    for refuse in (lambda: replay_witness(payload),
+                   lambda: verify_cs_inequality(g, c, [good, broken], ws),
+                   lambda: cs_tree_leaves(g, c, [broken])):
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert str(info.value) == str(expected.value)
 
 
 def test_replay_rejects_precondition_witness():
