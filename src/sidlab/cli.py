@@ -11,6 +11,7 @@ budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -131,9 +132,8 @@ def build_parser() -> _Parser:
     cert.add_argument("graph")
     cert.add_argument("--mode", choices=("left", "edge"), required=True)
     cert.add_argument("--pool", choices=("all", "reflection"), default="all")
-    # a string default is converted by type=int only when certify is parsed
-    cert.add_argument("--budget", type=int,
-                      default=os.environ.get("SIDLAB_BUDGET", DEFAULT_BUDGET))
+    # unset, it is read from SIDLAB_BUDGET when certify runs (_budget)
+    cert.add_argument("--budget", type=int, default=None)
     cert.add_argument("-o", "--output", default=None)
 
     tst = sub.add_parser("test", help="run a randomized inequality tester")
@@ -182,8 +182,20 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _budget(args) -> int:
+    """--budget, else SIDLAB_BUDGET, else DEFAULT_BUDGET; a bad value is
+    refused as argparse refuses a bad --budget."""
+    if args.budget is None:
+        text = os.environ.get("SIDLAB_BUDGET")
+        try:
+            args.budget = DEFAULT_BUDGET if text is None else int(text)
+        except ValueError:
+            raise UsageError(f"argument --budget: invalid int value: {text!r}") from None
+    return _positive(args, "budget")
+
+
 def _cmd_certify(args) -> int:
-    budget = _positive(args, "budget")
+    budget = _budget(args)
     g = _plain_graph(_load_graph(args.graph))
     if args.pool == "reflection":
         # folds by construction, so unchecked; an incidence bigraph has a
@@ -294,10 +306,15 @@ _COMMANDS = {"construct": _cmd_construct, "certify": _cmd_certify, "test": _cmd_
              "check": _cmd_check}
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The one parser of this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,9 +1,26 @@
 """Exact homomorphism densities over step bigraphons.
 
-Every single density, colored fractional ones included, is a list of
-(variables, array) factors contracted by one greedy min-degree variable
+Every density, colored, weighted and fractional ones included, is a list
+of (variables, array) factors contracted by one greedy min-degree variable
 elimination, pinned vertices sliced out first; a direct sum over all
 assignments is kept as an independent oracle, and the two agree to 1e-12.
+
+The engine walks its plan once for many trials of one factor structure:
+every factor and weight carries a leading trial axis, and a single density
+is a batch of one. Trials of a batch are zero-padded to the batch's largest
+size of each variable. A padded cell is a zero factor entry under a zero
+weight, so each sum gains exact zeros after its last real term. numpy adds
+fewer than 8 terms one by one in index order, whether or not the summed
+axis is the innermost one, so zero padding is exact along axes shorter
+than 8. From 8 terms on numpy sums the innermost axis pairwise: padding
+would regroup the real terms, and so would widening a size-1 axis, which
+can change which axis is innermost. So where a trial has a variable of 8
+or more cells, it shares a batch only with trials of the same sizes there
+and the same size-1 variables. Every trial of a batch then gets, bit for
+bit, the value of its batch of one, and the tests check this for every
+batched margin at grids 4 to 16. A batch goes through in chunks of at most
+2^13 bucket cells over all its trials, eight of the largest grid-4 buckets
+of incidence(5,{2,3}), so its memory stays near that of one trial.
 
 Each elimination step sums one variable out of its bucket, the factors
 that mention it. A bucket whose full product has at most 2^16 cells is
@@ -13,10 +30,11 @@ grid-4 results keep the floats of the product-only engine; it is not a
 measured crossover. At grid 4 the product is also the faster branch: with
 every step on einsum, 200 densities of incidence(5,{2,3}) take about four
 times as long. A larger bucket is contracted pairwise by `np.einsum` along
-a greedy path, so the full product is never built (bucket elimination;
-Dechter, AIJ 1999). The step's einsum subscripts are compiled with the
-elimination order in the plan cache; its path is searched once per
-(subscripts, shapes) and kept in a second bounded cache: on
+a greedy path, one trial at a time, so the full product is never built
+(bucket elimination; Dechter, AIJ 1999); the chunking puts such a bucket
+in a batch of one, so it is never padded. The step's einsum subscripts are
+compiled with the elimination order in the plan cache; its path is searched
+once per (subscripts, shapes) and kept in a second bounded cache: on
 incidence(5|6,{2,3}) at grid 16 a search takes 1-3 ms beside a 3-35 ms
 contraction, and shapes repeat across trials, since only the larger grid
 sizes cross the threshold.
@@ -39,6 +57,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "density",
+    "densities",
+    "colored_densities",
     "density_brute_force",
     "flag_density",
     "colored_density",
@@ -54,11 +74,16 @@ BRUTE_FORCE_CAP = 8_000_000
 # variable elimination engine
 
 Factor = tuple[tuple[str, ...], np.ndarray]
+# one trial: its factor arrays, in the order of the shared scopes, and the
+# weight vector of every variable
+Trial = tuple[Sequence[np.ndarray], Mapping[str, np.ndarray]]
 
 
 _PLAN_CACHE_SIZE = 32
 _PATH_CACHE_SIZE = 256
 _SMALL_BUCKET = 1 << 16  # cells of a bucket product still built whole
+_BATCH_CELLS = 1 << 13  # bucket cells of all the trials of one chunk
+_EXACT_PAD = 8  # padding an axis to this length would regroup numpy's sums
 _ALL = slice(None)  # one object shared by every cached broadcast index
 
 
@@ -67,14 +92,15 @@ def _plan(scopes: tuple[tuple[str, ...], ...], variables: tuple[str, ...]):
     """The greedy min-degree elimination of `variables` over factors with
     these scopes, ties broken by name. Returns the slots of the constant
     factors and one step per eliminated variable that touches a factor:
-    (variable, inputs, sizes, weight shape, summed axis, keep, subscripts).
-    Each input is (slot, transpose order, broadcast index) into the sorted
-    variables of the step; sizes names, per variable, the (slot, axis) whose
-    length it takes. The einsum subscripts take the inputs in their own axis
-    order, then the weight, to the kept variables in sorted order, so a step
-    spans at most 52 variables. A kept output takes the next free slot;
-    otherwise it is a scalar. The plan depends on scopes and names only,
-    never on sizes."""
+    (variable, inputs, bucket, weight index, summed axis, keep, subscripts).
+    bucket is the step's variables in sorted order. Each input is (slot,
+    transpose order, broadcast index) of a batched array into the trial axis
+    and the bucket; the weight index broadcasts the variable's batched
+    weight the same way. The einsum subscripts take one trial's inputs in
+    their own axis order, then the weight, to the kept variables in sorted
+    order, so a step spans at most 52 variables. A kept output takes the
+    next free slot; otherwise it is one scalar per trial. The plan depends
+    on scopes and names only, never on sizes."""
     constants = tuple(i for i, vs in enumerate(scopes) if not vs)
     live = [(i, vs) for i, vs in enumerate(scopes) if vs]
     free = len(scopes)
@@ -96,19 +122,18 @@ def _plan(scopes: tuple[tuple[str, ...], ...], variables: tuple[str, ...]):
         live = [f for f in live if v not in f[1]]
         if not touching:
             continue  # isolated variable: its weight sums to 1
-        size_of = {u: (i, a) for i, vs in touching for a, u in enumerate(vs)}
-        allvars = sorted(size_of)
-        inputs = tuple((i, tuple(sorted(range(len(vs)), key=lambda a: vs[a])),
-                        tuple(_ALL if u in vs else None for u in allvars))
+        bucket = tuple(sorted({u for _, vs in touching for u in vs}))
+        inputs = tuple((i, (0,) + tuple(1 + a for a in sorted(range(len(vs)),
+                                                              key=lambda a: vs[a])),
+                        (_ALL,) + tuple(_ALL if u in vs else None for u in bucket))
                        for i, vs in touching)
-        axis = allvars.index(v)
-        out = tuple(u for u in allvars if u != v)
-        letter = dict(zip(allvars, string.ascii_letters))
+        out = tuple(u for u in bucket if u != v)
+        letter = dict(zip(bucket, string.ascii_letters))
         expr = (",".join("".join(letter[u] for u in vs) for _, vs in touching)
                 + f",{letter[v]}->" + "".join(letter[u] for u in out))
-        steps.append((v, inputs, tuple(size_of[u] for u in allvars),
-                      tuple(-1 if a == axis else 1 for a in range(len(allvars))),
-                      axis, bool(out), expr))
+        steps.append((v, inputs, bucket,
+                      (_ALL,) + tuple(_ALL if u == v else None for u in bucket),
+                      1 + bucket.index(v), bool(out), expr))
         if out:
             live.append((free, out))
             free += 1
@@ -124,47 +149,135 @@ def _einsum_path(expr: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
     return tuple(np.einsum_path(expr, *stand_ins, optimize="greedy")[0])
 
 
-def _eliminate_all(factors: list[Factor], weights: Mapping[str, np.ndarray]) -> float:
+def _eliminate_all(factors: list[Factor], weights: Mapping[str, np.ndarray],
+                   trials: int) -> np.ndarray:
     """Integrate out every variable in `weights` along the cached plan for
-    the factors' scopes; sizes are read from the arrays on every call. A
-    bucket whose product exceeds _SMALL_BUCKET cells is contracted along
-    its cached einsum path instead of being built whole."""
+    the factors' scopes, for each of `trials` trials at once: every array
+    has a leading trial axis, and sizes are read from the weights on every
+    call. Returns one value per trial. A bucket whose product exceeds
+    _SMALL_BUCKET cells is contracted along its cached einsum path, one
+    trial at a time, instead of being built whole."""
     constants, steps = _plan(tuple(vs for vs, _ in factors), tuple(sorted(weights)))
     arrs = [arr for _, arr in factors]
-    scalar = 1.0
+    scalar = np.ones(trials)
     for i in constants:
-        scalar *= float(arrs[i])
-    for v, inputs, sizes, wshape, axis, keep, expr in steps:
-        shape = [arrs[i].shape[a] for i, a in sizes]
-        if math.prod(shape) > _SMALL_BUCKET:
+        scalar *= arrs[i]
+    for v, inputs, bucket, windex, axis, keep, expr in steps:
+        if math.prod(weights[u].shape[1] for u in bucket) > _SMALL_BUCKET:
             operands = [arrs[i] for i, _, _ in inputs] + [weights[v]]
-            path = _einsum_path(expr, tuple(op.shape for op in operands))
-            acc = np.einsum(expr, *operands, optimize=path)
+            path = _einsum_path(expr, tuple(op.shape[1:] for op in operands))
+            parts = [np.einsum(expr, *(op[t] for op in operands), optimize=path)
+                     for t in range(trials)]
+            acc = parts[0][None] if trials == 1 else np.stack(parts)
         else:
             (i, order, index), *rest = inputs
             acc = arrs[i].transpose(order)[index]
             for i, order, index in rest:
                 acc = acc * arrs[i].transpose(order)[index]
-            acc = (acc * weights[v].reshape(wshape)).sum(axis=axis)
+            acc = (acc * weights[v][windex]).sum(axis=axis)
         if keep:
             arrs.append(acc)
         else:
-            scalar *= float(acc)
+            scalar *= acc
     return scalar
 
 
-def _evaluate(g: Bigraph, matrix_for_edge, mu: np.ndarray, nu: np.ndarray,
-              fixed: Optional[Mapping[str, int]] = None,
-              potentials: Optional[Mapping[str, np.ndarray]] = None) -> float:
-    factors = [((l, r), matrix_for_edge((l, r))) for l, r in g.sorted_edges()]
-    factors += [((v,), vec) for v, vec in (potentials or {}).items()]
+def _stack(scopes: tuple[tuple[str, ...], ...], variables: tuple[str, ...],
+           trials: Sequence[Trial]) -> tuple[list[Factor], dict[str, np.ndarray]]:
+    """The factors and weights of trials on a leading trial axis, zero-padded
+    to the trials' largest size of each variable; one trial's arrays are
+    views. Slots that read the same arrays in every trial share one stack."""
+    if len(trials) == 1:
+        arrays, weights = trials[0]
+        return ([(vs, a[None]) for vs, a in zip(scopes, arrays)],
+                {v: weights[v][None] for v in variables})
+    size = {v: max(len(weights[v]) for _, weights in trials) for v in variables}
+    stacks: dict[tuple, np.ndarray] = {}
+
+    def stack(arrays, shape):
+        key = (*map(id, arrays), shape)
+        if key not in stacks:
+            stacks[key] = out = np.zeros((len(arrays),) + shape)
+            for t, a in enumerate(arrays):
+                out[(t,) + tuple(map(slice, a.shape))] = a
+        return stacks[key]
+    factors = [(vs, stack([arrays[k] for arrays, _ in trials], tuple(size[v] for v in vs)))
+               for k, vs in enumerate(scopes)]
+    return factors, {v: stack([weights[v] for _, weights in trials], (size[v],))
+                     for v in variables}
+
+
+def _eliminate_trials(scopes: tuple[tuple[str, ...], ...],
+                      trials: Sequence[Trial]) -> np.ndarray:
+    """One value per trial, each trial's factors on the shared scopes.
+
+    Trials are grouped so that zero padding stays exact: a trial with a
+    variable of _EXACT_PAD or more cells joins only trials with the same
+    such sizes and the same size-1 variables. A group goes through in
+    chunks whose largest padded bucket has at most _BATCH_CELLS cells over
+    all their trials, so a trial with a larger bucket, and every bucket
+    past _SMALL_BUCKET, runs in a batch of one."""
+    if not trials:
+        return np.empty(0)
+    variables = tuple(sorted(trials[0][1]))
+    groups: dict[tuple, list[int]] = {}
+    for t, (_, weights) in enumerate(trials):
+        sizes = [len(weights[v]) for v in variables]
+        key = () if max(sizes, default=0) < _EXACT_PAD else tuple(
+            n if n >= _EXACT_PAD or n == 1 else 0 for n in sizes)
+        groups.setdefault(key, []).append(t)
+    _, steps = _plan(scopes, variables)
+    out = np.empty(len(trials))
+    for members in groups.values():
+        size = {v: max(len(trials[t][1][v]) for t in members) for v in variables}
+        largest = max((math.prod(size[u] for u in step[2]) for step in steps), default=1)
+        chunk = max(1, _BATCH_CELLS // largest)
+        for lo in range(0, len(members), chunk):
+            part = members[lo:lo + chunk]
+            factors, weights = _stack(scopes, variables, [trials[t] for t in part])
+            out[part] = _eliminate_all(factors, weights, len(part))
+    return out
+
+
+def _graph_trial(g: Bigraph, edge_values: Sequence[np.ndarray], mu: np.ndarray,
+                 nu: np.ndarray, potentials: Optional[Mapping[str, np.ndarray]] = None,
+                 fixed: Optional[Mapping[str, int]] = None) -> tuple[tuple, Trial]:
+    """The scopes and the trial of t(G; potentials; W): one factor per edge of
+    g.sorted_edges(), reading edge_values in that order, then one per
+    potential; pinned vertices are sliced out of every factor."""
+    scopes = tuple(g.sorted_edges()) + tuple((v,) for v in potentials or {})
+    arrays = list(edge_values) + list((potentials or {}).values())
     weights = {v: mu for v in g.left} | {w: nu for w in g.right}
     if fixed:
-        factors = [(tuple(v for v in vs if v not in fixed),
-                    arr[tuple(fixed.get(v, slice(None)) for v in vs)])
-                   for vs, arr in factors]
+        arrays = [arr[tuple(fixed.get(v, _ALL) for v in vs)]
+                  for vs, arr in zip(scopes, arrays)]
+        scopes = tuple(tuple(v for v in vs if v not in fixed) for vs in scopes)
         weights = {v: vec for v, vec in weights.items() if v not in fixed}
-    return _eliminate_all(factors, weights)
+    return scopes, (arrays, weights)
+
+
+def _graph_densities(g: Bigraph, trials: Sequence[tuple]) -> np.ndarray:
+    """t(G; potentials; W) per trial of (edge values, mu, nu[, potentials]),
+    every trial with potentials at the same vertices in the same order."""
+    built = [_graph_trial(g, *trial) for trial in trials]
+    return _eliminate_trials(built[0][0] if built else (), [trial for _, trial in built])
+
+
+def _check_potentials(g: Bigraph, w: StepBigraphon,
+                      left_weights: Mapping[str, Sequence[float]],
+                      right_weights: Mapping[str, Sequence[float]]) -> dict:
+    """The weight functions as float arrays, left ones first, each side in
+    its mapping's order; raises ValueError unless there is one nonnegative
+    step function of the right length at every vertex."""
+    if set(left_weights) != set(g.left) or set(right_weights) != set(g.right):
+        raise ValueError("need one weight function per vertex")
+    pots = {v: np.asarray(vec, dtype=float) for v, vec in left_weights.items()}
+    pots |= {u: np.asarray(vec, dtype=float) for u, vec in right_weights.items()}
+    for v, vec in pots.items():
+        size = w.rows if g.side(v) == 1 else w.cols
+        if vec.shape != (size,) or np.any(vec < 0):
+            raise ValueError(f"weight function at {v!r} has wrong shape or sign")
+    return pots
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +286,30 @@ def _evaluate(g: Bigraph, matrix_for_edge, mu: np.ndarray, nu: np.ndarray,
 
 def density(g: Bigraph, w: StepBigraphon) -> float:
     """t(G, W) by variable elimination; empty graphs give 1."""
-    return _evaluate(g, lambda e: w.values, w.row_weights, w.col_weights)
+    return float(densities(g, [w])[0])
+
+
+def densities(g: Bigraph, ws: Sequence[StepBigraphon]) -> np.ndarray:
+    """t(G, W) for every W in ws, in one batched pass."""
+    e = g.e
+    return _graph_densities(g, [([w.values] * e, w.row_weights, w.col_weights)
+                                for w in ws])
+
+
+def colored_densities(g: Bigraph, colorings: Sequence[Mapping[tuple, int]],
+                      tuples: Sequence[BigraphonTuple]) -> np.ndarray:
+    """t(H, W) per (coloring, tuple) pair over the edges of g, in one batched
+    pass; each edge reads the bigraphon of its color."""
+    edges = g.sorted_edges()
+    trials = []
+    for coloring, ws in zip(colorings, tuples):
+        parts = dict(ws.parts)
+        for c in sorted(set(coloring.values())):
+            if c not in parts:
+                raise ValueError(f"tuple missing bigraphon for color {c}")
+        trials.append(([parts[coloring[e]].values for e in edges],
+                       ws.row_weights, ws.col_weights))
+    return _graph_densities(g, trials)
 
 
 def density_brute_force(g: Bigraph, w: StepBigraphon) -> float:
@@ -209,33 +345,23 @@ def flag_density(f: Flag, w: StepBigraphon, assignment: Mapping[str, int]) -> fl
         if not 0 <= int(i) < size:
             raise ValueError(f"index {i} out of range for vertex {v!r}")
     fixed = {v: int(i) for v, i in assignment.items()}
-    return _evaluate(g, lambda e: w.values, w.row_weights, w.col_weights, fixed=fixed)
+    scopes, trial = _graph_trial(g, [w.values] * g.e, w.row_weights, w.col_weights,
+                                 fixed=fixed)
+    return float(_eliminate_trials(scopes, [trial])[0])
 
 
 def colored_density(h: ColoredBigraph, ws: BigraphonTuple) -> float:
     """t(H, W): each edge reads the bigraphon of its color."""
-    colors = h.colors
-    for c in h.color_set():
-        if c not in ws:
-            raise ValueError(f"tuple missing bigraphon for color {c}")
-    return _evaluate(h.graph, lambda e: ws[colors[e]].values,
-                     ws.row_weights, ws.col_weights)
+    return float(colored_densities(h.graph, [h.colors], [ws])[0])
 
 
 def weighted_density(g: Bigraph, w: StepBigraphon,
                      left_weights: Mapping[str, Sequence[float]],
                      right_weights: Mapping[str, Sequence[float]]) -> float:
     """t(G; f, g; W): density with a nonnegative step function at every vertex."""
-    if set(left_weights) != set(g.left) or set(right_weights) != set(g.right):
-        raise ValueError("need one weight function per vertex")
-    pots = {v: np.asarray(vec, dtype=float) for v, vec in left_weights.items()}
-    pots |= {u: np.asarray(vec, dtype=float) for u, vec in right_weights.items()}
-    for v, vec in pots.items():
-        size = w.rows if g.side(v) == 1 else w.cols
-        if vec.shape != (size,) or np.any(vec < 0):
-            raise ValueError(f"weight function at {v!r} has wrong shape or sign")
-    return _evaluate(g, lambda e: w.values, w.row_weights, w.col_weights,
-                     potentials=pots)
+    pots = _check_potentials(g, w, left_weights, right_weights)
+    return float(_graph_densities(
+        g, [([w.values] * g.e, w.row_weights, w.col_weights, pots)])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,25 @@ A colored fractional bigraph assigns a nonnegative real weight to each
 (left-vertex subset, color) pair; it encodes the left side of a
 right-uniform colored bigraph with fractional neighborhood multiplicities.
 Its density against a bigraphon tuple integrates powered dual-star
-densities over the left space, one elimination factor per weighted pair;
-the log-space profile batch is the one batched evaluator.
+densities over the left space, one elimination factor per weighted pair,
+with many tuples in one batched pass. Single-color profiles go through a
+log-space batch compiled once per profile list; the right-neighborhood
+profiles of a bigraph's induced subgraphs, one per class, are such a list.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bigraph import ColoredBigraph
+from .bigraph import Bigraph, ColoredBigraph, GraphTooLargeError
 from .bigraphon import BigraphonTuple, StepBigraphon
-from .density import _eliminate_all
+from .density import _eliminate_trials
 
 __all__ = [
     "ColoredFractionalBigraph",
@@ -25,11 +30,16 @@ __all__ = [
     "color_power",
     "rainbow_star",
     "fractional_density",
+    "fractional_densities",
     "dual_star_table",
+    "compile_profiles",
     "batch_profile_log_densities",
+    "induced_subgraph_profiles",
 ]
 
 _BLOCK_CELLS = 1 << 20  # log terms per block of the profile batch
+PROFILE_CLASS_CAP = 200_000
+_PROFILE_CHUNK = 1 << 16  # profile x permutation x subset codes per batch
 
 
 @dataclass(frozen=True)
@@ -153,66 +163,193 @@ def fractional_density(h: ColoredFractionalBigraph, ws: BigraphonTuple) -> float
     One elimination factor T(sub) ** h(sub, c) per pair; 0^0 is taken as 1
     (zero-weight pairs are dropped at construction).
     """
-    for _, c, _ in h.weights:
-        if c not in ws:
-            raise ValueError(f"tuple missing bigraphon for color {c}")
-    factors = [(sub, dual_star_table(ws[c], len(sub)) ** wgt) for sub, c, wgt in h.weights]
-    return _eliminate_all(factors, {v: ws.row_weights for v in h.vertices})
+    return float(fractional_densities(h, [ws])[0])
 
 
-def batch_profile_log_densities(vertices: Sequence[str],
-                                profiles: Sequence[Mapping[frozenset, float]],
-                                w: StepBigraphon) -> np.ndarray:
+def fractional_densities(h: ColoredFractionalBigraph,
+                         tuples: Sequence[BigraphonTuple]) -> np.ndarray:
+    """t(h, W) for every tuple W, in one batched pass; each tuple's
+    dual-star table is built once per (color, subset size)."""
+    trials = []
+    for ws in tuples:
+        for _, c, _ in h.weights:
+            if c not in ws:
+                raise ValueError(f"tuple missing bigraphon for color {c}")
+        tables: dict[tuple[int, int], np.ndarray] = {}
+        factors = []
+        for sub, c, wgt in h.weights:
+            if (c, len(sub)) not in tables:
+                tables[c, len(sub)] = dual_star_table(ws[c], len(sub))
+            factors.append(tables[c, len(sub)] ** wgt)
+        trials.append((factors, {v: ws.row_weights for v in h.vertices}))
+    return _eliminate_trials(tuple(sub for sub, _, _ in h.weights), trials)
+
+
+def compile_profiles(vertices: Sequence[str],
+                     profiles: Sequence[Mapping[frozenset, float]]):
     """log t for many single-color fractional bigraphs sharing one bigraphon.
 
-    The one batched evaluator. Each profile maps nonempty left-vertex subsets
-    to exponents. Computed in log space with a shared table of dual-star
-    densities. Profile rows go through in near-equal blocks of fewer than
-    twice _BLOCK_CELLS log terms, or of two or three rows where one row
-    holds more than half that many, so memory stays bounded on large grids.
-    No block is a single row of a larger batch: numpy would take that row
-    through a vector product, which sums in another order. Blocks of two
-    or more rows agree with one whole matrix product to rounding, and bit
-    for bit where the BLAS keeps one kernel for every row count.
+    Returns a function of the bigraphon. Each profile maps nonempty
+    left-vertex subsets to exponents. The subset layout and the profile
+    matrix are built here, once; a call builds one dual-star table per
+    subset size and computes in log space. Profile rows go through in
+    near-equal blocks of fewer than twice _BLOCK_CELLS log terms, or of
+    two or three rows where one row holds more than half that many, so
+    memory stays bounded on large grids. No block is a single row of a
+    larger batch: numpy would take that row through a vector product, which
+    sums in another order. Blocks of two or more rows agree with one whole
+    matrix product to rounding, and bit for bit where the BLAS keeps one
+    kernel for every row count.
     """
     verts = tuple(sorted(vertices))
     n = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
-    mu = w.row_weights
-    rows = mu.size
     subsets = sorted({tuple(sorted(s)) for prof in profiles for s in prof})
-    if np.any(w.values <= 0):
-        raise ValueError("log-space batch needs strictly positive values")
-
-    tables = np.empty((len(subsets), rows ** n))
-    for si, sub in enumerate(subsets):
-        table = np.log(dual_star_table(w, len(sub)))
-        shape = [1] * n
-        for v in sub:
-            shape[pos[v]] = rows
-        tables[si] = np.broadcast_to(table.reshape(shape), (rows,) * n).reshape(-1)
-
+    # each subset's table axes: its vertices' positions, the rest broadcast
+    axes = [[pos[v] for v in sub] for sub in subsets]
     m = np.zeros((len(profiles), len(subsets)))
     index = {sub: i for i, sub in enumerate(subsets)}
     for pi, prof in enumerate(profiles):
         for s, wgt in prof.items():
             m[pi, index[tuple(sorted(s))]] = wgt
 
-    logw = np.zeros(rows ** n)
-    if n:
-        grid = np.log(np.asarray(mu))
-        full = np.zeros((rows,) * n)
-        for j in range(n):
+    def log_densities(w: StepBigraphon) -> np.ndarray:
+        mu = w.row_weights
+        rows = mu.size
+        if np.any(w.values <= 0):
+            raise ValueError("log-space batch needs strictly positive values")
+        logs = {k: np.log(dual_star_table(w, k)) for k in sorted(set(map(len, subsets)))}
+        tables = np.empty((len(subsets), rows ** n))
+        for si, sub_axes in enumerate(axes):
             shape = [1] * n
-            shape[j] = rows
-            full = full + grid.reshape(shape)
-        logw = full.reshape(-1)
+            for a in sub_axes:
+                shape[a] = rows
+            tables[si] = np.broadcast_to(logs[len(sub_axes)].reshape(shape),
+                                         (rows,) * n).reshape(-1)
 
-    out = np.empty(len(profiles))
-    blocks = max(1, len(profiles) // max(2, _BLOCK_CELLS // tables.shape[1]))
-    bounds = [len(profiles) * b // blocks for b in range(blocks + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        combined = m[lo:hi] @ tables + logw[None, :]
-        peak = combined.max(axis=1, keepdims=True)
-        out[lo:hi] = peak[:, 0] + np.log(np.exp(combined - peak).sum(axis=1))
-    return out
+        logw = np.zeros(rows ** n)
+        if n:
+            grid = np.log(np.asarray(mu))
+            full = np.zeros((rows,) * n)
+            for j in range(n):
+                shape = [1] * n
+                shape[j] = rows
+                full = full + grid.reshape(shape)
+            logw = full.reshape(-1)
+
+        out = np.empty(len(profiles))
+        blocks = max(1, len(profiles) // max(2, _BLOCK_CELLS // tables.shape[1]))
+        bounds = [len(profiles) * b // blocks for b in range(blocks + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            combined = m[lo:hi] @ tables + logw[None, :]
+            peak = combined.max(axis=1, keepdims=True)
+            out[lo:hi] = peak[:, 0] + np.log(np.exp(combined - peak).sum(axis=1))
+        return out
+    return log_densities
+
+
+def batch_profile_log_densities(vertices: Sequence[str],
+                                profiles: Sequence[Mapping[frozenset, float]],
+                                w: StepBigraphon) -> np.ndarray:
+    """log t for many single-color fractional bigraphs sharing one bigraphon:
+    compile_profiles(vertices, profiles) applied to w."""
+    return compile_profiles(vertices, profiles)(w)
+
+
+# ---------------------------------------------------------------------------
+# induced-subgraph profiles
+
+
+def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
+    """Right-neighborhood profiles of all induced subgraphs, deduplicated.
+
+    A profile maps each nonempty left subset S to the number of right
+    vertices of the induced subgraph whose neighborhood is exactly S.
+    Profiles are deduplicated up to relabeling of the left side, which
+    identifies exactly the induced subgraphs with isomorphic edge
+    structure (isolated vertices do not affect any density).
+
+    Profiles are enumerated per left subset, counts in product order. Each
+    is coded as the sorted list of its (subset rank, count) pairs, where
+    subsets are ranked by their sorted tuples of vertex names; its class key
+    is the least such list over all left permutations, so the first profile
+    seen of each class represents it. Classes are ordered by their keys,
+    which is the order of the least relabeled, sorted (subset, count) list
+    of their representatives.
+    """
+    left = g.left
+    if len(left) > 8:
+        raise GraphTooLargeError("profile enumeration capped at 8 left vertices")
+    traces_full = [frozenset(g.neighbors(w)) for w in g.right]
+    work = []
+    total = 0
+    for r in range(len(left) + 1):
+        for a in itertools.combinations(left, r):
+            aset = frozenset(a)
+            types = Counter(t & aset for t in traces_full)
+            types.pop(frozenset(), None)
+            items = sorted(types.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+            total += math.prod(c + 1 for _, c in items)
+            if total > PROFILE_CLASS_CAP:
+                raise GraphTooLargeError("too many induced subgraph classes")
+            work.append(items)
+
+    # subset-image table, uint8 under the 8-vertex cap: images[m, p] is the
+    # mask of left subset m under permutation p
+    n = len(left)
+    bit = {v: 1 << i for i, v in enumerate(left)}
+    perm_index = np.array(list(itertools.permutations(range(n))),
+                          dtype=np.uint8).reshape(math.factorial(n), n)
+    masks = np.arange(1 << n, dtype=np.uint8)
+    images = (((masks[:, None] >> np.arange(n, dtype=np.uint8)) & 1)
+              @ (np.uint8(1) << perm_index.T))
+    # rank[m] orders subsets by their sorted name tuples; g.left is sorted
+    order = sorted(range(1 << n), key=lambda m: [left[i] for i in range(n) if m >> i & 1])
+    rank = np.empty(1 << n, dtype=np.int64)
+    rank[order] = np.arange(1 << n)
+    # subset m held by c > 0 right vertices has code rank[m] * (most + 1) + c,
+    # which orders (subset, count) pairs as their name tuples do; an absent
+    # subset has code 0, so zeros lead a sorted list of codes
+    most = max((c for items in work for _, c in items), default=0)
+    width = max(map(len, work))
+    dtype = np.min_scalar_type((most + 1) << n)
+    top = np.iinfo(dtype).max
+    chunk = max(1, _PROFILE_CHUNK // (len(perm_index) * max(width, 1)))
+
+    seen: dict[bytes, tuple[list[int], dict[frozenset, int]]] = {}
+    for items in work:
+        codes = rank[images[[sum(bit[v] for v in s) for s, _ in items]].T].astype(dtype)
+        codes *= most + 1
+        radices = [c + 1 for _, c in items]
+        count = math.prod(radices)
+        for start in range(0, count, chunk):
+            index = np.arange(start, min(start + chunk, count))
+            counts = np.empty((len(index), len(items)), dtype=dtype)
+            for k in reversed(range(len(items))):
+                index, counts[:, k] = np.divmod(index, radices[k])
+            permuted = np.where(counts[:, None, :] > 0, codes + counts[:, None, :], 0)
+            permuted.sort(axis=2)
+            # the key is the least sorted code list over all permutations
+            keys = np.zeros((len(counts), width), dtype=dtype)
+            alive = np.ones(permuted.shape[:2], dtype=bool)
+            for k in range(len(items)):
+                vals = np.where(alive, permuted[:, :, k], top)
+                keys[:, width - len(items) + k] = low = vals.min(axis=1)
+                alive &= vals == low[:, None]
+            for row, key in zip(counts, keys):
+                code = key.tobytes()
+                if code not in seen:
+                    seen[code] = ([c for c in key.tolist() if c],
+                                  {s: int(c) for (s, _), c in zip(items, row) if c})
+
+    return [profile for _, profile in sorted(seen.values(), key=lambda kp: kp[0])]
+
+
+def _profile_edge_count(profile: Mapping[frozenset, float]) -> float:
+    return sum(len(s) * c for s, c in profile.items())
+
+
+def _own_profile(g: Bigraph) -> dict[frozenset, int]:
+    """g's own right-neighborhood profile (isolated right vertices dropped)."""
+    return dict(Counter(frozenset(g.neighbors(w)) for w in g.right
+                        if g.degree(w) > 0))

@@ -9,8 +9,14 @@ universally, and reports say so.
 
 Each inequality is one entry of PROPERTIES: its tester (the precondition
 and per-trial sampler it hands to the one trial runner), its margin and its
-witness codec. `replay_witness` decodes a witness with its entry's codec and
-`sidlab test` dispatches on the table.
+witness codec. A margin is written once, over a batch of a run's instances,
+which share their graph: the runner draws every trial first and scores them
+all in one pass, and a single margin, as witness replay computes it, is a
+batch of one. The density engine gives each trial of a batch the floats of
+its batch of one (see `density`), so the worst batched score is the replayed
+margin bit for bit, and the report takes it as it stands. `replay_witness`
+decodes a witness with its entry's codec and `sidlab test` dispatches on the
+table.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import numpy as np
 from .bigraph import (
     Bigraph,
     ColoredBigraph,
-    GraphTooLargeError,
     _json_object,
     from_json_dict,
     to_json_dict,
@@ -40,13 +45,17 @@ from .bigraphon import (
     bigraphon_to_json,
     sinkhorn_biregularize,
 )
-from .density import colored_density, density, weighted_density
+from .density import _check_potentials, _graph_densities, colored_densities, densities
 from .folds import Fold, check_fold, enumerate_folds, fold_from_json, fold_to_json
 from .fractional import (
     ColoredFractionalBigraph,
+    _own_profile,
+    _profile_edge_count,
     batch_profile_log_densities,
     color_power,
-    fractional_density,
+    compile_profiles,
+    fractional_densities,
+    induced_subgraph_profiles,
     rainbow_star,
 )
 
@@ -85,8 +94,6 @@ NUMERIC_DISCLAIMER = ("numeric evidence only: trials can validate or falsify "
 HOLDS = "holds-on-all-trials"
 VIOLATED = "violated"
 
-PROFILE_CLASS_CAP = 200_000
-_PROFILE_CHUNK = 1 << 16  # profile x permutation x subset codes per batch
 CS_TREE_DEPTH_CAP = 20
 
 
@@ -120,12 +127,13 @@ class Property:
     """One inequality under test.
 
     tester names its public test function, which checks the input, defines
-    the per-trial sampler and hands both to the runner. An instance is the
-    arguments of margin; witness gives each argument's JSON key and (encode,
-    decode) codec, and check names what a decoded instance lacks across its
-    fields or raises ValueError with the reason, or returns None. cli_input
-    is what `sidlab test` loads (plain, colored, fractional or none);
-    cli_options are the options it passes to tester.
+    the per-trial sampler and hands both to the runner. An instance is a
+    tuple of margin arguments; margins scores a list of instances that share
+    their graph, one float each. witness gives each argument's JSON key and
+    (encode, decode) codec, and check names what a decoded instance lacks
+    across its fields or raises ValueError with the reason, or returns None.
+    cli_input is what `sidlab test` loads (plain, colored, fractional or
+    none); cli_options are the options it passes to tester.
     """
 
     name: str
@@ -133,9 +141,13 @@ class Property:
     cli_input: Optional[str]
     cli_options: tuple[str, ...]
     tester: str
-    margin: Callable[..., float]
+    margins: Callable[[Sequence[tuple]], list[float]]
     witness: tuple[tuple[str, tuple[Callable, Callable]], ...]
     check: Callable[..., Optional[str]] = lambda *instance: None
+
+    def margin(self, *instance) -> float:
+        """The margin of one instance: margins on a batch of one."""
+        return self.margins([instance])[0]
 
     def encode(self, instance: tuple) -> dict:
         return {key: codec[0](value)
@@ -168,26 +180,24 @@ def _report(name: str, margin: float, instance: tuple, trials: int, seed: int,
 def _run(name: str, sample: Callable[[np.random.Generator], tuple], trials: int,
          seed: int, tol: float) -> TestReport:
     """The trial loop. sample draws a trial's instance from the trial's own
-    stream; a sample that Sinkhorn cannot biregularize skips the trial. Only
-    the worst trial (the first on ties) is kept, and its witness is encoded
-    only when it violates."""
-    margin = PROPERTIES[name].margin
-    worst = None
-    tried = skipped = 0
+    stream; a sample that Sinkhorn cannot biregularize skips the trial.
+    Every instance is drawn first and all are scored in one batched pass;
+    the worst trial (the first on ties) is reported, and its witness is
+    encoded only when it violates."""
+    drawn = []
+    skipped = 0
     for trial in range(trials):
         try:
-            instance = sample(_trial_rng(seed, trial))
+            drawn.append((trial, sample(_trial_rng(seed, trial))))
         except SinkhornError:
             skipped += 1
-            continue
-        m = margin(*instance)
-        tried += 1
-        if worst is None or m < worst[0]:
-            worst = (m, trial, instance)
-    if worst is None:
+    if not drawn:
         return TestReport(name, HOLDS, 0, 0.0, None, seed, tol, skipped)
-    m, trial, instance = worst
-    return _report(name, m, instance, tried, seed, tol, skipped, trial=trial)
+    scores = PROPERTIES[name].margins([instance for _, instance in drawn])
+    worst = min(range(len(scores)), key=scores.__getitem__)  # the first on ties
+    trial, instance = drawn[worst]
+    return _report(name, scores[worst], instance, len(drawn), seed, tol, skipped,
+                   trial=trial)
 
 
 def _single_report(name: str, instance: tuple, tol: float) -> TestReport:
@@ -199,6 +209,35 @@ def _precondition_report(name: str, reason: str, seed: int, tol: float) -> TestR
     witness = {"property": name, "precondition": reason}
     return TestReport(name, VIOLATED, 0, -1.0, witness, seed, tol,
                       note="precondition failed; " + NUMERIC_DISCLAIMER)
+
+
+def _shared(instances: Sequence[tuple], count: int = 1) -> tuple:
+    """The first `count` fields of a batch's instances, which every instance
+    must hold as the same objects."""
+    first = instances[0][:count]
+    for instance in instances:
+        if any(a is not b for a, b in zip(instance, first)):
+            raise ValueError("a margin batch must share its graph")
+    return first
+
+
+def _each(margin: Callable[..., float]) -> Callable[[Sequence[tuple]], list[float]]:
+    """A per-instance margin as a batch margin."""
+    return lambda instances: [margin(*instance) for instance in instances]
+
+
+def _log_ratio_margins(log_lhs: Iterable[float], log_rhs: Iterable[float]) -> list[float]:
+    """expm1(log lhs - log rhs), pairwise."""
+    return [math.expm1(a - b) for a, b in zip(log_lhs, log_rhs)]
+
+
+def _colored_logs(g: Bigraph, trials: Sequence[Sequence[tuple]]) -> list[list[float]]:
+    """log t(g, coloring; tuple) for each trial's (coloring, tuple) pairs;
+    every pair of every trial goes through the engine in one batch."""
+    pairs = [pair for trial in trials for pair in trial]
+    logs = map(math.log, colored_densities(g, [c for c, _ in pairs],
+                                           [ws for _, ws in pairs]))
+    return [[next(logs) for _ in trial] for trial in trials]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +295,7 @@ def _labels_from_json(d) -> dict:
 
 def _vector_map_from_json(d) -> dict:
     _json_object(d, "vector map")
-    return {v: np.asarray(_number_list(vec, f"vector map entry {v!r}"))
+    return {v: np.asarray(_number_list(vec, f"vector map entry {v!r}"), dtype=float)
             for v, vec in d.items()}
 
 
@@ -286,7 +325,7 @@ _FRACTIONAL = (lambda h: fractional_to_json(h), lambda d: fractional_from_json(d
 _FOLDS = (lambda folds: [fold_to_json(f) for f in folds],
           lambda d: [fold_from_json(f) for f in _json_list(d, "fold list")])
 _COLORING = (lambda coloring: [[list(e), c] for e, c in sorted(coloring.items())],
-             lambda d: {tuple(e): int(c) for e, c in _json_list(d, "coloring")})
+             lambda d: {tuple(map(str, e)): int(c) for e, c in _json_list(d, "coloring")})
 _PROFILE = (lambda profile: [[sorted(s), c] for s, c in sorted(
                 profile.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))],
             lambda d: {frozenset(s): c for s, c in _json_list(d, "profile")})
@@ -303,8 +342,11 @@ _COLORS = (list, lambda d: list(_number_list(d, "color list", numbers.Integral))
 # plain and strong Sidorenko
 
 
-def _sidorenko_margin(g: Bigraph, w: StepBigraphon) -> float:
-    return math.expm1(math.log(density(g, w)) - g.e * math.log(w.edge_density()))
+def _sidorenko_margins(instances: Sequence[tuple]) -> list[float]:
+    g, = _shared(instances)
+    ws = [w for _, w in instances]
+    return [math.expm1(math.log(t) - g.e * math.log(w.edge_density()))
+            for t, w in zip(densities(g, ws), ws)]
 
 
 def test_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4, seed: int = 0,
@@ -314,19 +356,31 @@ def test_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4, seed: int = 0,
                 trials, seed, tol)
 
 
-def _strong_sidorenko_margin(g: Bigraph, w: StepBigraphon,
-                             fs: Mapping[str, np.ndarray],
-                             gs: Mapping[str, np.ndarray]) -> float:
-    lhs = weighted_density(g, w, fs, gs)
+def _strong_sidorenko_margins(instances: Sequence[tuple]) -> list[float]:
+    g, = _shared(instances)
     e = g.e
-    f_prod = np.ones(w.rows)
-    for v in sorted(fs):
-        f_prod = f_prod * np.asarray(fs[v]) ** (1.0 / e)
-    g_prod = np.ones(w.cols)
-    for u in sorted(gs):
-        g_prod = g_prod * np.asarray(gs[u]) ** (1.0 / e)
-    base = float((w.row_weights * f_prod) @ w.values @ (w.col_weights * g_prod))
-    return math.expm1(math.log(lhs) - e * math.log(base))
+    lhs = _graph_densities(g, [([w.values] * e, w.row_weights, w.col_weights, fs | gs)
+                               for _, w, fs, gs in instances])
+    out = []
+    for t, (_, w, fs, gs) in zip(lhs, instances):
+        f_prod = np.ones(w.rows)
+        for v in sorted(fs):
+            f_prod = f_prod * fs[v] ** (1.0 / e)
+        g_prod = np.ones(w.cols)
+        for u in sorted(gs):
+            g_prod = g_prod * gs[u] ** (1.0 / e)
+        base = float((w.row_weights * f_prod) @ w.values @ (w.col_weights * g_prod))
+        out.append(math.expm1(math.log(t) - e * math.log(base)))
+    return out
+
+
+def _strong_sidorenko_check(g: Bigraph, w: StepBigraphon, fs: Mapping, gs: Mapping):
+    """Name a vertex the weight maps lack, or raise ValueError for a weight
+    function of the wrong shape or sign."""
+    problem = _missing_vertex("f", fs, g.left) or _missing_vertex("g", gs, g.right)
+    if problem is None:
+        _check_potentials(g, w, fs, gs)
+    return problem
 
 
 def test_strong_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4,
@@ -349,12 +403,16 @@ def test_strong_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4,
 # weak domination and induced-Sidorenko
 
 
-def _normalized_log_density(g: Bigraph, w: StepBigraphon) -> float:
-    return math.log(density(g, w)) - g.e * math.log(w.edge_density())
+def _normalized_log_densities(g: Bigraph, ws: Sequence[StepBigraphon]) -> list[float]:
+    return [math.log(t) - g.e * math.log(w.edge_density())
+            for t, w in zip(densities(g, ws), ws)]
 
 
-def _weak_domination_margin(g: Bigraph, h: Bigraph, w: StepBigraphon) -> float:
-    return math.expm1(_normalized_log_density(g, w) - _normalized_log_density(h, w))
+def _weak_domination_margins(instances: Sequence[tuple]) -> list[float]:
+    g, h = _shared(instances, 2)
+    ws = [w for _, _, w in instances]
+    return _log_ratio_margins(_normalized_log_densities(g, ws),
+                              _normalized_log_densities(h, ws))
 
 
 def test_weak_domination(g: Bigraph, h: Bigraph, trials: int = 200, grid: int = 4,
@@ -365,101 +423,6 @@ def test_weak_domination(g: Bigraph, h: Bigraph, trials: int = 200, grid: int = 
     def sample(rng):
         return g, h, sinkhorn_biregularize(_sample_bigraphon(rng, grid, preset))
     return _run("weak-domination", sample, trials, seed, tol)
-
-
-def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
-    """Right-neighborhood profiles of all induced subgraphs, deduplicated.
-
-    A profile maps each nonempty left subset S to the number of right
-    vertices of the induced subgraph whose neighborhood is exactly S.
-    Profiles are deduplicated up to relabeling of the left side, which
-    identifies exactly the induced subgraphs with isomorphic edge
-    structure (isolated vertices do not affect any density).
-
-    Profiles are enumerated per left subset, counts in product order. Each
-    is coded as the sorted list of its (subset rank, count) pairs, where
-    subsets are ranked by their sorted tuples of vertex names; its class key
-    is the least such list over all left permutations, so the first profile
-    seen of each class represents it. Classes are ordered by their keys,
-    which is the order of the least relabeled, sorted (subset, count) list
-    of their representatives.
-    """
-    left = g.left
-    if len(left) > 8:
-        raise GraphTooLargeError("profile enumeration capped at 8 left vertices")
-    traces_full = [frozenset(g.neighbors(w)) for w in g.right]
-    work = []
-    total = 0
-    for r in range(len(left) + 1):
-        for a in itertools.combinations(left, r):
-            aset = frozenset(a)
-            types = Counter(t & aset for t in traces_full)
-            types.pop(frozenset(), None)
-            items = sorted(types.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-            total += math.prod(c + 1 for _, c in items)
-            if total > PROFILE_CLASS_CAP:
-                raise GraphTooLargeError("too many induced subgraph classes")
-            work.append(items)
-
-    # subset-image table, uint8 under the 8-vertex cap: images[m, p] is the
-    # mask of left subset m under permutation p
-    n = len(left)
-    bit = {v: 1 << i for i, v in enumerate(left)}
-    perm_index = np.array(list(itertools.permutations(range(n))),
-                          dtype=np.uint8).reshape(math.factorial(n), n)
-    masks = np.arange(1 << n, dtype=np.uint8)
-    images = (((masks[:, None] >> np.arange(n, dtype=np.uint8)) & 1)
-              @ (np.uint8(1) << perm_index.T))
-    # rank[m] orders subsets by their sorted name tuples; g.left is sorted
-    order = sorted(range(1 << n), key=lambda m: [left[i] for i in range(n) if m >> i & 1])
-    rank = np.empty(1 << n, dtype=np.int64)
-    rank[order] = np.arange(1 << n)
-    # subset m held by c > 0 right vertices has code rank[m] * (most + 1) + c,
-    # which orders (subset, count) pairs as their name tuples do; an absent
-    # subset has code 0, so zeros lead a sorted list of codes
-    most = max((c for items in work for _, c in items), default=0)
-    width = max(map(len, work))
-    dtype = np.min_scalar_type((most + 1) << n)
-    top = np.iinfo(dtype).max
-    chunk = max(1, _PROFILE_CHUNK // (len(perm_index) * max(width, 1)))
-
-    seen: dict[bytes, tuple[list[int], dict[frozenset, int]]] = {}
-    for items in work:
-        codes = rank[images[[sum(bit[v] for v in s) for s, _ in items]].T].astype(dtype)
-        codes *= most + 1
-        radices = [c + 1 for _, c in items]
-        count = math.prod(radices)
-        for start in range(0, count, chunk):
-            index = np.arange(start, min(start + chunk, count))
-            counts = np.empty((len(index), len(items)), dtype=dtype)
-            for k in reversed(range(len(items))):
-                index, counts[:, k] = np.divmod(index, radices[k])
-            permuted = np.where(counts[:, None, :] > 0, codes + counts[:, None, :], 0)
-            permuted.sort(axis=2)
-            # the key is the least sorted code list over all permutations
-            keys = np.zeros((len(counts), width), dtype=dtype)
-            alive = np.ones(permuted.shape[:2], dtype=bool)
-            for k in range(len(items)):
-                vals = np.where(alive, permuted[:, :, k], top)
-                keys[:, width - len(items) + k] = low = vals.min(axis=1)
-                alive &= vals == low[:, None]
-            for row, key in zip(counts, keys):
-                code = key.tobytes()
-                if code not in seen:
-                    seen[code] = ([c for c in key.tolist() if c],
-                                  {s: int(c) for (s, _), c in zip(items, row) if c})
-
-    return [profile for _, profile in sorted(seen.values(), key=lambda kp: kp[0])]
-
-
-def _profile_edge_count(profile: Mapping[frozenset, float]) -> float:
-    return sum(len(s) * c for s, c in profile.items())
-
-
-def _own_profile(g: Bigraph) -> dict[frozenset, int]:
-    """g's own right-neighborhood profile (isolated right vertices dropped)."""
-    return dict(Counter(frozenset(g.neighbors(w)) for w in g.right
-                        if g.degree(w) > 0))
 
 
 def _induced_margin(g: Bigraph, w: StepBigraphon,
@@ -477,14 +440,15 @@ def test_induced_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4,
                            preset: str = "uniform") -> TestReport:
     """Weak domination of every induced subgraph class, batched per trial."""
     profiles = induced_subgraph_profiles(g)
-    batch = [_own_profile(g)] + profiles
-    assert _profile_edge_count(batch[0]) == g.e
+    own = _own_profile(g)
+    assert _profile_edge_count(own) == g.e
+    batch = compile_profiles(g.left, [own] + profiles)
     e_counts = np.array([_profile_edge_count(p) for p in profiles])
 
     def sample(rng):
         # every class is scored in one batch; the trial's instance is the worst
         w = sinkhorn_biregularize(_sample_bigraphon(rng, grid, preset))
-        logs = batch_profile_log_densities(g.left, batch, w)
+        logs = batch(w)
         log_rho = math.log(w.edge_density())
         base = logs[0] - g.e * log_rho
         worst = int(np.argmin(base - (logs[1:] - e_counts * log_rho)))
@@ -496,13 +460,21 @@ def test_induced_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4,
 # weakly norming and left-weakly Hoelder
 
 
-def _weakly_norming_margin(g: Bigraph, coloring: Mapping[tuple, int],
-                           ws: BigraphonTuple) -> float:
-    lhs = colored_density(ColoredBigraph(g, coloring), ws)
-    counts = Counter(coloring.values())
-    log_rhs = sum(cnt * math.log(density(g, ws[c])) for c, cnt in sorted(counts.items()))
-    log_rhs /= g.e
-    return math.expm1(log_rhs - math.log(lhs))
+def _weakly_norming_margins(instances: Sequence[tuple]) -> list[float]:
+    g, = _shared(instances)
+    edges = g.sorted_edges()
+    counts = [sorted(Counter(coloring.values()).items()) for _, coloring, _ in instances]
+    # the coloring itself, then the constant coloring of each color it uses
+    logs = _colored_logs(g, [[(coloring, ws)] + [(dict.fromkeys(edges, c), ws) for c, _ in cs]
+                             for (_, coloring, ws), cs in zip(instances, counts)])
+    return _log_ratio_margins(
+        (sum(cnt * log for (_, cnt), log in zip(cs, rest)) / g.e
+         for cs, (_, *rest) in zip(counts, logs)),
+        (log_lhs for log_lhs, *_ in logs))
+
+
+def _coloring_check(g: Bigraph, coloring: Mapping[tuple, int], *_) -> None:
+    ColoredBigraph(g, coloring)  # raises ValueError unless it colors exactly g's edges
 
 
 def test_weakly_norming(g: Bigraph, trials: int = 200, grid: int = 4,
@@ -531,24 +503,27 @@ def _pair_color(t: int, base_color: int, offset: int) -> int:
     return t * offset + base_color
 
 
-def _left_weak_holder_margin(h: ColoredBigraph, ell: Mapping[str, int],
-                             ws: BigraphonTuple) -> float:
+def _left_weak_holder_margins(instances: Sequence[tuple]) -> list[float]:
+    h, = _shared(instances)
     g = h.graph
     offset = max(h.color_set()) + 1
     colors = h.colors
-    product_coloring = {e: _pair_color(ell[e[0]], colors[e], offset)
-                        for e in g.edges}
-    lhs = colored_density(ColoredBigraph(g, product_coloring), ws)
-    log_rhs = 0.0
-    per_value: dict[int, float] = {}
-    for v in g.left:
-        t = ell[v]
-        if t not in per_value:
-            const_coloring = {e: _pair_color(t, colors[e], offset) for e in g.edges}
-            per_value[t] = math.log(
-                colored_density(ColoredBigraph(g, const_coloring), ws))
-        log_rhs += per_value[t] / g.v1
-    return math.expm1(log_rhs - math.log(lhs))
+
+    def paired(label):
+        return {e: _pair_color(label(e[0]), c, offset) for e, c in colors.items()}
+    # the product coloring, then the left-constant one of each label used
+    labels = [list(dict.fromkeys(ell[v] for v in g.left)) for _, ell, _ in instances]
+    logs = _colored_logs(g, [[(paired(ell.get), ws)]
+                             + [(paired(lambda _: t), ws) for t in ts]
+                             for (_, ell, ws), ts in zip(instances, labels)])
+    log_rhs = []
+    for (_, ell, _), ts, (_, *rest) in zip(instances, labels, logs):
+        per_label = dict(zip(ts, rest))
+        total = 0.0
+        for v in g.left:
+            total += per_label[ell[v]] / g.v1
+        log_rhs.append(total)
+    return _log_ratio_margins(log_rhs, (log_lhs for log_lhs, *_ in logs))
 
 
 def test_left_weak_holder(h: ColoredBigraph, trials: int = 200, grid: int = 4,
@@ -579,10 +554,13 @@ def test_left_weak_holder(h: ColoredBigraph, trials: int = 200, grid: int = 4,
 # color-Sidorenko
 
 
-def _color_sidorenko_margin(h: ColoredFractionalBigraph, ws: BigraphonTuple) -> float:
-    lhs = fractional_density(h, ws)
-    star = fractional_density(rainbow_star(h), ws)
-    return math.expm1(math.log(lhs) - h.total_edge_mass() * math.log(star))
+def _color_sidorenko_margins(instances: Sequence[tuple]) -> list[float]:
+    h, = _shared(instances)
+    tuples = [ws for _, ws in instances]
+    e = h.total_edge_mass()
+    return [math.expm1(math.log(lhs) - e * math.log(star))
+            for lhs, star in zip(fractional_densities(h, tuples),
+                                 fractional_densities(rainbow_star(h), tuples))]
 
 
 def test_color_sidorenko(h: ColoredFractionalBigraph, trials: int = 200,
@@ -634,17 +612,23 @@ def _leaves(g: Bigraph, coloring: Mapping[tuple, int],
     return leaves
 
 
-def _cs_margin(g: Bigraph, coloring: Mapping[tuple, int], folds: Sequence[Fold],
-               ws: BigraphonTuple) -> float:
-    lhs = colored_density(ColoredBigraph(g, dict(coloring)), ws)
-    leaves = _leaves(g, coloring, folds)
-    counts = Counter(tuple(sorted(leaf.items())) for leaf in leaves)
-    log_rhs = 0.0
-    for leaf_key, cnt in sorted(counts.items()):
-        leaf = dict(leaf_key)
-        log_rhs += cnt * math.log(colored_density(ColoredBigraph(g, leaf), ws))
-    log_rhs /= len(leaves)
-    return math.expm1(log_rhs - math.log(lhs))
+def _cs_margins(instances: Sequence[tuple]) -> list[float]:
+    g, = _shared(instances)
+    # the coloring, then each distinct leaf coloring with its count
+    counts = []
+    for _, coloring, folds, _ in instances:
+        leaves = _leaves(g, coloring, folds)
+        counts.append((len(leaves), sorted(
+            Counter(tuple(sorted(leaf.items())) for leaf in leaves).items())))
+    logs = _colored_logs(g, [[(coloring, ws)] + [(dict(leaf), ws) for leaf, _ in cs]
+                             for (_, coloring, _, ws), (_, cs) in zip(instances, counts)])
+    log_rhs = []
+    for (n, cs), (_, *rest) in zip(counts, logs):
+        total = 0.0
+        for (_, cnt), log in zip(cs, rest):
+            total += cnt * log
+        log_rhs.append(total / n)
+    return _log_ratio_margins(log_rhs, (log_lhs for log_lhs, *_ in logs))
 
 
 def verify_cs_inequality(g: Bigraph, coloring: Mapping[tuple, int],
@@ -759,13 +743,19 @@ def test_inductive_jensen(n: int, trials: int = 200, seed: int = 0,
 # color restriction
 
 
-def _color_restriction_margin(h: ColoredBigraph, keep: Sequence[int],
-                              ws: BigraphonTuple) -> float:
-    lhs = colored_density(h.restrict_colors(keep), ws)
-    log_rhs = math.log(colored_density(h, ws))
-    for c in sorted(set(h.color_set()) - set(keep)):
-        log_rhs -= h.edge_count(c) * math.log(ws[c].edge_density())
-    return math.expm1(log_rhs - math.log(lhs))
+def _color_restriction_margins(instances: Sequence[tuple]) -> list[float]:
+    h, keep = _shared(instances, 2)
+    tuples = [ws for *_, ws in instances]
+    kept = h.restrict_colors(keep)
+    lhs = colored_densities(kept.graph, [kept.colors] * len(tuples), tuples)
+    dropped = [(c, h.edge_count(c)) for c in sorted(set(h.color_set()) - set(keep))]
+    log_rhs = []
+    for t, ws in zip(colored_densities(h.graph, [h.colors] * len(tuples), tuples), tuples):
+        total = math.log(t)
+        for c, count in dropped:
+            total -= count * math.log(ws[c].edge_density())
+        log_rhs.append(total)
+    return _log_ratio_margins(log_rhs, map(math.log, lhs))
 
 
 def _kept_colors(h: ColoredBigraph, colors: Iterable[int]) -> list[int]:
@@ -832,38 +822,38 @@ _GRID_PRESET = ("grid", "preset")
 
 PROPERTIES: dict[str, Property] = {p.name: p for p in (
     Property("sidorenko", "sidorenko", "plain", _GRID_PRESET, "test_sidorenko",
-             _sidorenko_margin, (("graph", _GRAPH), ("bigraphon", _GRAPHON))),
+             _sidorenko_margins, (("graph", _GRAPH), ("bigraphon", _GRAPHON))),
     Property("strong-sidorenko", "strong-sidorenko", "plain", _GRID_PRESET,
-             "test_strong_sidorenko", _strong_sidorenko_margin,
+             "test_strong_sidorenko", _strong_sidorenko_margins,
              (("graph", _GRAPH), ("bigraphon", _GRAPHON), ("f", _VECTOR_MAP),
-              ("g", _VECTOR_MAP)),
-             lambda g, w, fs, gs: (_missing_vertex("f", fs, g.left)
-                                   or _missing_vertex("g", gs, g.right))),
+              ("g", _VECTOR_MAP)), _strong_sidorenko_check),
     # two graphs, and the CLI has no way to name the second one
     Property("weak-domination", None, None, (), "test_weak_domination",
-             _weak_domination_margin,
+             _weak_domination_margins,
              (("graph", _GRAPH), ("other", _GRAPH), ("bigraphon", _GRAPHON))),
     Property("induced-sidorenko", "induced-sidorenko", "plain", _GRID_PRESET,
-             "test_induced_sidorenko", _induced_margin,
+             "test_induced_sidorenko", _each(_induced_margin),
              (("graph", _GRAPH), ("bigraphon", _GRAPHON), ("profile", _PROFILE))),
     Property("weakly-norming", "weak-norming", "plain", _GRID_PRESET,
-             "test_weakly_norming", _weakly_norming_margin,
-             (("graph", _GRAPH), ("coloring", _COLORING), ("tuple", _TUPLE))),
+             "test_weakly_norming", _weakly_norming_margins,
+             (("graph", _GRAPH), ("coloring", _COLORING), ("tuple", _TUPLE)),
+             _coloring_check),
     Property("left-weak-holder", "left-weak-holder", "colored", _GRID_PRESET,
-             "test_left_weak_holder", _left_weak_holder_margin,
+             "test_left_weak_holder", _left_weak_holder_margins,
              (("colored", _GRAPH), ("ell", _LABELS), ("tuple", _TUPLE)),
              lambda h, ell, ws: _missing_vertex("ell", ell, h.graph.left)),
     Property("color-sidorenko", "color-sidorenko", "fractional", _GRID_PRESET,
-             "test_color_sidorenko", _color_sidorenko_margin,
+             "test_color_sidorenko", _color_sidorenko_margins,
              (("fractional", _FRACTIONAL), ("tuple", _TUPLE))),
-    Property("cs-tree", "cs-tree", "plain", _GRID_PRESET, "test_cs_tree", _cs_margin,
+    Property("cs-tree", "cs-tree", "plain", _GRID_PRESET, "test_cs_tree", _cs_margins,
              (("graph", _GRAPH), ("coloring", _COLORING), ("folds", _FOLDS),
               ("tuple", _TUPLE)), _cs_check),
-    Property("jensen", "jensen", "none", ("n",), "test_inductive_jensen", _jensen_margin,
+    Property("jensen", "jensen", "none", ("n",), "test_inductive_jensen",
+             _each(_jensen_margin),
              (("weights", _VECTOR), ("g", _VECTOR), ("fs", _VECTORS), ("ps", _NUMBERS)),
              _jensen_shape),
     Property("color-restriction", "color-restriction", "colored", ("grid", "colors"),
-             "test_color_restriction_trials", _color_restriction_margin,
+             "test_color_restriction_trials", _color_restriction_margins,
              (("colored", _GRAPH), ("keep_colors", _COLORS), ("tuple", _TUPLE))),
 )}
 

@@ -1,0 +1,253 @@
+"""The batched trial pass against its per-trial forms: reports equal to
+the per-trial loop in `reference_run`, every batched margin equal to its
+batch of one, batched densities equal to single ones and to brute force,
+the compiled profile batch equal to the per-subset one, and a run's
+memory bounded by its chunks."""
+
+import itertools
+import math
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import reference_run
+from sidlab import testers
+from sidlab.bigraph import Bigraph, ColoredBigraph, cycle4, rho, star
+from sidlab.bigraphon import BigraphonTuple, SinkhornError, StepBigraphon
+from sidlab.density import (
+    colored_densities,
+    colored_density,
+    densities,
+    density,
+    density_brute_force,
+)
+from sidlab.fractional import (
+    ColoredFractionalBigraph,
+    batch_profile_log_densities,
+    compile_profiles,
+    dual_star_table,
+    fractional_densities,
+    fractional_density,
+    from_right_uniform,
+)
+from sidlab.reflection import build_incidence
+
+DENSITY = sys.modules["sidlab.density"]
+EDGE_PLUS_ISOLATED = Bigraph(["a", "b"], ["c"], [("a", "c")])
+
+# (tester, its inputs, whether it takes a preset), one or two per batched
+# property, with falsified ones among them
+CASES = [
+    ("test_sidorenko", (cycle4(),), True),
+    ("test_sidorenko", (build_incidence(4, [2, 3]).graph,), True),
+    ("test_strong_sidorenko", (build_incidence(4, [2]).graph,), True),
+    ("test_strong_sidorenko", (EDGE_PLUS_ISOLATED,), True),
+    ("test_weak_domination", (cycle4(), rho()), True),
+    ("test_weak_domination", (rho(), cycle4()), True),
+    ("test_weakly_norming", (cycle4(),), True),
+    ("test_weakly_norming", (build_incidence(4, [2]).graph,), True),
+    ("test_left_weak_holder", (build_incidence(4, [2]),), True),
+    ("test_left_weak_holder", (build_incidence(3, [1, 2]),), True),
+    ("test_color_sidorenko", (from_right_uniform(build_incidence(4, [2, 3])),), True),
+    ("test_cs_tree", (cycle4(),), True),
+    ("test_cs_tree", (build_incidence(4, [2]).graph,), True),
+    ("test_color_restriction_trials", (build_incidence(4, [2, 3]), [1]), False),
+    ("test_induced_sidorenko", (cycle4(),), True),
+    ("test_inductive_jensen", (3,), False),
+]
+CASE_IDS = [f"{name}-{i}" for i, (name, _, _) in enumerate(CASES)]
+
+
+def both_reports(monkeypatch, tester, args, **params):
+    """The report of the batched pass, then that of the per-trial loop."""
+    batched = getattr(testers, tester)(*args, **params)
+    with monkeypatch.context() as m:
+        m.setattr(testers, "_run", reference_run.run)
+        per_trial = getattr(testers, tester)(*args, **params)
+    return batched, per_trial
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("grid", [4, 8])
+def test_batched_run_reports_equal_the_per_trial_loop(monkeypatch, case, grid):
+    tester, args, has_preset = case
+    presets = ("uniform", "adversarial") if has_preset else (None,)
+    for preset, seed in itertools.product(presets, (0, 5, 11)):
+        params = {"trials": 25, "seed": seed}
+        if tester != "test_inductive_jensen":
+            params["grid"] = grid
+        if preset is not None:
+            params["preset"] = preset
+        for tol in (1e-9, -math.inf):  # -inf ships the worst trial's witness
+            batched, per_trial = both_reports(monkeypatch, tester, args, tol=tol, **params)
+            assert batched == per_trial, (preset, seed, tol)
+            if batched.witness is not None and "margin" in batched.witness:
+                assert testers.replay_witness(batched.witness) == batched.worst_margin
+
+
+def test_ties_keep_the_first_trial(monkeypatch):
+    # a graph against itself: every margin is exactly 0
+    batched, per_trial = both_reports(monkeypatch, "test_weak_domination",
+                                      (cycle4(), cycle4()), trials=12, seed=4,
+                                      tol=-math.inf)
+    assert batched == per_trial
+    assert batched.worst_margin == 0.0 and batched.witness["trial"] == 0
+
+
+@pytest.mark.parametrize("fail_every", [2, 3, 1])
+def test_sinkhorn_skips_match_the_per_trial_loop(monkeypatch, fail_every):
+    real = testers.sinkhorn_biregularize
+    calls = itertools.count()
+
+    def flaky(w):
+        if next(calls) % fail_every == 0:
+            raise SinkhornError("no convergence")
+        return real(w)
+    monkeypatch.setattr(testers, "sinkhorn_biregularize", flaky)
+    reports = []
+    for run in (testers._run, reference_run.run):
+        calls = itertools.count()
+        with monkeypatch.context() as m:
+            m.setattr(testers, "_run", run)
+            reports.append(testers.test_weak_domination(cycle4(), rho(), trials=12,
+                                                        seed=20, tol=-math.inf))
+    assert reports[0] == reports[1]
+    assert reports[0].skipped == 12 // fail_every + (12 % fail_every > 0)
+
+
+def drawn_instances(monkeypatch, tester, args, **params):
+    """The property name and every instance a tester run draws."""
+    seen = []
+
+    def keep(name, sample, trials, seed, tol):
+        for trial in range(trials):
+            try:
+                seen.append(sample(testers._trial_rng(seed, trial)))
+            except SinkhornError:
+                pass
+        return testers.TestReport(name, testers.HOLDS, 0, 0.0, None, seed, tol)
+    with monkeypatch.context() as m:
+        m.setattr(testers, "_run", keep)
+        name = getattr(testers, tester)(*args, **params).property_name
+    return name, seen
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c[0] not in (
+    "test_induced_sidorenko", "test_inductive_jensen")], ids=lambda c: c[0])
+def test_every_batched_margin_equals_its_batch_of_one(monkeypatch, case):
+    """Bit for bit, at grids where padding is exact (4), where a size of 8
+    or more splits the batch (8, 11) and where large grids mix (16)."""
+    tester, args, has_preset = case
+    for grid, seed in itertools.product((4, 8, 11, 16), (1, 2)):
+        params = {"grid": grid, "seed": seed, "trials": 30 if grid < 16 else 12}
+        if has_preset:
+            params["preset"] = "adversarial" if seed == 2 else "uniform"
+        name, instances = drawn_instances(monkeypatch, tester, args, **params)
+        prop = testers.PROPERTIES[name]
+        assert prop.margins(instances) == [prop.margin(*i) for i in instances], grid
+
+
+def test_a_margin_batch_shares_its_graph():
+    w = StepBigraphon.uniform([[0.5]])
+    with pytest.raises(ValueError, match="share its graph"):
+        testers.PROPERTIES["sidorenko"].margins([(cycle4(), w), (cycle4(), w)])
+
+
+# ---------------------------------------------------------------------------
+# batched densities
+
+
+def mixed_bigraphons(rng, count, most=9):
+    """Non-uniform bigraphons of sizes 1..most, so batches pad, split at 8
+    and keep size-1 axes."""
+    out = []
+    for _ in range(count):
+        rows, cols = (int(k) for k in rng.integers(1, most + 1, size=2))
+        out.append(StepBigraphon(rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(cols)),
+                                 rng.uniform(1e-3, 1.0, size=(rows, cols))))
+    return out
+
+
+def test_batched_densities_equal_single_ones_and_brute_force():
+    rng = np.random.default_rng(41)
+    graphs = [cycle4(), star(3), rho(), EDGE_PLUS_ISOLATED, Bigraph(["a"], ["b"]),
+              build_incidence(3, [2]).graph]
+    for g in graphs:
+        ws = mixed_bigraphons(rng, 40)
+        batch = densities(g, ws)
+        for t, w in zip(batch, ws):
+            assert t == density(g, w)
+            assert t == pytest.approx(density_brute_force(g, w), rel=1e-12)
+
+
+def test_batched_colored_and_fractional_densities_equal_single_ones():
+    rng = np.random.default_rng(42)
+    h = build_incidence(4, [2, 3])
+    frac = from_right_uniform(h)
+    colorings, tuples = [], []
+    for w in mixed_bigraphons(rng, 30):
+        tuples.append(BigraphonTuple({c: w.with_values(rng.uniform(1e-3, 1.0, w.values.shape))
+                                      for c in (1, 2)}))
+        colorings.append({e: int(rng.integers(1, 3)) for e in h.graph.sorted_edges()})
+    for t, coloring, ws in zip(colored_densities(h.graph, colorings, tuples), colorings, tuples):
+        assert t == colored_density(ColoredBigraph(h.graph, coloring), ws)
+    for t, ws in zip(fractional_densities(frac, tuples), tuples):
+        assert t == fractional_density(frac, ws)
+
+
+def test_chunks_bound_the_memory_of_a_run():
+    g = build_incidence(5, [2, 4]).graph
+    testers.test_sidorenko(g, trials=2, grid=4)  # plans and caches outside the trace
+    tracemalloc.start()
+    try:
+        report = testers.test_sidorenko(g, trials=200, grid=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.trials == 200
+    assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# the compiled profile batch
+
+
+def per_subset_log_densities(vertices, profiles, w):
+    """The profile batch with one dual-star table per subset, in one block."""
+    verts = tuple(sorted(vertices))
+    n = len(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    rows = w.rows
+    subsets = sorted({tuple(sorted(s)) for prof in profiles for s in prof})
+    tables = np.empty((len(subsets), rows ** n))
+    for si, sub in enumerate(subsets):
+        shape = [1] * n
+        for v in sub:
+            shape[pos[v]] = rows
+        tables[si] = np.broadcast_to(np.log(dual_star_table(w, len(sub))).reshape(shape),
+                                     (rows,) * n).reshape(-1)
+    m = np.zeros((len(profiles), len(subsets)))
+    for pi, prof in enumerate(profiles):
+        for s, wgt in prof.items():
+            m[pi, subsets.index(tuple(sorted(s)))] = wgt
+    full = np.zeros((rows,) * n)
+    for j in range(n):
+        shape = [1] * n
+        shape[j] = rows
+        full = full + np.log(w.row_weights).reshape(shape)
+    combined = m @ tables + full.reshape(-1)[None, :]
+    peak = combined.max(axis=1, keepdims=True)
+    return peak[:, 0] + np.log(np.exp(combined - peak).sum(axis=1))
+
+
+def test_compiled_profiles_equal_the_per_subset_batch():
+    g = build_incidence(4, [2, 3]).graph
+    profiles = [testers._own_profile(g)] + testers.induced_subgraph_profiles(g)
+    compiled = compile_profiles(g.left, profiles)
+    rng = np.random.default_rng(43)
+    for w in mixed_bigraphons(rng, 6, most=4):
+        logs = compiled(w)
+        assert np.array_equal(logs, batch_profile_log_densities(g.left, profiles, w))
+        assert np.array_equal(logs, per_subset_log_densities(g.left, profiles, w))

@@ -117,3 +117,19 @@ def test_tuple_shared_spaces():
 def test_json_round_trip():
     w = random_step_bigraphon(2, 3, seed=8)
     assert bigraphon_from_json(bigraphon_to_json(w)) == w
+
+
+@pytest.mark.parametrize("key", ["mu", "nu", "w"])
+@pytest.mark.parametrize("value", [{}, [], "x", [[0.5], [0.25, 0.25]], [0.5, "a"]],
+                         ids=["object", "empty", "string", "ragged", "mixed"])
+def test_json_decoder_names_the_bad_key(key, value):
+    d = {**bigraphon_to_json(random_step_bigraphon(2, 1, seed=3)), key: value}
+    with pytest.raises(ValueError, match=f"step bigraphon '{key}'"):
+        bigraphon_from_json(d)
+
+
+def test_json_decoder_checks_the_shape_of_w():
+    d = bigraphon_to_json(random_step_bigraphon(2, 3, seed=4))
+    for w in (d["w"][:1], [row[:2] for row in d["w"]], d["w"] + d["w"][:1]):
+        with pytest.raises(ValueError, match="step bigraphon 'w'"):
+            bigraphon_from_json({**d, "w": w})

@@ -406,3 +406,30 @@ def test_budget_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("SIDLAB_BUDGET", "abc")
     assert main(["construct", "cycle4", "-o", str(tmp_path / "c4.json")]) == 0
     assert main(["certify", str(gpath), "--mode", "left"]) == 1
+
+
+def test_bad_budget_env_message_and_explicit_override(tmp_path, monkeypatch, capsys):
+    gpath = make_graph(tmp_path, "construct", "incidence", "--n", "4",
+                       "--uniformities", "2")
+    capsys.readouterr()
+    monkeypatch.setenv("SIDLAB_BUDGET", "1.5")
+    assert main(["certify", str(gpath), "--mode", "left"]) == 1
+    assert capsys.readouterr().err == \
+        "usage error: argument --budget: invalid int value: '1.5'\n"
+    # an explicit --budget is used, and the variable is not read
+    assert main(["certify", str(gpath), "--mode", "left", "--budget", "1"]) == 2
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    import sidlab.cli as cli
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["construct", "cycle4", "-o", str(tmp_path / "c4.json")]) == 0
+        assert main(["construct", "nope"]) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
