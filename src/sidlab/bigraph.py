@@ -11,6 +11,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .schema import check
+
 __all__ = [
     "Bigraph",
     "Flag",
@@ -578,66 +580,30 @@ def flags_isomorphic(f1: Flag, f2: Flag) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
-#
-# Schema: {"v1": [ids], "v2": [ids], "edges": [[l, r], ...],
-#          "edge_colors": [int, ...]  (optional, parallel to edges)}
+# JSON round trip: the "bigraph" and "colored bigraph" formats of `schema`;
+# edge_colors runs parallel to the sorted edge list
 
 
 def to_json_dict(g: Bigraph | ColoredBigraph) -> dict:
-    if isinstance(g, ColoredBigraph):
-        base = g.graph
-        edges = base.sorted_edges()
+    base = g.graph if isinstance(g, ColoredBigraph) else g
+    edges = base.sorted_edges()
+    d = {"v1": list(base.left), "v2": list(base.right), "edges": [list(e) for e in edges]}
+    if base is not g:
         colors = g.colors
-        return {
-            "v1": list(base.left),
-            "v2": list(base.right),
-            "edges": [list(e) for e in edges],
-            "edge_colors": [colors[e] for e in edges],
-        }
-    edges = g.sorted_edges()
-    return {"v1": list(g.left), "v2": list(g.right),
-            "edges": [list(e) for e in edges]}
-
-
-def _json_object(d, what: str, *keys: str) -> None:
-    """Raise a ValueError naming `what` unless `d` is a JSON object with every key."""
-    if not isinstance(d, Mapping):
-        raise ValueError(f"{what} must be a JSON object")
-    for key in keys:
-        if key not in d:
-            raise ValueError(f"{what} lacks {key!r}")
-
-
-def _json_list(d: Mapping, key: str, is_item, items: str, what: str = "bigraph") -> list:
-    """d[key] if it is a list whose every entry passes is_item, else a
-    ValueError naming the format and the key."""
-    value = d[key]
-    if not isinstance(value, (list, tuple)) or not all(map(is_item, value)):
-        raise ValueError(f"{what} {key!r} must be a list of {items}")
-    return list(value)
-
-
-def _is_name(x) -> bool:
-    return isinstance(x, str)
-
-
-def _is_pair(x) -> bool:
-    return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_name, x))
+        d["edge_colors"] = [colors[e] for e in edges]
+    return d
 
 
 def from_json_dict(d: Mapping) -> Bigraph | ColoredBigraph:
-    """Decode the bigraph schema above. `edges` may be omitted, for an
-    edgeless graph; a value of the wrong type raises ValueError naming its key."""
-    _json_object(d, "bigraph", "v1", "v2")
-    left = _json_list(d, "v1", _is_name, "strings")
-    right = _json_list(d, "v2", _is_name, "strings")
-    edges = [tuple(e) for e in _json_list(d, "edges", _is_pair, "[left, right] string pairs")
-             ] if "edges" in d else []
-    g = Bigraph(left, right, edges)
-    if d.get("edge_colors") is not None:
-        colors = _json_list(d, "edge_colors", lambda c: type(c) is int, "ints")
-        if len(colors) != len(edges):
+    """Decode a bigraph, colored when `edge_colors` is given and not null.
+    `edges` may be omitted, for an edgeless graph; a value of the wrong type
+    raises ValueError naming its key."""
+    colored = isinstance(d, Mapping) and d.get("edge_colors") is not None
+    check("colored bigraph" if colored else "bigraph", d)
+    edges = [tuple(e) for e in d.get("edges", ())]
+    g = Bigraph(d["v1"], d["v2"], edges)
+    if colored:
+        if len(d["edge_colors"]) != len(edges):
             raise ValueError("edge_colors must parallel edges")
-        return ColoredBigraph(g, dict(zip(edges, colors)))
+        return ColoredBigraph(g, dict(zip(edges, d["edge_colors"])))
     return g

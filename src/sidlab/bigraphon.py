@@ -6,13 +6,12 @@ probability spaces; rows carry the left space, columns the right space.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .bigraph import _json_list, _json_object
+from .schema import check
 
 __all__ = [
     "StepBigraphon",
@@ -201,23 +200,15 @@ def bigraphon_to_json(w: StepBigraphon) -> dict:
             "w": w.values.tolist()}
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, numbers.Real)
-
-
 def bigraphon_from_json(d: Mapping) -> StepBigraphon:
-    """Decode {"mu", "nu", "w"}: mu and nu nonempty number lists, w a
-    len(mu) by len(nu) list of number lists. A value of the wrong type or
-    shape raises ValueError naming its key."""
-    _json_object(d, "step bigraphon", "mu", "nu", "w")
-    mu, nu = (_json_list(d, key, _is_number, "numbers", "step bigraphon")
-              for key in ("mu", "nu"))
-    for key, vec in (("mu", mu), ("nu", nu)):
-        if not vec:
+    """Decode the "step bigraphon" format of `schema`, {"mu", "nu", "w"}:
+    mu and nu nonempty number lists, w a len(mu) by len(nu) list of number
+    lists. A value of the wrong type or shape raises ValueError naming its key."""
+    check("step bigraphon", d)
+    mu, nu, w = d["mu"], d["nu"], d["w"]
+    for key in ("mu", "nu"):
+        if not d[key]:
             raise ValueError(f"step bigraphon {key!r} must not be empty")
-    w = _json_list(d, "w", lambda row: isinstance(row, (list, tuple))
-                   and len(row) == len(nu) and all(map(_is_number, row)),
-                   "number lists of length len(nu)", "step bigraphon")
-    if len(w) != len(mu):
-        raise ValueError("step bigraphon 'w' must have len(mu) rows")
+    if len(w) != len(mu) or any(len(row) != len(nu) for row in w):
+        raise ValueError("step bigraphon 'w' must be a len(mu) by len(nu) matrix")
     return StepBigraphon(mu, nu, w)

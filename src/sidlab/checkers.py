@@ -18,9 +18,6 @@ from .bigraph import (
     ColoredBigraph,
     Flag,
     _edge_transitive,
-    _is_name,
-    _json_list,
-    _json_object,
     colored_automorphisms,
     flags_isomorphic,
     induced_subgraph,
@@ -28,6 +25,7 @@ from .bigraph import (
     two_core_flag,
 )
 from . import testers
+from .schema import check
 
 __all__ = [
     "PreconditionError",
@@ -298,23 +296,12 @@ def _parents(n: int, edges: Sequence[tuple[int, int]], root: int) -> dict[int, O
     return parent
 
 
-def _is_bag(x) -> bool:
-    return isinstance(x, list) and all(map(_is_name, x))
-
-
-def _is_tree_edge(x) -> bool:
-    return isinstance(x, list) and len(x) == 2 and all(type(i) is int for i in x)
-
-
 def decomposition_from_json(d) -> ReflectiveTreeDecomposition:
-    """Decode `{"bags": [[vertex, ...], ...], "edges": [[i, j], ...]}`.
-    `edges` may be omitted, for a single bag; a value of the wrong type
-    raises ValueError naming its key."""
-    _json_object(d, "decomposition", "bags")
-    bags = _json_list(d, "bags", _is_bag, "string lists", "decomposition")
-    edges = (_json_list(d, "edges", _is_tree_edge, "integer pairs", "decomposition")
-             if "edges" in d else [])
-    return ReflectiveTreeDecomposition(bags, [tuple(e) for e in edges])
+    """Decode the "decomposition" format of `schema`, `{"bags": [[vertex,
+    ...], ...], "edges": [[i, j], ...]}`. `edges` may be omitted, for a
+    single bag; a value of the wrong type raises ValueError naming its key."""
+    check("decomposition", d)
+    return ReflectiveTreeDecomposition(d["bags"], d.get("edges", ()))
 
 
 @dataclass(frozen=True)

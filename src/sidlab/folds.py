@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .bigraph import Bigraph, _bits, _json_object, _maps, _named
+from .bigraph import Bigraph, _bits, _maps, _named
+from .schema import check
 
 __all__ = [
     "Fold",
@@ -128,6 +129,8 @@ def check_fold(g: Bigraph, fold: Fold) -> None:
         raise ValueError(comps)
     fixed = fold.fixed
     left = fold.left
+    if not left <= phi.keys():
+        raise ValueError("L must be a set of vertices of G")
     phi_left = frozenset(phi[v] for v in left)
     if left & fixed or left & phi_left:
         raise ValueError("(L, Fix, phi(L)) must be disjoint")
@@ -182,5 +185,6 @@ def fold_to_json(f: Fold) -> dict:
 
 
 def fold_from_json(d: Mapping) -> Fold:
-    _json_object(d, "fold", "phi", "left")
-    return Fold(dict(d["phi"]), d["left"])
+    """Decode the "fold" format of `schema`."""
+    check("fold", d)
+    return Fold(d["phi"], d["left"])

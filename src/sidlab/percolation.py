@@ -34,8 +34,9 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .bigraph import Bigraph, _json_object, amalgamate_left
+from .bigraph import Bigraph, amalgamate_left
 from .folds import Fold, _fold, _fold_maps, check_fold, fold_from_json, fold_to_json
+from .schema import check
 
 __all__ = [
     "PercolationCertificate",
@@ -385,9 +386,10 @@ def certificate_to_json(cert: PercolationCertificate) -> dict:
 
 
 def certificate_from_json(d: Mapping) -> PercolationCertificate:
-    _json_object(d, "certificate", "mode", "folds", "trajectory")
-    mode = d["mode"]
-    folds = [fold_from_json(f) for f in d["folds"]]
-    decode = _mode(mode).decode
-    traj = [frozenset(decode(x) for x in entry) for entry in d["trajectory"]]
-    return PercolationCertificate(mode, folds, traj)
+    """Decode the "edge certificate" format of `schema` when `mode` is
+    "edge", else the "left certificate" one."""
+    edge = isinstance(d, Mapping) and d.get("mode") == "edge"
+    check("edge certificate" if edge else "left certificate", d)
+    decode = _mode(d["mode"]).decode
+    return PercolationCertificate(d["mode"], [fold_from_json(f) for f in d["folds"]],
+                                  [frozenset(map(decode, entry)) for entry in d["trajectory"]])

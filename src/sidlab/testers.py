@@ -9,21 +9,21 @@ universally, and reports say so.
 
 Each inequality is one entry of PROPERTIES: its tester (the precondition
 and per-trial sampler it hands to the one trial runner), its margin and its
-witness codec. A margin is written once, over a batch of a run's instances,
-which share their graph: the runner draws every trial first and scores them
-all in one pass, and a single margin, as witness replay computes it, is a
-batch of one. The density engine gives each trial of a batch the floats of
-its batch of one (see `density`), so the worst batched score is the replayed
-margin bit for bit, and the report takes it as it stands. `replay_witness`
-decodes a witness with its entry's codec and `sidlab test` dispatches on the
-table.
+witness fields, each with its format in the `schema` table. A margin is
+written once, over a batch of a run's instances, which share their graph:
+the runner draws every trial first and scores them all in one pass, and a
+single margin, as witness replay computes it, is a batch of one. The
+density engine gives each trial of a batch the floats of its batch of one
+(see `density`), so the worst batched score is the replayed margin bit for
+bit, and the report takes it as it stands. `replay_witness` checks a witness
+against its entry's field formats, builds the instance and recomputes the
+margin; `sidlab test` dispatches on the table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -33,7 +33,6 @@ import numpy as np
 from .bigraph import (
     Bigraph,
     ColoredBigraph,
-    _json_object,
     from_json_dict,
     to_json_dict,
 )
@@ -58,6 +57,7 @@ from .fractional import (
     induced_subgraph_profiles,
     rainbow_star,
 )
+from .schema import FORMATS, Object, check
 
 __all__ = [
     "TestReport",
@@ -130,8 +130,9 @@ class Property:
     the per-trial sampler and hands both to the runner. An instance is a
     tuple of margin arguments; margins scores a list of instances that share
     their graph, one float each. witness gives each argument's JSON key and
-    (encode, decode) codec, and check names what a decoded instance lacks
-    across its fields or raises ValueError with the reason, or returns None.
+    its format in the `schema` table, and check names what a decoded
+    instance lacks across its fields or raises ValueError with the reason,
+    or returns None.
     cli_input is what `sidlab test` loads (plain, colored, fractional or
     none); cli_options are the options it passes to tester.
     """
@@ -142,7 +143,7 @@ class Property:
     cli_options: tuple[str, ...]
     tester: str
     margins: Callable[[Sequence[tuple]], list[float]]
-    witness: tuple[tuple[str, tuple[Callable, Callable]], ...]
+    witness: tuple[tuple[str, str], ...]
     check: Callable[..., Optional[str]] = lambda *instance: None
 
     def margin(self, *instance) -> float:
@@ -150,14 +151,14 @@ class Property:
         return self.margins([instance])[0]
 
     def encode(self, instance: tuple) -> dict:
-        return {key: codec[0](value)
-                for (key, codec), value in zip(self.witness, instance)}
+        return {key: _CODECS[fmt][0](value)
+                for (key, fmt), value in zip(self.witness, instance)}
 
     def decode(self, payload: Mapping) -> tuple:
-        for key, _ in self.witness:
-            if key not in payload:
-                raise ValueError(f"{self.name} witness lacks {key!r}")
-        instance = tuple(codec[1](payload[key]) for key, codec in self.witness)
+        Object(f"{self.name} witness",
+               {key: FORMATS[fmt] for key, fmt in self.witness}).walk(payload)
+        instance = tuple(_CODECS[fmt][1](payload[key])
+                         for key, fmt in self.witness)
         problem = self.check(*instance)
         if problem is not None:
             raise ValueError(f"{self.name} witness {problem}")
@@ -271,71 +272,52 @@ def _random_labels(rng: np.random.Generator, keys: Sequence,
     return n, {k: int(c) for k, c in zip(keys, rng.integers(1, n + 1, size=len(keys)))}
 
 
-def _json_list(d, what: str) -> list:
-    """Raise a ValueError naming `what` unless `d` is a JSON list."""
-    if not isinstance(d, list):
-        raise ValueError(f"{what} must be a JSON list")
-    return d
-
-
-def _number_list(d, what: str, kind: type = numbers.Real) -> list:
-    """Raise a ValueError naming `what` unless `d` is a JSON list of numbers."""
-    if not isinstance(d, list) or not all(isinstance(x, kind) for x in d):
-        raise ValueError(f"{what} must be a list of {kind.__name__.lower()} numbers")
-    return d
-
-
-def _labels_from_json(d) -> dict:
-    _json_object(d, "label map")
-    for v, t in d.items():
-        if not isinstance(t, numbers.Integral):
-            raise ValueError(f"label map entry {v!r} must be an integer")
-    return {v: int(t) for v, t in d.items()}
-
-
-def _vector_map_from_json(d) -> dict:
-    _json_object(d, "vector map")
-    return {v: np.asarray(_number_list(vec, f"vector map entry {v!r}"), dtype=float)
-            for v, vec in d.items()}
-
-
-def _tuple_from_json(d) -> BigraphonTuple:
-    _json_object(d, "bigraphon tuple")
-    return BigraphonTuple({int(c): bigraphon_from_json(w) for c, w in d.items()})
-
-
-def _vectors_from_json(d) -> list:
-    return [np.asarray(_number_list(vec, "vector list entry"))
-            for vec in _json_list(d, "vector list")]
-
-
 def _missing_vertex(key: str, mapping: Mapping, vertices: Iterable[str]) -> Optional[str]:
     return next((f"{key!r} lacks vertex {v!r}" for v in vertices if v not in mapping),
                 None)
 
 
-# Witness field codecs, (to JSON, from JSON). Functions are looked up at call
-# time, as testers are by name, so wrappers installed on the module functions
-# (the benchmark's tracer) see every call.
-_GRAPH = (lambda g: to_json_dict(g), lambda d: from_json_dict(d))
-_GRAPHON = (lambda w: bigraphon_to_json(w), lambda d: bigraphon_from_json(d))
-_TUPLE = (lambda ws: {str(c): bigraphon_to_json(w) for c, w in ws.parts},
-          _tuple_from_json)
-_FRACTIONAL = (lambda h: fractional_to_json(h), lambda d: fractional_from_json(d))
-_FOLDS = (lambda folds: [fold_to_json(f) for f in folds],
-          lambda d: [fold_from_json(f) for f in _json_list(d, "fold list")])
-_COLORING = (lambda coloring: [[list(e), c] for e, c in sorted(coloring.items())],
-             lambda d: {tuple(map(str, e)): int(c) for e, c in _json_list(d, "coloring")})
-_PROFILE = (lambda profile: [[sorted(s), c] for s, c in sorted(
-                profile.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))],
-            lambda d: {frozenset(s): c for s, c in _json_list(d, "profile")})
-_LABELS = (lambda labels: dict(sorted(labels.items())), _labels_from_json)
-_VECTOR_MAP = (lambda vecs: {v: list(vec) for v, vec in sorted(vecs.items())},
-               _vector_map_from_json)
-_VECTORS = (lambda vecs: [list(vec) for vec in vecs], _vectors_from_json)
-_VECTOR = (list, lambda d: np.asarray(_number_list(d, "vector")))
-_NUMBERS = (list, lambda d: list(_number_list(d, "number list")))
-_COLORS = (list, lambda d: list(_number_list(d, "color list", numbers.Integral)))
+def _plain_graph(d: Mapping) -> Bigraph:
+    """A witness's plain graph; edge colors are ignored, as `sidlab test` does."""
+    g = from_json_dict(d)
+    return g.graph if isinstance(g, ColoredBigraph) else g
+
+
+def _profile(pairs: Sequence) -> dict[frozenset, float]:
+    # the walker refuses a subset listed twice; this, one in two vertex orders
+    profile = {frozenset(s): c for s, c in pairs}
+    if len(profile) != len(pairs):
+        raise ValueError("profile names a subset twice")
+    return profile
+
+
+# Each witness field format's (to JSON, from JSON) pair. The second half runs
+# once `schema.check` has held the field to its format, so it only builds.
+# Functions are looked up at call time, as testers are by name, so wrappers
+# installed on the module functions (the benchmark's tracer) see every call.
+_CODECS = {
+    "bigraph": (lambda g: to_json_dict(g), _plain_graph),
+    "colored bigraph": (lambda h: to_json_dict(h), lambda d: from_json_dict(d)),
+    "step bigraphon": (lambda w: bigraphon_to_json(w), lambda d: bigraphon_from_json(d)),
+    "bigraphon tuple": (lambda ws: {str(c): bigraphon_to_json(w) for c, w in ws.parts},
+                        lambda d: BigraphonTuple({int(c): bigraphon_from_json(w)
+                                                  for c, w in d.items()})),
+    "fractional bigraph": (lambda h: fractional_to_json(h), lambda d: fractional_from_json(d)),
+    "fold list": (lambda folds: [fold_to_json(f) for f in folds],
+                  lambda d: [fold_from_json(f) for f in d]),
+    "coloring": (lambda coloring: [[list(e), c] for e, c in sorted(coloring.items())],
+                 lambda d: {tuple(e): c for e, c in d}),
+    "profile": (lambda profile: [[sorted(s), c] for s, c in sorted(
+                    profile.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))], _profile),
+    "label map": (lambda labels: dict(sorted(labels.items())), dict),
+    "vector map": (lambda vecs: {v: list(vec) for v, vec in sorted(vecs.items())},
+                   lambda d: {v: np.asarray(vec, dtype=float) for v, vec in d.items()}),
+    "vector list": (lambda vecs: [list(vec) for vec in vecs],
+                    lambda d: [np.asarray(vec) for vec in d]),
+    "vector": (list, np.asarray),
+    "number list": (list, list),
+    "color list": (list, list),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +356,15 @@ def _strong_sidorenko_margins(instances: Sequence[tuple]) -> list[float]:
     return out
 
 
+def _require_an_edge(g: Bigraph) -> None:
+    if g.e == 0:
+        raise ValueError("strong Sidorenko needs at least one edge")
+
+
 def _strong_sidorenko_check(g: Bigraph, w: StepBigraphon, fs: Mapping, gs: Mapping):
-    """Name a vertex the weight maps lack, or raise ValueError for a weight
-    function of the wrong shape or sign."""
+    """Name a vertex the weight maps lack, or raise ValueError for an
+    edgeless graph or a weight function of the wrong shape or sign."""
+    _require_an_edge(g)
     problem = _missing_vertex("f", fs, g.left) or _missing_vertex("g", gs, g.right)
     if problem is None:
         _check_potentials(g, w, fs, gs)
@@ -388,8 +376,7 @@ def test_strong_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4,
                           preset: str = "uniform") -> TestReport:
     """Check the per-vertex weighted form: t(G;f,g;W) against the single-edge
     density of the (1/e)-power products."""
-    if g.e == 0:
-        raise ValueError("strong Sidorenko needs at least one edge")
+    _require_an_edge(g)
 
     def sample(rng):
         w = _sample_bigraphon(rng, grid, preset)
@@ -767,6 +754,19 @@ def _kept_colors(h: ColoredBigraph, colors: Iterable[int]) -> list[int]:
     return keep
 
 
+def _color_restriction_check(h: ColoredBigraph, keep: Iterable[int],
+                             ws: BigraphonTuple) -> None:
+    """Raise ValueError unless keep is a subset of h's colors and every
+    dropped color's bigraphon is in ws, positive and left-regular."""
+    for c in sorted(set(h.color_set()) - set(_kept_colors(h, keep))):
+        if c not in ws:
+            raise ValueError(f"tuple missing bigraphon for color {c}")
+        if np.any(ws[c].values <= 0):
+            raise ValueError(f"bigraphon for dropped color {c} must be positive")
+        if not ws[c].is_left_regular(tol=1e-8):
+            raise ValueError(f"bigraphon for dropped color {c} must be left-regular")
+
+
 def test_color_restriction(h: ColoredBigraph, colors: Iterable[int],
                            ws: BigraphonTuple, tol: float = 1e-9) -> TestReport:
     """Single-instance check of the color-restriction quotient bound.
@@ -774,14 +774,8 @@ def test_color_restriction(h: ColoredBigraph, colors: Iterable[int],
     Every dropped color's bigraphon must be left-regular and positive;
     violations of that precondition raise.
     """
-    keep = _kept_colors(h, colors)
-    for c in sorted(set(h.color_set()) - set(keep)):
-        w = ws[c]
-        if np.any(w.values <= 0):
-            raise ValueError(f"bigraphon for dropped color {c} must be positive")
-        if not w.is_left_regular(tol=1e-8):
-            raise ValueError(f"bigraphon for dropped color {c} must be left-regular")
-    return _single_report("color-restriction", (h, keep, ws), tol)
+    _color_restriction_check(h, colors, ws)
+    return _single_report("color-restriction", (h, _kept_colors(h, colors), ws), tol)
 
 
 def test_color_restriction_trials(h: ColoredBigraph, colors: Iterable[int],
@@ -811,58 +805,61 @@ def fractional_to_json(h: ColoredFractionalBigraph) -> dict:
 
 
 def fractional_from_json(d: Mapping) -> ColoredFractionalBigraph:
-    _json_object(d, "fractional bigraph", "vertices", "colors", "weights")
-    weights = {(tuple(sub), int(c)): float(wgt) for sub, c, wgt in d["weights"]}
-    if len(weights) != len(d["weights"]):
-        raise ValueError("fractional bigraph: a (subset, color) pair is named twice")
-    return ColoredFractionalBigraph(d["vertices"], d["colors"], weights)
+    """Decode the "fractional bigraph" format of `schema`."""
+    check("fractional bigraph", d)
+    return ColoredFractionalBigraph(d["vertices"], d["colors"], {
+        (tuple(sub), c): wgt for sub, c, wgt in d["weights"]})
 
 
 _GRID_PRESET = ("grid", "preset")
 
 PROPERTIES: dict[str, Property] = {p.name: p for p in (
     Property("sidorenko", "sidorenko", "plain", _GRID_PRESET, "test_sidorenko",
-             _sidorenko_margins, (("graph", _GRAPH), ("bigraphon", _GRAPHON))),
+             _sidorenko_margins, (("graph", "bigraph"), ("bigraphon", "step bigraphon"))),
     Property("strong-sidorenko", "strong-sidorenko", "plain", _GRID_PRESET,
              "test_strong_sidorenko", _strong_sidorenko_margins,
-             (("graph", _GRAPH), ("bigraphon", _GRAPHON), ("f", _VECTOR_MAP),
-              ("g", _VECTOR_MAP)), _strong_sidorenko_check),
+             (("graph", "bigraph"), ("bigraphon", "step bigraphon"), ("f", "vector map"),
+              ("g", "vector map")), _strong_sidorenko_check),
     # two graphs, and the CLI has no way to name the second one
     Property("weak-domination", None, None, (), "test_weak_domination",
              _weak_domination_margins,
-             (("graph", _GRAPH), ("other", _GRAPH), ("bigraphon", _GRAPHON))),
+             (("graph", "bigraph"), ("other", "bigraph"), ("bigraphon", "step bigraphon"))),
     Property("induced-sidorenko", "induced-sidorenko", "plain", _GRID_PRESET,
              "test_induced_sidorenko", _each(_induced_margin),
-             (("graph", _GRAPH), ("bigraphon", _GRAPHON), ("profile", _PROFILE))),
+             (("graph", "bigraph"), ("bigraphon", "step bigraphon"), ("profile", "profile")),
+             lambda g, w, profile: next((f"'profile' names {v!r}, not a left vertex"
+                                         for s in profile for v in sorted(s)
+                                         if v not in g.left), None)),
     Property("weakly-norming", "weak-norming", "plain", _GRID_PRESET,
              "test_weakly_norming", _weakly_norming_margins,
-             (("graph", _GRAPH), ("coloring", _COLORING), ("tuple", _TUPLE)),
+             (("graph", "bigraph"), ("coloring", "coloring"), ("tuple", "bigraphon tuple")),
              _coloring_check),
     Property("left-weak-holder", "left-weak-holder", "colored", _GRID_PRESET,
              "test_left_weak_holder", _left_weak_holder_margins,
-             (("colored", _GRAPH), ("ell", _LABELS), ("tuple", _TUPLE)),
+             (("colored", "colored bigraph"), ("ell", "label map"),
+              ("tuple", "bigraphon tuple")),
              lambda h, ell, ws: _missing_vertex("ell", ell, h.graph.left)),
     Property("color-sidorenko", "color-sidorenko", "fractional", _GRID_PRESET,
              "test_color_sidorenko", _color_sidorenko_margins,
-             (("fractional", _FRACTIONAL), ("tuple", _TUPLE))),
+             (("fractional", "fractional bigraph"), ("tuple", "bigraphon tuple"))),
     Property("cs-tree", "cs-tree", "plain", _GRID_PRESET, "test_cs_tree", _cs_margins,
-             (("graph", _GRAPH), ("coloring", _COLORING), ("folds", _FOLDS),
-              ("tuple", _TUPLE)), _cs_check),
+             (("graph", "bigraph"), ("coloring", "coloring"), ("folds", "fold list"),
+              ("tuple", "bigraphon tuple")), _cs_check),
     Property("jensen", "jensen", "none", ("n",), "test_inductive_jensen",
              _each(_jensen_margin),
-             (("weights", _VECTOR), ("g", _VECTOR), ("fs", _VECTORS), ("ps", _NUMBERS)),
-             _jensen_shape),
+             (("weights", "vector"), ("g", "vector"), ("fs", "vector list"),
+              ("ps", "number list")), _jensen_shape),
     Property("color-restriction", "color-restriction", "colored", ("grid", "colors"),
              "test_color_restriction_trials", _color_restriction_margins,
-             (("colored", _GRAPH), ("keep_colors", _COLORS), ("tuple", _TUPLE))),
+             (("colored", "colored bigraph"), ("keep_colors", "color list"),
+              ("tuple", "bigraphon tuple")),
+             _color_restriction_check),
 )}
 
 
 def replay_witness(witness: Mapping) -> float:
     """Recompute the margin of a violation witness from its payload."""
-    _json_object(witness, "witness", "property")
-    if not isinstance(witness["property"], str):
-        raise ValueError("witness 'property' must be a string")
+    check("witness", witness)
     prop = PROPERTIES.get(witness["property"])
     if prop is None:
         raise ValueError(f"unknown witness property {witness['property']!r}")

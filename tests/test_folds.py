@@ -135,6 +135,7 @@ AXIOM_CASES = {
                                  {"1"}),
     "Fix(phi) is not a vertex cut": (cycle4(), {"a": "b", "b": "a", "c": "d", "d": "c"},
                                      {"a", "c"}),
+    "L must be a set of vertices of G": (cycle4(), c4_left_swap(), {"zz"}),
     "(L, Fix, phi(L)) must be disjoint": (cycle4(), c4_left_swap(), {"a", "b"}),
     "(L, Fix, phi(L)) must cover V(G)": (star(2), leaf_swap(), set()),
     "L must be a union of components of G - Fix(phi)": (*matching(), {"1", "m2"}),

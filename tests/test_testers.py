@@ -8,13 +8,18 @@ import math
 import numpy as np
 import pytest
 
-from sidlab.bigraph import Bigraph, ColoredBigraph, book, cycle4, rho, star
+from sidlab.bigraph import (
+    Bigraph, ColoredBigraph, book, cycle4, from_json_dict, rho, star, to_json_dict)
 from sidlab.bigraphon import BigraphonTuple, SinkhornError, random_step_bigraphon
 from sidlab.density import exponent_balance
 from sidlab.folds import Fold, check_fold, complete_to_fold, fold_to_json
 from sidlab.fractional import from_right_uniform, rainbow_star
-from sidlab.percolation import find_left_cut_percolating
+from sidlab.checkers import decomposition_from_json, verify_rtd
+from sidlab.percolation import (
+    certificate_from_json, certificate_to_json, find_cut_percolating,
+    find_left_cut_percolating, verify_certificate)
 from sidlab.reflection import IncidenceBigraph, build_incidence, reflection_fold_pool
+from sidlab.schema import FORMATS, Object
 from sidlab import testers as props
 from sidlab.testers import (
     VIOLATED,
@@ -509,55 +514,114 @@ def test_truncated_witness_names_the_missing_key(name):
             assert replay_witness(truncated) == report.worst_margin
 
 
-# each fixed-schema JSON object in a witness, by the first key it requires
-SCHEMAS = {"v1": "bigraph", "mu": "step bigraphon", "phi": "fold",
-           "vertices": "fractional bigraph"}
+# the name and required keys of each JSON object format of the table
+OBJECT_FORMATS = [(shape.name, [key for key, (_, required) in shape.fields.items() if required])
+                  for shape in FORMATS.values() if isinstance(shape, Object)]
 
 
-def nested_objects(node, path=()):
-    """(path, first required key) of every fixed-schema object below the top."""
+def nested_paths(node, path=()):
+    """The key path of every value below the top of a JSON payload."""
     if isinstance(node, dict):
-        key = next((k for k in SCHEMAS if k in node), None)
-        if path and key is not None:
-            yield path, key
         children = node.items()
     elif isinstance(node, list):
         children = enumerate(node)
     else:
         return
     for step, child in children:
-        yield from nested_objects(child, path + (step,))
+        yield path + (step,)
+        yield from nested_paths(child, path + (step,))
 
 
-# free-form fields an empty list leaves a valid instance: no profile entry,
-# no fold, no kept color
-EMPTY_IS_VALID = {"profile", "folds", "keep_colors"}
+def nested_objects(node):
+    """(path, format name, first required key) of every object, the top one
+    too, that holds the required keys of a table format, the most of them."""
+    for path in [(), *nested_paths(node)]:
+        value = node
+        for step in path:
+            value = value[step]
+        matches = [(len(keys), name, keys[0]) for name, keys in OBJECT_FORMATS
+                   if isinstance(value, dict) and all(k in value for k in keys)]
+        if matches:
+            yield (path, *max(matches)[1:])
+
+
+def replaced(payload, path, value):
+    if not path:
+        return value
+    broken = copy.deepcopy(payload)
+    node = broken
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = copy.deepcopy(value)
+    return broken
+
+
+def replays(witness):
+    return replay_witness(witness) is not None
+
+
+G4 = build_incidence(4, [2]).graph
+BOOK_RTD = {"bags": [["p", "q", "u1", "w1"], ["p", "q", "u2", "w2"]], "edges": [[0, 1]]}
+# each other format a decoder reads: a valid payload, and a use of its decoder
+# that refuses a malformed one with a ValueError or says whether it holds
+PAYLOADS = {
+    "left certificate": (lambda: certificate_to_json(find_left_cut_percolating(G4)),
+                         lambda d: bool(verify_certificate(G4, certificate_from_json(d)))),
+    "edge certificate": (lambda: certificate_to_json(find_cut_percolating(G4)),
+                         lambda d: bool(verify_certificate(G4, certificate_from_json(d)))),
+    "decomposition": (lambda: BOOK_RTD,
+                      lambda d: bool(verify_rtd(book(2), decomposition_from_json(d)))),
+    "bigraph": (lambda: to_json_dict(G4), lambda d: from_json_dict(d) is not None),
+    "colored bigraph": (lambda: to_json_dict(build_incidence(3, [1, 2])),
+                        lambda d: from_json_dict(d) is not None),
+}
+# free-form fields an empty list leaves a valid instance: no profile entry, no fold
+EMPTY_IS_VALID = {"profile", "folds"}
 # maps keyed by the vertices of a side of the witness graph
 VERTEX_MAPS = {("strong-sidorenko", "f"): ("graph", "v1"),
                ("strong-sidorenko", "g"): ("graph", "v2"),
                ("left-weak-holder", "ell"): ("colored", "v1")}
 
 
-@pytest.mark.parametrize("name", list(props.PROPERTIES))
+@pytest.mark.parametrize("name", list(props.PROPERTIES) + list(PAYLOADS))
 def test_emptied_nested_object_names_the_key(name):
-    witness = json.loads(json.dumps(report_to_json(shipped_report(name))))["witness"]
-    found = list(nested_objects(witness))
-    assert found or name == "jensen"  # jensen's payload holds only vectors
-    for path, key in found:
-        for empty, message in (({}, f"{SCHEMAS[key]} lacks '{key}'"),
-                               ([], f"{SCHEMAS[key]} must be a JSON object")):
-            broken = copy.deepcopy(witness)
-            node = broken
-            for step in path[:-1]:
-                node = node[step]
-            node[path[-1]] = empty
+    if name in PAYLOADS:
+        make, use = PAYLOADS[name]
+        payload, replayed = make(), None
+    else:
+        payload = json.loads(json.dumps(report_to_json(shipped_report(name))))["witness"]
+        use = replays
+        # trial and margin are reported, not replayed
+        replayed = ["property"] + [key for key, _ in props.PROPERTIES[name].witness]
+
+    # every nested value retyped: refused with a ValueError, unless an empty
+    # list or a 1 leaves a valid payload
+    for path in nested_paths(payload):
+        if replayed is not None and path[0] not in replayed:
+            continue
+        for value in ({}, [], "x", 1):
+            try:
+                accepted = use(replaced(payload, path, value))
+            except ValueError:
+                continue
+            assert not accepted or value in ([], 1), (path, value)
+
+    # every object of a table format names itself and its first required key
+    found = list(nested_objects(payload))
+    assert found and found[0][0] == ()
+    for path, fmt, key in found:
+        for empty, message in (({}, f"{fmt} lacks '{key}'"),
+                               ([], f"{fmt} must be a JSON object")):
             with pytest.raises(ValueError) as info:
-                replay_witness(broken)
+                use(replaced(payload, path, empty))
             assert str(info.value) == message, path
+    if replayed is None:
+        return
+    witness = payload
 
     # free-form fields: every retyped or emptied one is refused with a
     # ValueError, and a vertex map that misses a vertex names both
-    for key in ["property"] + [k for k, _ in props.PROPERTIES[name].witness]:
+    for key in replayed:
         for value in ({}, [], "x"):
             broken = {**witness, key: value}
             if value == [] and key in EMPTY_IS_VALID:
@@ -577,6 +641,46 @@ def test_emptied_nested_object_names_the_key(name):
         for key, value in (("g", witness["g"][1:]), ("ps", witness["ps"][1:])):
             with pytest.raises(ValueError, match=f"'{key}'"):
                 replay_witness({**witness, key: value})
+
+    # a map given as [key, value] pairs refuses a key named twice, where it
+    # once kept the last entry
+    for key, fmt in props.PROPERTIES[name].witness:
+        if fmt in ("coloring", "profile"):
+            with pytest.raises(ValueError, match="named twice"):
+                replay_witness({**witness, key: witness[key] + witness[key][:1]})
+    if name == "induced-sidorenko":  # one subset, its vertices in two orders
+        with pytest.raises(ValueError, match="profile names a subset twice"):
+            replay_witness({**witness, "profile": [[["a", "b"], 1], [["b", "a"], 1]]})
+    # a plain graph field ignores edge colors, as `sidlab test` does
+    for key, fmt in props.PROPERTIES[name].witness:
+        if fmt == "bigraph":
+            colored = {**witness[key], "edge_colors": [1] * len(witness[key]["edges"])}
+            assert replay_witness({**witness, key: colored}) == witness["margin"]
+
+
+def test_replay_refuses_what_the_tester_refuses():
+    witness = shipped_report("strong-sidorenko").witness
+    with pytest.raises(ValueError) as tester:
+        props.test_strong_sidorenko(Bigraph(["1"], ["2"]))
+    with pytest.raises(ValueError) as replay:
+        replay_witness({**witness, "graph": {**witness["graph"], "edges": []}})
+    assert str(replay.value) == str(tester.value)
+
+    witness = shipped_report("induced-sidorenko").witness
+    with pytest.raises(ValueError) as replay:
+        replay_witness({**witness, "profile": [[["zz"], 1]]})
+    assert str(replay.value) == ("induced-sidorenko witness 'profile' names 'zz', "
+                                 "not a left vertex")
+
+    report = shipped_report("color-restriction")
+    h, ws = from_json_dict(report.witness["colored"]), props._CODECS["bigraphon tuple"][1](
+        report.witness["tuple"])
+    for keep in ([77], [], [1]):
+        with pytest.raises(ValueError) as tester:
+            props.test_color_restriction(h, keep, ws)
+        with pytest.raises(ValueError) as replay:
+            replay_witness({**report.witness, "keep_colors": keep})
+        assert str(replay.value) == str(tester.value)
 
 
 def test_single_instance_witnesses_replay_exactly():
