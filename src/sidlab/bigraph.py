@@ -150,13 +150,6 @@ class Bigraph:
     def sorted_edges(self) -> list[tuple[str, str]]:
         return sorted(self.edges)
 
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {u: set() for u in self.vertices()}
-        for l, r in self.edges:
-            adj[l].add(r)
-            adj[r].add(l)
-        return {u: frozenset(ns) for u, ns in adj.items()}
-
     def neighbors(self, v: str) -> frozenset[str]:
         index = self._index
         return frozenset(index.names[j] for j in _bits(index.adj[self._position(v)]))
@@ -165,8 +158,8 @@ class Bigraph:
         return self._index.adj[self._position(v)].bit_count()
 
     def isolated_vertices(self) -> frozenset[str]:
-        touched = {u for e in self.edges for u in e}
-        return frozenset(u for u in self.vertices() if u not in touched)
+        index = self._index
+        return frozenset(v for v, a in zip(index.names, index.adj) if not a)
 
     def components(self) -> list[frozenset[str]]:
         """Connected components, sorted by smallest member id."""
@@ -398,25 +391,26 @@ def _strip(g: Bigraph, protected: frozenset[str]) -> Bigraph:
 # automorphisms and isomorphism search
 
 
-def _renumber(signature: dict[str, tuple]) -> dict[str, int]:
+def _renumber(signature: list[tuple]) -> list[int]:
     """Classes as ints in the sorted order of their signatures, so isomorphic
     graphs get identical labels."""
-    rank = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
-    return {v: rank[sig] for v, sig in signature.items()}
+    rank = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+    return [rank[sig] for sig in signature]
 
 
-def _refine_classes(g: Bigraph) -> dict[str, int]:
-    """Iterated neighbor-class refinement starting from (side, degree).
+def _refine_classes(g: Bigraph) -> list[int]:
+    """Iterated neighbor-class refinement starting from (side, degree), as
+    the class of each vertex index.
 
     Left classes number before right ones in every round, so a label-preserving
     bijection between graphs with equal side sizes maps left to left.
     """
-    adj = g.adjacency()
-    color = _renumber({v: (g.side(v), g.degree(v)) for v in g.vertices()})
+    adj = g._index.adj
+    color = _renumber([(1 if i < g.v1 else 2, a.bit_count()) for i, a in enumerate(adj)])
     for _ in range(g.v):
-        nxt = _renumber({v: (color[v], tuple(sorted(color[w] for w in adj[v])))
-                         for v in g.vertices()})
-        if len(set(nxt.values())) == len(set(color.values())):
+        nxt = _renumber([(color[i], tuple(sorted(color[j] for j in _bits(a))))
+                         for i, a in enumerate(adj)])
+        if len(set(nxt)) == len(set(color)):
             break
         color = nxt
     return color
@@ -432,8 +426,9 @@ def _maps(g1: Bigraph, g2: Bigraph, prescribed: Mapping[str, str] = {},
     `prescribed`, as an image list over g1.vertices() into indices of
     g2.vertices(); with `involutive` (g2 is g1), only the involutions.
 
-    Backtracks over g1's vertices by refinement-class size, class and name,
-    trying images in name order. Candidates u for v are the unused members
+    Backtracks over g1's vertices by refinement-class size, class and name
+    (a class lies on one side, where index order is name order), trying
+    images in name order. Candidates u for v are the unused members
     of v's class adjacent to the images of v's assigned neighbours (one
     bitmask AND each); u is kept iff those are all its used neighbours. An
     involution sets phi(v) = u and phi(u) = v together, so the same check
@@ -446,12 +441,11 @@ def _maps(g1: Bigraph, g2: Bigraph, prescribed: Mapping[str, str] = {},
     c1 = _refine_classes(g1)
     c2 = c1 if g2 is g1 else _refine_classes(g2)
     members: dict[int, int] = {}
-    for j, u in enumerate(i2.names):
-        members[c2[u]] = members.get(c2[u], 0) | 1 << j
-    allowed = [members.get(c1[v], 0) for v in i1.names]
+    for j, c in enumerate(c2):
+        members[c] = members.get(c, 0) | 1 << j
+    allowed = [members.get(c, 0) for c in c1]
     n = len(allowed)
-    order = sorted(range(n), key=lambda i: (allowed[i].bit_count(),
-                                            c1[i1.names[i]], i1.names[i]))
+    order = sorted(range(n), key=lambda i: (allowed[i].bit_count(), c1[i], i))
     for v, u in prescribed.items():
         if v not in i1.pos or u not in i2.pos:
             return
@@ -541,18 +535,29 @@ def is_color_edge_transitive(h: ColoredBigraph) -> bool:
     return _edge_transitive(h, colored_automorphisms(h))
 
 
+def _orbit(x, maps: Sequence, move) -> set:
+    """The orbit of x under the group generated by `maps`, where move(m, y)
+    is y's image under the map m: the closure of {x} under every map."""
+    orbit, frontier = {x}, [x]
+    while frontier:
+        y = frontier.pop()
+        for m in maps:
+            z = move(m, y)
+            if z not in orbit:
+                orbit.add(z)
+                frontier.append(z)
+    return orbit
+
+
 def _edge_transitive(h: ColoredBigraph, auts: list[dict[str, str]]) -> bool:
-    """is_color_edge_transitive, given the colored automorphisms of h."""
-    orbit_of: dict[tuple[str, str], int] = {}
-    for idx, (edge, _) in enumerate(h.edge_colors):
-        if edge in orbit_of:
-            continue
-        for a in auts:
-            orbit_of.setdefault((a[edge[0]], a[edge[1]]), idx)
-    by_color: dict[int, set[int]] = {}
+    """is_color_edge_transitive, given the colored automorphisms of h: they
+    keep each color class, so it is one orbit iff its first edge's orbit
+    is as large."""
+    by_color: dict[int, list[tuple[str, str]]] = {}
     for edge, c in h.edge_colors:
-        by_color.setdefault(c, set()).add(orbit_of[edge])
-    return all(len(orbits) == 1 for orbits in by_color.values())
+        by_color.setdefault(c, []).append(edge)
+    return all(len(_orbit(edges[0], auts, lambda a, e: (a[e[0]], a[e[1]]))) == len(edges)
+               for edges in by_color.values())
 
 
 def find_isomorphism(g1: Bigraph, g2: Bigraph,
@@ -573,10 +578,8 @@ def flags_isomorphic(f1: Flag, f2: Flag) -> bool:
     """Isomorphism of underlying graphs sending the i-th label to the i-th label."""
     if len(f1.labels) != len(f2.labels):
         return False
-    prescribed = dict(zip(f1.labels, f2.labels))
-    if len(set(prescribed.values())) != len(prescribed):
-        return False
-    return find_isomorphism(f1.graph, f2.graph, prescribed) is not None
+    # a Flag's labels are distinct, so this prescribes an injection
+    return find_isomorphism(f1.graph, f2.graph, dict(zip(f1.labels, f2.labels))) is not None
 
 
 # ---------------------------------------------------------------------------

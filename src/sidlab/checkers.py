@@ -18,6 +18,7 @@ from .bigraph import (
     ColoredBigraph,
     Flag,
     _edge_transitive,
+    _orbit,
     colored_automorphisms,
     flags_isomorphic,
     induced_subgraph,
@@ -209,22 +210,14 @@ def check_orbit_hypotheses(g: Bigraph, h: ColoredBigraph,
     d_h = testers._own_profile(hg)
     relevant = {u for u in set(d_g) | set(d_h) if len(u) >= 2}
 
-    orbit_of: dict[frozenset, frozenset] = {}
-    for u in relevant:
-        if u in orbit_of:
-            continue
-        orbit = frozenset(frozenset(a[v] for v in u) for a in auts)
-        for member in orbit:
-            orbit_of[member] = orbit
-
     rows = []
     passed = True
-    seen: set[frozenset] = set()
+    covered: set[frozenset] = set()
     for u in sorted(relevant, key=lambda s: (len(s), sorted(s))):
-        orbit = orbit_of[u]
-        if orbit in seen:
+        if u in covered:
             continue
-        seen.add(orbit)
+        orbit = _orbit(u, auts, lambda a, s: frozenset(a[v] for v in s))
+        covered |= orbit
         g_sum = sum(d_g.get(member, 0) for member in orbit)
         h_sum = sum(d_h.get(member, 0) for member in orbit)
         ok_zero = (g_sum == 0) == (h_sum == 0)

@@ -7,6 +7,9 @@ left/right folding maps phi_L and phi_L* are endomorphisms.
 
 Inside sidlab a fold travels as an (image, left mask) pair over the indices
 of `Bigraph._index`; `Fold` is built only at the boundary: returns, JSON.
+This module is the only one that converts between the two: `_fold` builds
+a `Fold` from a pair, and `check_fold` returns the pair of the `Fold` it
+checked.
 """
 
 from __future__ import annotations
@@ -80,18 +83,23 @@ def _cut_components(g: Bigraph, phi: Mapping[str, str]) -> str | list[int]:
 
 def _complete(g: Bigraph, image: list[int], comps: list[int]) -> Optional[int]:
     """The canonical left mask: of each swapped pair of comps, the one with
-    the smallest vertex name (index order is name order only within a side).
-    None when `image` maps a component onto itself."""
-    names = g._index.names
+    the smallest vertex name. Index order is name order within a side, so
+    the pair's smallest name is at its lowest left or its lowest right
+    index. None when `image` maps a component onto itself, as it does when
+    comps is one component (Fix is no cut), or when comps is empty."""
+    names, left_side = g._index.names, (1 << g.v1) - 1
     left = taken = 0
     for comp in comps:
         img = sum(1 << image[i] for i in _bits(comp))
         if img == comp:
             return None
         if not comp & taken:
-            left |= min(comp, img, key=lambda m: min(names[i] for i in _bits(m)))
-            taken |= comp | img
-    return left
+            pair = comp | img
+            taken |= pair
+            first = min((m & -m for m in (pair & left_side, pair & ~left_side) if m),
+                        key=lambda low: names[low.bit_length() - 1])
+            left |= comp if comp & first else img
+    return left or None
 
 
 def _fold(g: Bigraph, image: list[int], left: int) -> Fold:
@@ -121,8 +129,10 @@ def complete_to_fold(g: Bigraph, phi: Mapping[str, str]) -> Optional[Fold]:
     return None if left is None else _fold(g, image, left)
 
 
-def check_fold(g: Bigraph, fold: Fold) -> None:
-    """Validate every fold axiom against g; raises ValueError on failure."""
+def check_fold(g: Bigraph, fold: Fold) -> tuple[list[int], int]:
+    """Validate every fold axiom against g on the string form; raises
+    ValueError on failure. Returns the checked fold as its (image over
+    g.vertices(), left mask) pair."""
     phi = fold.phi
     comps = _cut_components(g, phi)
     if isinstance(comps, str):
@@ -136,9 +146,11 @@ def check_fold(g: Bigraph, fold: Fold) -> None:
         raise ValueError("(L, Fix, phi(L)) must be disjoint")
     if left | fixed | phi_left != g.vertex_set():
         raise ValueError("(L, Fix, phi(L)) must cover V(G)")
-    left_mask = sum(1 << g._index.pos[v] for v in left)
+    pos = g._index.pos
+    left_mask = sum(1 << pos[v] for v in left)
     if any(comp & left_mask and comp & ~left_mask for comp in comps):
         raise ValueError("L must be a union of components of G - Fix(phi)")
+    return [pos[phi[v]] for v in g.vertices()], left_mask
 
 
 def folding_maps(g: Bigraph, fold: Fold) -> tuple[dict[str, str], dict[str, str]]:
@@ -152,10 +164,8 @@ def _fold_maps(g: Bigraph) -> list[tuple[list[int], int]]:
     found = []
     # the whole search runs before any filtering, so a refusal comes at once
     for image in list(_maps(g, g, involutive=True)):
-        comps = g._index.components(sum(1 << i for i, j in enumerate(image) if i != j))
-        if len(comps) < 2:
-            continue
-        left = _complete(g, image, comps)
+        moved = sum(1 << i for i, j in enumerate(image) if i != j)
+        left = _complete(g, image, g._index.components(moved))
         if left is not None:
             found.append((image, left))
     # images are compared on the same side, where index order is name order

@@ -60,6 +60,8 @@ class ColoredFractionalBigraph:
         items, named = [], set()
         for (subset, color), wgt in weights.items():
             sub, color = tuple(sorted(str(v) for v in subset)), int(color)
+            if not sub:
+                raise ValueError(f"subsets must be nonempty (color {color} names the empty one)")
             if len(set(sub)) != len(sub):
                 raise ValueError(f"subset {sub} repeats a vertex")
             if (sub, color) in named:

@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .bigraph import Bigraph, amalgamate_left
+from .bigraph import Bigraph, _orbit, amalgamate_left
 from .folds import Fold, _fold, _fold_maps, check_fold, fold_from_json, fold_to_json
 from .schema import check
 
@@ -265,12 +265,7 @@ def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
 def _resolve_pool(g: Bigraph, fold_pool: Optional[Sequence[Fold]]) -> list[tuple[list[int], int]]:
     if fold_pool is None:
         return _fold_maps(g)
-    pos, pairs = g._index.pos, []
-    for fold in fold_pool:
-        check_fold(g, fold)
-        phi = fold.phi
-        pairs.append(([pos[phi[v]] for v in g._index.names], sum(1 << pos[v] for v in fold.left)))
-    return pairs
+    return [check_fold(g, f) for f in fold_pool]
 
 
 def find_left_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = None,
@@ -349,18 +344,8 @@ def certificate_fold_group_transitive(g: Bigraph, cert: PercolationCertificate) 
     """Orbit check: the group generated by the certificate folds acts
     transitively on V_1 (left mode) or E (edge mode)."""
     spec = _MODES[cert.mode]
-    gens = [f.phi for f in cert.folds]
     start = next(iter(cert.trajectory[0]))
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        x = frontier.pop()
-        for phi in gens:
-            y = spec.move(phi, x)
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return orbit == set(spec.elements(g))
+    return _orbit(start, [f.phi for f in cert.folds], spec.move) == set(spec.elements(g))
 
 
 def project_to_left(g: Bigraph, cert: PercolationCertificate) -> PercolationCertificate:

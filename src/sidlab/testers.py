@@ -288,6 +288,9 @@ def _profile(pairs: Sequence) -> dict[frozenset, float]:
     profile = {frozenset(s): c for s, c in pairs}
     if len(profile) != len(pairs):
         raise ValueError("profile names a subset twice")
+    empty = next((i for i, (s, _) in enumerate(pairs) if not s), None)
+    if empty is not None:
+        raise ValueError(f"profile entry {empty} names an empty subset")
     return profile
 
 

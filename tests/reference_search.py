@@ -2,8 +2,11 @@
 test oracles.
 
 `_search_maps` is a backtracking search over string dicts with no node
-budget. `automorphisms` lists the whole group with it, `involutions`
-keeps the group's involutions, and `enumerate_folds` completes those to
+budget. Its vertex classes come from its own refinement by names
+(`_refine_classes`) over adjacency sets read from `g.edges`
+(`_adjacency`), so it shares no code with the map search it checks.
+`automorphisms` lists the whole group with it, `involutions` keeps the
+group's involutions, and `enumerate_folds` completes those to
 folds on string sets (`_complete`), taking components by a BFS over
 string adjacency sets; `search` is a FIFO BFS over frozenset states with
 one preimage per (state, fold) pair, taken from string maps. They are
@@ -18,9 +21,37 @@ from __future__ import annotations
 from collections import deque
 from typing import Mapping, Optional
 
-from sidlab.bigraph import Bigraph, _refine_classes
+from sidlab.bigraph import Bigraph
 from sidlab.folds import Fold
 from sidlab.percolation import _MODES, NotFound, PercolationCertificate
+
+
+def _adjacency(g: Bigraph) -> dict[str, set[str]]:
+    """Each vertex's neighbours, from the edge set."""
+    adj: dict[str, set[str]] = {u: set() for u in g.vertices()}
+    for l, r in g.edges:
+        adj[l].add(r)
+        adj[r].add(l)
+    return adj
+
+
+def _renumber(signature: dict[str, tuple]) -> dict[str, int]:
+    """Classes as ints in the sorted order of their signatures."""
+    rank = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
+    return {v: rank[sig] for v, sig in signature.items()}
+
+
+def _refine_classes(g: Bigraph) -> dict[str, int]:
+    """Iterated neighbour-class refinement from (side, degree), by name."""
+    adj = _adjacency(g)
+    color = _renumber({v: (1 if v in g.left else 2, len(adj[v])) for v in g.vertices()})
+    for _ in range(g.v):
+        nxt = _renumber({v: (color[v], tuple(sorted(color[w] for w in adj[v])))
+                         for v in g.vertices()})
+        if len(set(nxt.values())) == len(set(color.values())):
+            break
+        color = nxt
+    return color
 
 
 def _search_maps(g1: Bigraph, g2: Bigraph, prescribed: Mapping[str, str],
@@ -34,7 +65,7 @@ def _search_maps(g1: Bigraph, g2: Bigraph, prescribed: Mapping[str, str],
         by_color.setdefault(c2[u], []).append(u)
     for us in by_color.values():
         us.sort()
-    adj1, adj2 = g1.adjacency(), g2.adjacency()
+    adj1, adj2 = _adjacency(g1), _adjacency(g2)
 
     order = sorted(g1.vertices(),
                    key=lambda v: (len(by_color.get(c1[v], ())), c1[v], v))
@@ -89,7 +120,7 @@ def involutions(g):
 
 def components(g: Bigraph) -> list[frozenset[str]]:
     """Connected components by a BFS over string adjacency sets."""
-    adj = g.adjacency()
+    adj = _adjacency(g)
     seen: set[str] = set()
     comps = []
     for start in g.vertices():

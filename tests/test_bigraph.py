@@ -263,9 +263,9 @@ def test_refinement_labels_stay_ints_on_a_long_path():
     edges = [(verts[i], verts[i + 1]) if i % 2 == 0 else (verts[i + 1], verts[i])
              for i in range(23)]
     g = Bigraph(verts[0::2], verts[1::2], edges)
-    labels = _refine_classes(g)
-    assert all(type(c) is int for c in labels.values())
-    assert set(labels.values()) == set(range(len(set(labels.values()))))
+    labels = _refine_classes(g)  # one class per vertex index
+    assert len(labels) == g.v and all(type(c) is int for c in labels)
+    assert set(labels) == set(range(len(set(labels))))
     # reversing the path swaps the sides, so only the identity remains
     assert automorphisms(g) == [{v: v for v in g.vertices()}]
 

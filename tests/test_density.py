@@ -435,12 +435,13 @@ def check_every_density_kind(monkeypatch, agree):
         ws = BigraphonTuple({c: w.with_values(rng.uniform(1e-3, 1.0, size=w.values.shape))
                              for c in (1, 2)})
         colored_density(ColoredBigraph(g, coloring), ws)
-        h = ColoredFractionalBigraph(
-            ["u", "v", "w"], [1, 2],
-            {(sub, c): float(rng.choice([0.0, 0.5, 1.0, 1.7]))
-             for sub in itertools.chain.from_iterable(
-                 itertools.combinations("uvw", k) for k in range(4))
-             for c in (1, 2) if rng.random() < 0.3})
+        weights = {(sub, c): float(rng.choice([0.0, 0.5, 1.0, 1.7]))
+                   for sub in itertools.chain.from_iterable(
+                       itertools.combinations("uvw", k) for k in range(4))
+                   for c in (1, 2) if rng.random() < 0.3}
+        # an empty subset is refused; it is still drawn, so later draws stay as they were
+        h = ColoredFractionalBigraph(["u", "v", "w"], [1, 2],
+                                     {key: wgt for key, wgt in weights.items() if key[0]})
         if h.total_edge_mass() > 0:
             fractional_density(h, ws)
             fractional_density(rainbow_star(h), ws)

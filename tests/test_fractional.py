@@ -35,8 +35,8 @@ def tuple_of(seeds, rows=3, cols=3):
 def test_construction_and_derived_quantities():
     h = ColoredFractionalBigraph(
         ["u", "v"], [1, 2],
-        {(("u", "v"), 1): 2.0, (("u",), 2): 1.5, (("v",), 2): 1.5, ((), 1): 3.0})
-    assert h.edge_mass(1) == pytest.approx(4.0)  # |{u,v}| * 2 + 0 * 3
+        {(("u", "v"), 1): 2.0, (("u",), 2): 1.5, (("v",), 2): 1.5})
+    assert h.edge_mass(1) == pytest.approx(4.0)  # |{u,v}| * 2
     assert h.edge_mass(2) == pytest.approx(3.0)
     assert h.total_edge_mass() == pytest.approx(7.0)
     assert h.degree("u", 1) == pytest.approx(2.0)
@@ -190,7 +190,7 @@ def test_fractional_density_matches_brute_force():
                          2: StepBigraphon(mu, nu, zero)})
     cases = [
         {(("u", "v"), 1): 0.5, (("v", "w"), 2): 1.7, (("u",), 2): 2.25},
-        {((), 1): 3.0, (("u", "v", "w"), 2): 0.3},  # the empty subset
+        {(("u", "v", "w"), 2): 0.3},
         {(("u",), 1): 1.5, (("v",), 2): 0.75},  # w lies in no subset
         {(("u", "w"), 1): 1.0, (("u", "w"), 2): 1.0, (("v",), 1): 2.0},
     ]
@@ -207,9 +207,12 @@ def test_fractional_density_missing_color():
 
 
 def test_fractional_density_empty_subset_and_zero_mass():
-    h = ColoredFractionalBigraph(["v"], [1], {((), 1): 7.0})
-    ws = tuple_of({1: 4})
-    assert fractional_density(h, ws) == pytest.approx(1.0)  # 1^7, no edges
+    # an empty subset is refused whatever its weight
+    for wgt in (7.0, 0.0):
+        with pytest.raises(ValueError, match="subsets must be nonempty"):
+            ColoredFractionalBigraph(["v"], [1], {((), 1): wgt})
+    h = ColoredFractionalBigraph(["v"], [1], {(("v",), 1): 0.0})
+    assert fractional_density(h, tuple_of({1: 4})) == pytest.approx(1.0)  # no edges
 
 
 def test_dual_star_table_matches_flag_density():

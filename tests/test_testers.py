@@ -683,6 +683,19 @@ def test_replay_refuses_what_the_tester_refuses():
         assert str(replay.value) == str(tester.value)
 
 
+def test_replay_refuses_an_empty_subset():
+    # both replayed to a margin (0.0 and -4.4e-16) before subsets had to be nonempty
+    witness = json.loads(json.dumps(shipped_report("induced-sidorenko").witness))
+    witness["profile"][0][0] = []
+    with pytest.raises(ValueError) as info:
+        replay_witness(witness)
+    assert str(info.value) == "profile entry 0 names an empty subset"
+    witness = json.loads(json.dumps(shipped_report("color-sidorenko").witness))
+    witness["fractional"]["weights"][0][0] = []
+    with pytest.raises(ValueError, match="subsets must be nonempty"):
+        replay_witness(witness)
+
+
 def test_single_instance_witnesses_replay_exactly():
     g = cycle4()
     c = {e: i % 2 + 1 for i, e in enumerate(sorted(g.edges))}
