@@ -2,12 +2,29 @@
 
 A step bigraphon stands in for a bounded measurable kernel on a product of
 probability spaces; rows carry the left space, columns the right space.
+
+A bigraphon is checked where its data enters: the `StepBigraphon`
+constructor (and so `uniform`, `constant`, `scaled` and `with_values`) and
+`bigraphon_from_json` copy every array and check shapes, weights that are
+nonnegative and sum to 1, and values that are finite and nonnegative.
+Values sidlab computes itself skip the check and the copies: the testers'
+samplers draw them from [floor, 1] or as floor/1 patterns, the
+color-restriction sampler divides such a draw by its positive row
+marginals, and Sinkhorn multiplies a strictly positive input by positive
+scale factors and returns only once every marginal residual is finite and
+below its tolerance. These go through `_trusted`, which freezes the fresh
+values array in place and pairs it with weights that were checked before:
+the input's own, or the uniform vector of its size, built once through the
+constructor and shared by every trusted bigraphon of that size. Parts that
+hold the same weight objects form a `BigraphonTuple` without comparing
+their weights.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -116,6 +133,29 @@ class StepBigraphon:
         return StepBigraphon(self.row_weights, self.col_weights, values)
 
 
+@functools.lru_cache(maxsize=256)
+def _uniform_weights(n: int) -> np.ndarray:
+    """The frozen uniform probability vector of length n, built once through
+    the checking constructor and shared by every trusted bigraphon."""
+    return StepBigraphon.uniform(np.ones((n, 1))).row_weights
+
+
+def _trusted(values: np.ndarray, row_weights: Optional[np.ndarray] = None,
+             col_weights: Optional[np.ndarray] = None) -> StepBigraphon:
+    """A StepBigraphon from a fresh float array of values that are valid by
+    construction, unchecked and uncopied: values is frozen in place, and
+    missing weights are the shared uniform vectors of its size. Weights
+    that are given must come from a checked bigraphon."""
+    values.setflags(write=False)
+    w = object.__new__(StepBigraphon)
+    object.__setattr__(w, "row_weights", _uniform_weights(values.shape[0])
+                       if row_weights is None else row_weights)
+    object.__setattr__(w, "col_weights", _uniform_weights(values.shape[1])
+                       if col_weights is None else col_weights)
+    object.__setattr__(w, "values", values)
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class BigraphonTuple:
     """Bigraphons indexed by color id, all over the same row/column spaces."""
@@ -128,6 +168,8 @@ class BigraphonTuple:
             raise ValueError("tuple needs at least one bigraphon")
         mu, nu = items[0][1].row_weights, items[0][1].col_weights
         for _, w in items[1:]:
+            if w.row_weights is mu and w.col_weights is nu:
+                continue  # the same weight objects, as trusted parts share them
             if not (np.array_equal(w.row_weights, mu)
                     and np.array_equal(w.col_weights, nu)):
                 raise ValueError("all bigraphons must share row/column weights")
@@ -167,20 +209,25 @@ def sinkhorn_biregularize(w: StepBigraphon, tol: float = 1e-10,
     Each step rescales toward the current edge density, which every step
     preserves, so an already-biregular input is returned unchanged.
     Raises SinkhornError on nonpositive entries or non-convergence.
+
+    t(rho, W) = mu @ vals @ nu is taken as cols @ nu from the column
+    marginals cols = mu @ vals, the same floats. The result is nonnegative,
+    and finite because a non-finite entry makes a residual nan or infinite,
+    which never passes the check, so it is built unchecked.
     """
     if np.any(w.values <= 0):
         raise SinkhornError("sinkhorn requires strictly positive values")
     mu, nu = w.row_weights, w.col_weights
     vals = np.array(w.values)
     for _ in range(max_iter):
-        t = float(mu @ vals @ nu)
         rows = vals @ nu
         cols = mu @ vals
-        if max(np.abs(rows - t).max(), np.abs(cols - t).max()) < tol:
-            return w.with_values(vals)
+        t = float(cols @ nu)
+        if np.abs(rows - t).max() < tol and np.abs(cols - t).max() < tol:
+            return _trusted(vals, mu, nu)
         vals = vals * (t / rows)[:, None]
-        t = float(mu @ vals @ nu)
         cols = mu @ vals
+        t = float(cols @ nu)
         vals = vals * (t / cols)[None, :]
     raise SinkhornError(f"no convergence to tol={tol} within {max_iter} iterations")
 

@@ -22,6 +22,22 @@ batched margin at grids 4 to 16. A batch goes through in chunks of at most
 2^13 bucket cells over all its trials, eight of the largest grid-4 buckets
 of incidence(5,{2,3}), so its memory stays near that of one trial.
 
+A trial carries its distinct arrays in groups and each factor's position
+in its group; the batch names the group of every factor and of every
+variable's weight. A plain density's trial is the groups (W), (mu), (nu),
+every edge at position 0 of W's. A colored trial's first group holds the
+values of the colors its coloring uses, and each edge is at its color's
+position. A fractional trial holds mu and one power of a dual-star table
+per (color, subset size, weight); a pinned one, each edge's sliced values.
+A chunk of more than one trial becomes one zero pool per group, of shape
+(position, trial, padded axes), filled by one assignment per (array,
+trial). A factor at the same position in every trial reads its pool's view
+there, shared with every factor at that position; the factors of a group
+whose positions differ between trials (per-trial colorings) are gathered
+from the pool by one fancy index. Either way a factor's array is
+C-contiguous and holds the same zero-padded cells as a stack of its own,
+so padding stays exact as above.
+
 Each elimination step sums one variable out of its bucket, the factors
 that mention it. A bucket whose full product has at most 2^16 cells is
 multiplied into that product and summed, in a fixed order of operations.
@@ -45,7 +61,7 @@ from __future__ import annotations
 import functools
 import math
 import string
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -74,9 +90,10 @@ BRUTE_FORCE_CAP = 8_000_000
 # variable elimination engine
 
 Factor = tuple[tuple[str, ...], np.ndarray]
-# one trial: its factor arrays, in the order of the shared scopes, and the
-# weight vector of every variable
-Trial = tuple[Sequence[np.ndarray], Mapping[str, np.ndarray]]
+# one trial: its distinct arrays in groups, and the position of each factor's
+# array in its group; the batch names the group of every factor and the group
+# of every variable's weight, which holds that one vector
+Trial = tuple[Sequence[Sequence[np.ndarray]], Sequence[int]]
 
 
 _PLAN_CACHE_SIZE = 32
@@ -182,34 +199,48 @@ def _eliminate_all(factors: list[Factor], weights: Mapping[str, np.ndarray],
     return scalar
 
 
-def _stack(scopes: tuple[tuple[str, ...], ...], variables: tuple[str, ...],
-           trials: Sequence[Trial]) -> tuple[list[Factor], dict[str, np.ndarray]]:
-    """The factors and weights of trials on a leading trial axis, zero-padded
-    to the trials' largest size of each variable; one trial's arrays are
-    views. Slots that read the same arrays in every trial share one stack."""
+def _layout(scopes: tuple[tuple[str, ...], ...], groups: tuple[int, ...],
+            weights: Mapping[str, int], trials: Sequence[Trial],
+            size: Mapping[str, int]) -> tuple[list[Factor], dict[str, np.ndarray]]:
+    """The factors and weights of a chunk of trials on a leading trial axis,
+    each variable v zero-padded to size[v]. A batch of one reads views of its
+    arrays. Otherwise every group is one zero pool of shape (position, trial,
+    axes), filled by one assignment per (array, trial); a factor at the same
+    position in every trial reads its pool's view, and the factors of a
+    group whose positions differ between trials are gathered from the pool
+    by one fancy index. Every factor array is C-contiguous, as a stack of
+    its own would be."""
     if len(trials) == 1:
-        arrays, weights = trials[0]
-        return ([(vs, a[None]) for vs, a in zip(scopes, arrays)],
-                {v: weights[v][None] for v in variables})
-    size = {v: max(len(weights[v]) for _, weights in trials) for v in variables}
-    stacks: dict[tuple, np.ndarray] = {}
+        (arrays, index), = trials
+        return ([(vs, arrays[g][i][None]) for vs, g, i in zip(scopes, groups, index)],
+                {v: arrays[g][0][None] for v, g in weights.items()})
+    shapes = {g: (size[v],) for v, g in weights.items()}
+    shapes.update((g, tuple(size[v] for v in vs)) for g, vs in dict(zip(groups, scopes)).items())
+    pools = {}
+    for g, shape in shapes.items():
+        members = [arrays[g] for arrays, _ in trials]
+        pools[g] = pool = np.zeros((max(map(len, members)), len(trials)) + shape)
+        for t, arrays in enumerate(members):
+            for i, a in enumerate(arrays):
+                pool[(i, t) + tuple(map(slice, a.shape))] = a
+    index = [ix for _, ix in trials]
+    factors = [(vs, pools[g][i]) for vs, g, i in zip(scopes, groups, index[0])]
+    if any(ix != index[0] for ix in index):
+        table = np.array(index)
+        varying = np.flatnonzero((table != table[0]).any(axis=0)).tolist()
+        for g in dict.fromkeys(groups[j] for j in varying):
+            slots = [j for j in varying if groups[j] == g]
+            gathered = pools[g][table[:, slots].T, np.arange(len(trials))]
+            for j, arr in zip(slots, gathered):
+                factors[j] = (scopes[j], arr)
+    return factors, {v: pools[g][0] for v, g in weights.items()}
 
-    def stack(arrays, shape):
-        key = (*map(id, arrays), shape)
-        if key not in stacks:
-            stacks[key] = out = np.zeros((len(arrays),) + shape)
-            for t, a in enumerate(arrays):
-                out[(t,) + tuple(map(slice, a.shape))] = a
-        return stacks[key]
-    factors = [(vs, stack([arrays[k] for arrays, _ in trials], tuple(size[v] for v in vs)))
-               for k, vs in enumerate(scopes)]
-    return factors, {v: stack([weights[v] for _, weights in trials], (size[v],))
-                     for v in variables}
 
-
-def _eliminate_trials(scopes: tuple[tuple[str, ...], ...],
-                      trials: Sequence[Trial]) -> np.ndarray:
-    """One value per trial, each trial's factors on the shared scopes.
+def _eliminate_trials(scopes: tuple[tuple[str, ...], ...], groups: tuple[int, ...],
+                      weights: Mapping[str, int], trials: Sequence[Trial]) -> np.ndarray:
+    """One value per trial (arrays, index): factor j is
+    arrays[groups[j]][index[j]] over scopes[j], and each variable v is
+    weighted by the one vector of group weights[v].
 
     Trials are grouped so that zero padding stays exact: a trial with a
     variable of _EXACT_PAD or more cells joins only trials with the same
@@ -219,48 +250,41 @@ def _eliminate_trials(scopes: tuple[tuple[str, ...], ...],
     past _SMALL_BUCKET, runs in a batch of one."""
     if not trials:
         return np.empty(0)
-    variables = tuple(sorted(trials[0][1]))
-    groups: dict[tuple, list[int]] = {}
-    for t, (_, weights) in enumerate(trials):
-        sizes = [len(weights[v]) for v in variables]
+    variables = tuple(sorted(weights))
+    sized = sorted(set(weights.values()))
+    lengths = [tuple(len(arrays[g][0]) for g in sized) for arrays, _ in trials]
+    batches: dict[tuple, list[int]] = {}
+    for t, sizes in enumerate(lengths):
         key = () if max(sizes, default=0) < _EXACT_PAD else tuple(
             n if n >= _EXACT_PAD or n == 1 else 0 for n in sizes)
-        groups.setdefault(key, []).append(t)
+        batches.setdefault(key, []).append(t)
     _, steps = _plan(scopes, variables)
     out = np.empty(len(trials))
-    for members in groups.values():
-        size = {v: max(len(trials[t][1][v]) for t in members) for v in variables}
+    for members in batches.values():
+        most = dict(zip(sized, map(max, zip(*(lengths[t] for t in members)))))
+        size = {v: most[g] for v, g in weights.items()}
         largest = max((math.prod(size[u] for u in step[2]) for step in steps), default=1)
         chunk = max(1, _BATCH_CELLS // largest)
         for lo in range(0, len(members), chunk):
             part = members[lo:lo + chunk]
-            factors, weights = _stack(scopes, variables, [trials[t] for t in part])
-            out[part] = _eliminate_all(factors, weights, len(part))
+            factors, vectors = _layout(scopes, groups, weights, [trials[t] for t in part], size)
+            out[part] = _eliminate_all(factors, vectors, len(part))
     return out
 
 
-def _graph_trial(g: Bigraph, edge_values: Sequence[np.ndarray], mu: np.ndarray,
-                 nu: np.ndarray, potentials: Optional[Mapping[str, np.ndarray]] = None,
-                 fixed: Optional[Mapping[str, int]] = None) -> tuple[tuple, Trial]:
-    """The scopes and the trial of t(G; potentials; W): one factor per edge of
-    g.sorted_edges(), reading edge_values in that order, then one per
-    potential; pinned vertices are sliced out of every factor."""
-    scopes = tuple(g.sorted_edges()) + tuple((v,) for v in potentials or {})
-    arrays = list(edge_values) + list((potentials or {}).values())
-    weights = {v: mu for v in g.left} | {w: nu for w in g.right}
-    if fixed:
-        arrays = [arr[tuple(fixed.get(v, _ALL) for v in vs)]
-                  for vs, arr in zip(scopes, arrays)]
-        scopes = tuple(tuple(v for v in vs if v not in fixed) for vs in scopes)
-        weights = {v: vec for v, vec in weights.items() if v not in fixed}
-    return scopes, (arrays, weights)
-
-
-def _graph_densities(g: Bigraph, trials: Sequence[tuple]) -> np.ndarray:
-    """t(G; potentials; W) per trial of (edge values, mu, nu[, potentials]),
-    every trial with potentials at the same vertices in the same order."""
-    built = [_graph_trial(g, *trial) for trial in trials]
-    return _eliminate_trials(built[0][0] if built else (), [trial for _, trial in built])
+def _graph_densities(g: Bigraph, trials: Sequence[tuple],
+                     potentials: Sequence[str] = ()) -> np.ndarray:
+    """t(G; potentials; W) per trial (values, index, mu, nu, pots): factor j
+    is edge j of g.sorted_edges(), reading values[index[j]], then one factor
+    per vertex of `potentials`, reading pots in that order; index holds a 0
+    for each potential."""
+    e = g.e
+    scopes = tuple(g.sorted_edges()) + tuple((v,) for v in potentials)
+    groups = (0,) * e + tuple(range(3, 3 + len(potentials)))
+    weights = dict.fromkeys(g.left, 1) | dict.fromkeys(g.right, 2)
+    return _eliminate_trials(scopes, groups, weights, [
+        ((values, (mu,), (nu,), *((pot,) for pot in pots)), index)
+        for values, index, mu, nu, pots in trials])
 
 
 def _check_potentials(g: Bigraph, w: StepBigraphon,
@@ -291,8 +315,8 @@ def density(g: Bigraph, w: StepBigraphon) -> float:
 
 def densities(g: Bigraph, ws: Sequence[StepBigraphon]) -> np.ndarray:
     """t(G, W) for every W in ws, in one batched pass."""
-    e = g.e
-    return _graph_densities(g, [([w.values] * e, w.row_weights, w.col_weights)
+    index = (0,) * g.e
+    return _graph_densities(g, [((w.values,), index, w.row_weights, w.col_weights, ())
                                 for w in ws])
 
 
@@ -304,11 +328,13 @@ def colored_densities(g: Bigraph, colorings: Sequence[Mapping[tuple, int]],
     trials = []
     for coloring, ws in zip(colorings, tuples):
         parts = dict(ws.parts)
-        for c in sorted(set(coloring.values())):
+        used = sorted(set(coloring.values()))
+        for c in used:
             if c not in parts:
                 raise ValueError(f"tuple missing bigraphon for color {c}")
-        trials.append(([parts[coloring[e]].values for e in edges],
-                       ws.row_weights, ws.col_weights))
+        position = {c: i for i, c in enumerate(used)}
+        trials.append(([parts[c].values for c in used], [position[coloring[e]] for e in edges],
+                       ws.row_weights, ws.col_weights, ()))
     return _graph_densities(g, trials)
 
 
@@ -345,9 +371,15 @@ def flag_density(f: Flag, w: StepBigraphon, assignment: Mapping[str, int]) -> fl
         if not 0 <= int(i) < size:
             raise ValueError(f"index {i} out of range for vertex {v!r}")
     fixed = {v: int(i) for v, i in assignment.items()}
-    scopes, trial = _graph_trial(g, [w.values] * g.e, w.row_weights, w.col_weights,
-                                 fixed=fixed)
-    return float(_eliminate_trials(scopes, [trial])[0])
+    edges = g.sorted_edges()
+    # a batch of one, each edge its own group with the pinned vertices sliced out
+    arrays = [(w.row_weights,), (w.col_weights,)] + [
+        (w.values[tuple(fixed.get(v, _ALL) for v in vs)],) for vs in edges]
+    scopes = tuple(tuple(v for v in vs if v not in fixed) for vs in edges)
+    weights = ({v: 0 for v in g.left if v not in fixed}
+               | {u: 1 for u in g.right if u not in fixed})
+    return float(_eliminate_trials(scopes, tuple(range(2, 2 + len(edges))), weights,
+                                   [(arrays, (0,) * len(edges))])[0])
 
 
 def colored_density(h: ColoredBigraph, ws: BigraphonTuple) -> float:
@@ -361,7 +393,8 @@ def weighted_density(g: Bigraph, w: StepBigraphon,
     """t(G; f, g; W): density with a nonnegative step function at every vertex."""
     pots = _check_potentials(g, w, left_weights, right_weights)
     return float(_graph_densities(
-        g, [([w.values] * g.e, w.row_weights, w.col_weights, pots)])[0])
+        g, [((w.values,), (0,) * (g.e + len(pots)), w.row_weights, w.col_weights,
+             tuple(pots.values()))], tuple(pots))[0])
 
 
 # ---------------------------------------------------------------------------

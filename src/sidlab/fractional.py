@@ -171,20 +171,28 @@ def fractional_density(h: ColoredFractionalBigraph, ws: BigraphonTuple) -> float
 def fractional_densities(h: ColoredFractionalBigraph,
                          tuples: Sequence[BigraphonTuple]) -> np.ndarray:
     """t(h, W) for every tuple W, in one batched pass; each tuple's
-    dual-star table is built once per (color, subset size)."""
+    dual-star table is built once per (color, subset size), and its power
+    once per (color, subset size, weight), which every pair of that key
+    reads."""
+    # group 0 holds mu; group 1 + i the power of the i-th distinct key
+    keys = {key: 1 + i for i, key in enumerate(dict.fromkeys(
+        (c, len(sub), wgt) for sub, c, wgt in h.weights))}
+    groups = tuple(keys[c, len(sub), wgt] for sub, c, wgt in h.weights)
+    index = (0,) * len(groups)
     trials = []
     for ws in tuples:
         for _, c, _ in h.weights:
             if c not in ws:
                 raise ValueError(f"tuple missing bigraphon for color {c}")
         tables: dict[tuple[int, int], np.ndarray] = {}
-        factors = []
-        for sub, c, wgt in h.weights:
-            if (c, len(sub)) not in tables:
-                tables[c, len(sub)] = dual_star_table(ws[c], len(sub))
-            factors.append(tables[c, len(sub)] ** wgt)
-        trials.append((factors, {v: ws.row_weights for v in h.vertices}))
-    return _eliminate_trials(tuple(sub for sub, _, _ in h.weights), trials)
+        arrays = [(ws.row_weights,)]
+        for c, k, wgt in keys:
+            if (c, k) not in tables:
+                tables[c, k] = dual_star_table(ws[c], k)
+            arrays.append((tables[c, k] ** wgt,))
+        trials.append((arrays, index))
+    return _eliminate_trials(tuple(sub for sub, _, _ in h.weights), groups,
+                             dict.fromkeys(h.vertices, 0), trials)
 
 
 def compile_profiles(vertices: Sequence[str],

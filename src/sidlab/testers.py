@@ -40,6 +40,7 @@ from .bigraphon import (
     BigraphonTuple,
     SinkhornError,
     StepBigraphon,
+    _trusted,
     bigraphon_from_json,
     bigraphon_to_json,
     sinkhorn_biregularize,
@@ -256,7 +257,8 @@ def _sample_tuple(rng: np.random.Generator, grid: int, colors: Sequence[int],
                   preset: str = "uniform") -> BigraphonTuple:
     rows = int(rng.integers(1, grid + 1))
     cols = int(rng.integers(1, grid + 1))
-    return BigraphonTuple({c: StepBigraphon.uniform(_draw_values(rng, rows, cols, preset))
+    # fresh draws in [floor, 1] over the shared uniform weights
+    return BigraphonTuple({c: _trusted(_draw_values(rng, rows, cols, preset))
                            for c in sorted(colors)})
 
 
@@ -344,8 +346,15 @@ def test_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4, seed: int = 0,
 def _strong_sidorenko_margins(instances: Sequence[tuple]) -> list[float]:
     g, = _shared(instances)
     e = g.e
-    lhs = _graph_densities(g, [([w.values] * e, w.row_weights, w.col_weights, fs | gs)
-                               for _, w, fs, gs in instances])
+    # potentials in the first instance's vertex order
+    potentials = (*instances[0][2], *instances[0][3])
+    index = (0,) * (e + len(potentials))
+    trials = []
+    for _, w, fs, gs in instances:
+        pots = fs | gs
+        trials.append(((w.values,), index, w.row_weights, w.col_weights,
+                       [pots[v] for v in potentials]))
+    lhs = _graph_densities(g, trials, potentials)
     out = []
     for t, (_, w, fs, gs) in zip(lhs, instances):
         f_prod = np.ones(w.rows)
@@ -792,8 +801,10 @@ def test_color_restriction_trials(h: ColoredBigraph, colors: Iterable[int],
     def sample(rng):
         parts = _sample_tuple(rng, grid, h.color_set()).as_dict()
         for c in dropped:
+            # a positive draw over its positive row marginals
             w = parts[c]
-            parts[c] = w.with_values(w.values / w.row_marginals()[:, None])
+            parts[c] = _trusted(w.values / w.row_marginals()[:, None],
+                                w.row_weights, w.col_weights)
         return h, keep, BigraphonTuple(parts)
     return _run("color-restriction", sample, trials, seed, tol)
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import reference_run
+import test_density
 from sidlab import testers
 from sidlab.bigraph import Bigraph, ColoredBigraph, cycle4, rho, star
 from sidlab.bigraphon import BigraphonTuple, SinkhornError, StepBigraphon
@@ -22,6 +23,7 @@ from sidlab.density import (
     densities,
     density,
     density_brute_force,
+    weighted_density,
 )
 from sidlab.fractional import (
     ColoredFractionalBigraph,
@@ -195,6 +197,72 @@ def test_batched_colored_and_fractional_densities_equal_single_ones():
         assert t == colored_density(ColoredBigraph(h.graph, coloring), ws)
     for t, ws in zip(fractional_densities(frac, tuples), tuples):
         assert t == fractional_density(frac, ws)
+
+
+def count_batches(monkeypatch):
+    """Count the engine's calls and the trials each one takes."""
+    seen = []
+    real = DENSITY._eliminate_all
+
+    def spy(factors, weights, trials):
+        seen.append(trials)
+        return real(factors, weights, trials)
+    monkeypatch.setattr(DENSITY, "_eliminate_all", spy)
+    return seen
+
+
+def test_colored_batch_shares_gathers_and_splits_sources(monkeypatch):
+    """One batch of three kinds of trial: both colors reading one values
+    array object, a constant coloring, and a random coloring, each kind at
+    sizes 1..9, so positions in the values group differ between trials, a
+    group with a size of 8 or more splits and size-1 axes stay."""
+    rng = np.random.default_rng(45)
+    g = cycle4()
+    edges = g.sorted_edges()
+    colorings, tuples = [], []
+    for k, w in enumerate(mixed_bigraphons(rng, 60)):
+        if k % 3 == 0:
+            ws = BigraphonTuple({1: w, 2: w})
+            coloring = {e: int(rng.integers(1, 3)) for e in edges}
+        else:
+            ws = BigraphonTuple({c: w.with_values(rng.uniform(1e-3, 1.0, w.values.shape))
+                                 for c in (1, 2, 3)})
+            coloring = (dict.fromkeys(edges, int(rng.integers(1, 4))) if k % 3 == 1
+                        else {e: int(rng.integers(1, 4)) for e in edges})
+        colorings.append(coloring)
+        tuples.append(ws)
+    batches = count_batches(monkeypatch)
+    batch = colored_densities(g, colorings, tuples)
+    assert len(batches) > 1 and max(batches) > 1, batches
+    checked = 0
+    for t, coloring, ws in zip(batch, colorings, tuples):
+        assert t == colored_density(ColoredBigraph(g, coloring), ws)
+        read = {ws[c].values.tobytes() for c in coloring.values()}
+        if len(read) == 1:  # every edge reads one values array
+            assert t == pytest.approx(density_brute_force(g, ws[coloring[edges[0]]]),
+                                      rel=1e-12)
+            checked += 1
+    assert checked >= 40
+
+
+def test_weighted_batch_with_potentials_equals_single_ones():
+    """A potential at every vertex, sizes 1..9: each value equals its batch
+    of one and the literal weighted sum."""
+    rng = np.random.default_rng(46)
+    g = Bigraph(["a", "b"], ["c", "d"], [("a", "c"), ("a", "d"), ("b", "c")])
+    potentials = ("a", "b", "c", "d")
+    trials, singles = [], []
+    for w in mixed_bigraphons(rng, 40):
+        fs = {v: rng.uniform(0.1, 2.0, size=w.rows) for v in g.left}
+        gs = {u: rng.uniform(0.1, 2.0, size=w.cols) for u in g.right}
+        pots = fs | gs
+        trials.append(((w.values,), (0,) * (g.e + 4), w.row_weights, w.col_weights,
+                       [pots[v] for v in potentials]))
+        singles.append((w, fs, gs))
+    batch = DENSITY._graph_densities(g, trials, potentials)
+    for t, (w, fs, gs) in zip(batch, singles):
+        assert t == weighted_density(g, w, fs, gs)
+        assert t == pytest.approx(test_density.loop_weighted_oracle(g, w, fs, gs), rel=1e-12)
 
 
 def test_chunks_bound_the_memory_of_a_run():

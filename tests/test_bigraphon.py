@@ -1,8 +1,13 @@
 """Tests for step bigraphons, Sinkhorn biregularization, random generation."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from test_batched import drawn_instances
 
+from sidlab import testers
+from sidlab.bigraph import cycle4, rho
 from sidlab.bigraphon import (
     BigraphonTuple,
     SinkhornError,
@@ -12,6 +17,7 @@ from sidlab.bigraphon import (
     random_step_bigraphon,
     sinkhorn_biregularize,
 )
+from sidlab.reflection import build_incidence
 
 
 def test_validation():
@@ -87,6 +93,98 @@ def test_sinkhorn_max_iter():
     w = StepBigraphon.uniform([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(SinkhornError):
         sinkhorn_biregularize(w, tol=1e-300, max_iter=3)
+
+
+def reference_sinkhorn(w, tol=1e-10, max_iter=10**5):
+    """The Sinkhorn loop as first written: t(rho, W) recomputed as
+    mu @ vals @ nu, and the result built through the checking constructor."""
+    if np.any(w.values <= 0):
+        raise SinkhornError("sinkhorn requires strictly positive values")
+    mu, nu = w.row_weights, w.col_weights
+    vals = np.array(w.values)
+    for _ in range(max_iter):
+        t = float(mu @ vals @ nu)
+        rows = vals @ nu
+        cols = mu @ vals
+        if max(np.abs(rows - t).max(), np.abs(cols - t).max()) < tol:
+            return w.with_values(vals)
+        vals = vals * (t / rows)[:, None]
+        t = float(mu @ vals @ nu)
+        cols = mu @ vals
+        vals = vals * (t / cols)[None, :]
+    raise SinkhornError(f"no convergence to tol={tol} within {max_iter} iterations")
+
+
+def sinkhorn_outcome(balance, w, max_iter):
+    try:
+        return balance(w, max_iter=max_iter)
+    except SinkhornError as err:
+        return str(err)
+
+
+def test_sinkhorn_equals_the_first_loop_bit_for_bit():
+    """320 draws of both presets, half of them 1 x n or n x 1 and a third
+    with Dirichlet weights, balanced in full and under max_iter=4."""
+    rng = np.random.default_rng(51)
+    seen = Counter()
+    for k in range(320):
+        preset = ("uniform", "adversarial")[k % 2]
+        rows, cols = (int(n) for n in rng.integers(2, 9, size=2))
+        if k % 8 in (2, 3):
+            rows = 1
+        elif k % 8 in (4, 5):
+            cols = 1
+        vals = testers._draw_values(rng, rows, cols, preset)
+        w = (StepBigraphon(rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(cols)), vals)
+             if k % 3 == 0 else StepBigraphon.uniform(vals))
+        seen["1 x n" if rows == 1 else "n x 1" if cols == 1 else "n x m"] += 1
+        for max_iter in (10**5, 4):
+            new = sinkhorn_outcome(sinkhorn_biregularize, w, max_iter)
+            old = sinkhorn_outcome(reference_sinkhorn, w, max_iter)
+            if isinstance(old, str):
+                assert new == old
+                seen["refused"] += 1
+            else:
+                assert np.array_equal(new.values, old.values) and new == old
+                seen["balanced"] += 1
+    assert seen["1 x n"] == seen["n x 1"] == 80 and seen["balanced"] >= 320, seen
+    assert seen["refused"] >= 20, seen
+
+
+def sampled_bigraphons(monkeypatch, grid):
+    """Every part `_sample_tuple` draws, every Sinkhorn result and every
+    color-restriction part of a few seeded runs at this grid."""
+    rng = np.random.default_rng(grid)
+    drawn = Counter()
+    for preset in ("uniform", "adversarial"):
+        for colors in ((0,), (1, 2, 3)):
+            for _ in range(10):
+                for _, w in testers._sample_tuple(rng, grid, colors, preset).parts:
+                    drawn["sampled"] += 1
+                    yield w
+        _, instances = drawn_instances(monkeypatch, "test_weak_domination", (cycle4(), rho()),
+                                       grid=grid, trials=20, seed=3, preset=preset)
+        for *_, w in instances:
+            drawn["sinkhorn"] += 1
+            yield w
+    _, instances = drawn_instances(monkeypatch, "test_color_restriction_trials",
+                                   (build_incidence(4, [2, 3]), [1]), grid=grid, trials=20,
+                                   seed=3)
+    for *_, ws in instances:
+        for _, w in ws.parts:
+            drawn["restricted"] += 1
+            yield w
+    assert drawn["sampled"] == 80 and drawn["sinkhorn"] >= 30 and drawn["restricted"] == 40
+
+
+@pytest.mark.parametrize("grid", [1, 4, 8, 16])
+def test_trusted_bigraphons_are_valid_and_frozen(monkeypatch, grid):
+    """What the samplers and Sinkhorn build unchecked equals its rebuild
+    through the checking constructor, and all three arrays are read-only."""
+    for w in sampled_bigraphons(monkeypatch, grid):
+        assert StepBigraphon(w.row_weights, w.col_weights, w.values) == w
+        for array in (w.values, w.row_weights, w.col_weights):
+            assert not array.flags.writeable
 
 
 def test_random_step_bigraphon():
