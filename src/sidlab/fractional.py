@@ -39,7 +39,7 @@ __all__ = [
 
 _BLOCK_CELLS = 1 << 20  # log terms per block of the profile batch
 PROFILE_CLASS_CAP = 200_000
-_PROFILE_CHUNK = 1 << 16  # profile x permutation x subset codes per batch
+_PROFILE_CHUNK = 1 << 16  # count vectors x permutations per batch
 
 
 @dataclass(frozen=True)
@@ -214,46 +214,51 @@ def compile_profiles(vertices: Sequence[str],
     verts = tuple(sorted(vertices))
     n = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
-    subsets = sorted({tuple(sorted(s)) for prof in profiles for s in prof})
+    subsets = sorted(tuple(sorted(s)) for s in {frozenset(s) for prof in profiles for s in prof})
     # each subset's table axes: its vertices' positions, the rest broadcast
     axes = [[pos[v] for v in sub] for sub in subsets]
+    sizes = sorted(set(map(len, subsets)))
     m = np.zeros((len(profiles), len(subsets)))
-    index = {sub: i for i, sub in enumerate(subsets)}
+    index = {frozenset(sub): i for i, sub in enumerate(subsets)}
     for pi, prof in enumerate(profiles):
         for s, wgt in prof.items():
-            m[pi, index[tuple(sorted(s))]] = wgt
+            m[pi, index[frozenset(s)]] = wgt
 
     def log_densities(w: StepBigraphon) -> np.ndarray:
         mu = w.row_weights
         rows = mu.size
         if np.any(w.values <= 0):
             raise ValueError("log-space batch needs strictly positive values")
-        logs = {k: np.log(dual_star_table(w, k)) for k in sorted(set(map(len, subsets)))}
-        tables = np.empty((len(subsets), rows ** n))
+        logs = {k: np.log(dual_star_table(w, k)) for k in sizes}
+        tables = np.empty((len(subsets),) + (rows,) * n)
         for si, sub_axes in enumerate(axes):
             shape = [1] * n
             for a in sub_axes:
                 shape[a] = rows
-            tables[si] = np.broadcast_to(logs[len(sub_axes)].reshape(shape),
-                                         (rows,) * n).reshape(-1)
+            tables[si] = logs[len(sub_axes)].reshape(shape)
+        tables = tables.reshape(len(subsets), rows ** n)
 
-        logw = np.zeros(rows ** n)
+        # every step from here on writes into the array it reads: a fresh
+        # array of this size per step costs more in page faults than its
+        # arithmetic, and the in-place ops give the same floats
+        logw = np.zeros((rows,) * n)
         if n:
             grid = np.log(np.asarray(mu))
-            full = np.zeros((rows,) * n)
             for j in range(n):
                 shape = [1] * n
                 shape[j] = rows
-                full = full + grid.reshape(shape)
-            logw = full.reshape(-1)
+                logw += grid.reshape(shape)
+        logw = logw.reshape(-1)
 
         out = np.empty(len(profiles))
         blocks = max(1, len(profiles) // max(2, _BLOCK_CELLS // tables.shape[1]))
         bounds = [len(profiles) * b // blocks for b in range(blocks + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
-            combined = m[lo:hi] @ tables + logw[None, :]
+            combined = m[lo:hi] @ tables
+            combined += logw
             peak = combined.max(axis=1, keepdims=True)
-            out[lo:hi] = peak[:, 0] + np.log(np.exp(combined - peak).sum(axis=1))
+            combined -= peak
+            out[lo:hi] = peak[:, 0] + np.log(np.exp(combined, out=combined).sum(axis=1))
         return out
     return log_densities
 
@@ -279,13 +284,29 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
     identifies exactly the induced subgraphs with isomorphic edge
     structure (isolated vertices do not affect any density).
 
-    Profiles are enumerated per left subset, counts in product order. Each
-    is coded as the sorted list of its (subset rank, count) pairs, where
-    subsets are ranked by their sorted tuples of vertex names; its class key
-    is the least such list over all left permutations, so the first profile
-    seen of each class represents it. Classes are ordered by their keys,
-    which is the order of the least relabeled, sorted (subset, count) list
-    of their representatives.
+    Profiles are enumerated per left subset A, counts in product order, and
+    the first profile seen of each class represents it. Classes are ordered
+    by the least relabeled, sorted (subset, count) list of their
+    representatives, with subsets ranked by their sorted tuples of vertex
+    names; that list is built only for representatives.
+
+    A subset A is skipped when its full profile (every type at its full
+    count) is of a class already seen. This is exact: a relabeling that
+    carries an earlier profile onto A's full profile carries each profile
+    below the earlier one (in every count) onto the matching profile below
+    A's, and the earlier profile's subset enumerated all of those, so A
+    would yield no new class. The cap counts every count vector before
+    skipping, so it refuses the same graphs whatever is skipped.
+
+    Classes are told apart without sorting. Under one relabeling, the
+    (subset, count) pairs of a profile sort by subset rank alone, so two
+    relabelings of one profile compare as their vectors over all subset
+    ranks, holding each subset's count, or most + 1 where it is absent.
+    Written as digits most + 1 - count (0 where absent) in base most + 1,
+    such a vector is a few integers below 2**53, one per word of ranks,
+    which one float product gives exactly for a batch of count vectors. A
+    class's key is their lexicographic maximum over all left permutations,
+    and the first permutation attaining it gives the representative's list.
     """
     left = g.left
     if len(left) > 8:
@@ -301,7 +322,9 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
             items = sorted(types.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
             total += math.prod(c + 1 for _, c in items)
             if total > PROFILE_CLASS_CAP:
-                raise GraphTooLargeError("too many induced subgraph classes")
+                raise GraphTooLargeError(
+                    f"induced-subgraph profiles: more than {PROFILE_CLASS_CAP:,} "
+                    "count vectors to enumerate (PROFILE_CLASS_CAP)")
             work.append(items)
 
     # subset-image table, uint8 under the 8-vertex cap: images[m, p] is the
@@ -317,42 +340,76 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
     order = sorted(range(1 << n), key=lambda m: [left[i] for i in range(n) if m >> i & 1])
     rank = np.empty(1 << n, dtype=np.int64)
     rank[order] = np.arange(1 << n)
-    # subset m held by c > 0 right vertices has code rank[m] * (most + 1) + c,
-    # which orders (subset, count) pairs as their name tuples do; an absent
-    # subset has code 0, so zeros lead a sorted list of codes
     most = max((c for items in work for _, c in items), default=0)
-    width = max(map(len, work))
-    dtype = np.min_scalar_type((most + 1) << n)
-    top = np.iinfo(dtype).max
-    chunk = max(1, _PROFILE_CHUNK // (len(perm_index) * max(width, 1)))
+    base = max(most, 1) + 1
+    digits = 1  # ranks per word: base ** digits stays exact in a float
+    while base ** (digits + 1) <= 1 << 53:
+        digits += 1
+    words = -(-(1 << n) // digits)
+    # each subset's word and its place value in that word, by mask
+    word_of, place_of = np.divmod(rank, digits)
+    place_of = (base ** (digits - 1 - place_of)).astype(float)
+    perms = len(perm_index)
+    chunk = max(1, _PROFILE_CHUNK // perms)
+    # a representative's (subset, count) pair under its best permutation has
+    # code rank * (most + 1) + count, which orders pairs as their name tuples
+    # do; `absent` pads a list past its last code
+    width = max(1, *map(len, work))
+    absent = (most + 1) << n
 
-    seen: dict[bytes, tuple[list[int], dict[frozenset, int]]] = {}
+    seen: set[bytes] = set()
+    found: list[dict[frozenset, int]] = []
+    lists = []
     for items in work:
-        codes = rank[images[[sum(bit[v] for v in s) for s, _ in items]].T].astype(dtype)
-        codes *= most + 1
+        image = images[np.array([sum(bit[v] for v in s) for s, _ in items], dtype=np.intp)]
+        word, place = word_of[image], place_of[image]
+
+        def keyed(counts):
+            """Each row's key words and the first permutation giving them.
+            A word is packed only for the permutations that some row still
+            holds at its best over the words before it."""
+            digit = np.where(counts > 0, base - counts, 0).astype(float)
+            keys = np.empty((len(counts), words), dtype=np.int64)
+            live, at, value = np.arange(perms), word, place
+            best = np.ones((len(counts), perms), dtype=bool)
+            for k in range(words):
+                vals = np.where(best, digit @ np.where(at == k, value, 0.0), -1.0)
+                keys[:, k] = top = vals.max(axis=1)
+                best = vals == top[:, None]
+                if k + 1 < words:
+                    keep = best.any(axis=0)
+                    live, best = live[keep], best[:, keep]
+                    at, value = at[:, keep], value[:, keep]
+            return keys, live[best.argmax(axis=1)]
+
+        if keyed(np.array([[c for _, c in items]]))[0].tobytes() in seen:
+            continue
         radices = [c + 1 for _, c in items]
         count = math.prod(radices)
         for start in range(0, count, chunk):
             index = np.arange(start, min(start + chunk, count))
-            counts = np.empty((len(index), len(items)), dtype=dtype)
+            counts = np.empty((len(index), len(items)), dtype=np.int64)
             for k in reversed(range(len(items))):
                 index, counts[:, k] = np.divmod(index, radices[k])
-            permuted = np.where(counts[:, None, :] > 0, codes + counts[:, None, :], 0)
-            permuted.sort(axis=2)
-            # the key is the least sorted code list over all permutations
-            keys = np.zeros((len(counts), width), dtype=dtype)
-            alive = np.ones(permuted.shape[:2], dtype=bool)
-            for k in range(len(items)):
-                vals = np.where(alive, permuted[:, :, k], top)
-                keys[:, width - len(items) + k] = low = vals.min(axis=1)
-                alive &= vals == low[:, None]
-            for row, key in zip(counts, keys):
-                code = key.tobytes()
+            keys, perm = keyed(counts)
+            new = []
+            for i, code in enumerate(keys.view(np.dtype((np.void, 8 * words))).ravel().tolist()):
                 if code not in seen:
-                    seen[code] = ([c for c in key.tolist() if c],
-                                  {s: int(c) for (s, _), c in zip(items, row) if c})
+                    seen.add(code)
+                    new.append(i)
+            if new:
+                rows = counts[new]
+                codes = np.full((len(new), width), absent)
+                codes[:, :len(items)] = np.where(
+                    rows > 0, rank[image[:, perm[new]]].T * (most + 1) + rows, absent)
+                codes.sort(axis=1)
+                lists.append(codes)
+                found += [{s: c for (s, _), c in zip(items, row) if c} for row in rows.tolist()]
 
-    return [profile for _, profile in sorted(seen.values(), key=lambda kp: kp[0])]
+    # classes in the order of their lists, a list before its extensions
+    codes = np.concatenate(lists)
+    codes[codes == absent] = 0
+    return [found[i] for i in np.lexsort(codes.T[::-1])]
 
 
 def _profile_edge_count(profile: Mapping[frozenset, float]) -> float:

@@ -248,6 +248,16 @@ def test_test_induced_sidorenko(tmp_path):
     assert read_json(rpath)["verdict"] == "holds-on-all-trials"
 
 
+def test_test_induced_sidorenko_refuses_past_the_profile_cap(tmp_path, capsys):
+    # incidence(5,{2,3}) has 2,066,122 count vectors; the refusal comes first
+    gpath = make_graph(tmp_path, "construct", "incidence", "--n", "5",
+                       "--uniformities", "2,3")
+    assert main(["test", "induced-sidorenko", str(gpath), "--trials", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "more than 200,000 count vectors to enumerate (PROFILE_CLASS_CAP)" in err
+    assert "Traceback" not in err
+
+
 README_OPTIONS = ("grid", "preset", "n", "colors")
 README_INPUTS = {"plain": "bigraph (edge colors ignored)",
                  "colored": "edge-colored bigraph",

@@ -1,5 +1,6 @@
 """Induced-subgraph profile classes against a reference that canonicalises
-every enumerated profile under every relabeling of the left side."""
+every enumerated profile under every relabeling of the left side, and
+against the unpruned enumerator on graphs whose subsets get skipped."""
 
 import itertools
 from collections import Counter
@@ -7,7 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sidlab.bigraph import Bigraph, book, cycle4, star
+from reference_enumeration import unpruned_profiles
+from sidlab.bigraph import Bigraph, book, cycle4, dual_star, star
 from sidlab.reflection import build_incidence
 from sidlab.testers import induced_subgraph_profiles
 
@@ -54,8 +56,8 @@ def random_bigraph(seed):
     return Bigraph(left, right, edges)
 
 
-def assert_same_classes(g):
-    got, want = induced_subgraph_profiles(g), reference_profiles(g)
+def assert_same_classes(g, reference=reference_profiles):
+    got, want = induced_subgraph_profiles(g), reference(g)
     assert got == want
     # dict equality ignores order; the witness encoder and the batch do not
     assert [list(p) for p in got] == [list(p) for p in want]
@@ -103,3 +105,41 @@ def test_profile_count_needs_a_wider_dtype():
     profiles = induced_subgraph_profiles(g)
     assert profiles == reference_profiles(g)
     assert len(profiles) == 1 + 2 * 300  # empty, then {a}: c and {a,b}: c
+
+
+def twinned_bigraph(seed):
+    """3 or 4 base left vertices, then twins (same right neighborhood) of
+    random base vertices up to 5 or 6 left vertices, and 2 to 5 right
+    vertices; swapping a twin pair maps a left subset holding one of them
+    onto another with the same full profile, so subsets are skipped."""
+    rng = np.random.default_rng([43, seed])
+    base = [f"b{i}" for i in range(int(rng.integers(3, 5)))]
+    right = [f"r{i}" for i in range(int(rng.integers(2, 6)))]
+    nbhd = {r: [v for v in base if rng.random() < 0.5] for r in right}
+    twins = {f"t{i}": base[int(rng.integers(len(base)))]
+             for i in range(int(rng.integers(5, 7)) - len(base))}
+    edges = [(v, r) for r in right for v in nbhd[r]]
+    edges += [(t, r) for t, v in twins.items() for r in right if v in nbhd[r]]
+    return Bigraph(base + list(twins), right, edges)
+
+
+PRUNED = {
+    "incidence(5,{2})": build_incidence(5, [2]).graph,
+    "incidence(5,{3})": build_incidence(5, [3]).graph,
+    "incidence(5,{4})": build_incidence(5, [4]).graph,
+    "incidence(6,{5})": build_incidence(6, [5]).graph,
+    "star(5)": star(5),
+    "dual_star(4)": dual_star(4),
+}
+
+
+@pytest.mark.parametrize("name", list(PRUNED))
+def test_skipping_subsets_keeps_the_unpruned_classes(name):
+    assert_same_classes(PRUNED[name], unpruned_profiles)
+
+
+def test_skipping_subsets_keeps_the_unpruned_classes_on_twinned_bigraphs():
+    for seed in range(20):
+        g = twinned_bigraph(seed)
+        assert len(g.left) in (5, 6)
+        assert_same_classes(g, unpruned_profiles)

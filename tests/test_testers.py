@@ -155,6 +155,13 @@ def test_induced_sidorenko_witness_replays():
     report = props.test_induced_sidorenko(cycle4(), trials=5, seed=14, tol=-0.5)
     assert report.verdict == VIOLATED
     assert replay_witness(report.witness) == report.worst_margin
+    # and at grids 1, 4 and 8 under both presets, on a graph with 228 classes
+    g = build_incidence(4, [2, 3]).graph
+    for grid, preset in itertools.product((1, 4, 8), ("uniform", "adversarial")):
+        report = props.test_induced_sidorenko(g, trials=12, grid=grid, seed=grid,
+                                              tol=-0.5, preset=preset)
+        assert report.verdict == VIOLATED
+        assert replay_witness(report.witness) == report.worst_margin, (grid, preset)
 
 
 # ---------------------------------------------------------------------------
