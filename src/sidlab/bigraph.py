@@ -69,6 +69,12 @@ class _VertexIndex:
             mask &= ~comp
         return comps
 
+    @functools.cached_property
+    def by_name(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """The vertex indices in name order, and their names."""
+        order = sorted(range(len(self.names)), key=self.names.__getitem__)
+        return tuple(order), tuple(self.names[i] for i in order)
+
 
 def _bits(mask: int):
     """The indices of the set bits of mask, lowest first."""

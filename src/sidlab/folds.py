@@ -8,16 +8,21 @@ left/right folding maps phi_L and phi_L* are endomorphisms.
 Inside sidlab a fold travels as an (image, left mask) pair over the indices
 of `Bigraph._index`; `Fold` is built only at the boundary: returns, JSON.
 This module is the only one that converts between the two: `_fold` builds
-a `Fold` from a pair, and `check_fold` returns the pair of the `Fold` it
-checked.
+a `Fold` from a pair, unchecked and in the graph's name order, and
+`check_fold` returns the pair of the `Fold` it checked.
+
+Completion runs per fixed-set layout: the components of G - Fix, with a
+representative and the smallest name of each, are found once per moved set
+(`_completer`). An involutive automorphism fixes Fix pointwise, so it permutes
+those components, each onto the component of its representative's image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
-from .bigraph import Bigraph, _bits, _maps, _named
+from .bigraph import Bigraph, _bits, _maps
 from .schema import check
 
 __all__ = [
@@ -81,31 +86,35 @@ def _cut_components(g: Bigraph, phi: Mapping[str, str]) -> str | list[int]:
     return comps
 
 
-def _complete(g: Bigraph, image: list[int], comps: list[int]) -> Optional[int]:
-    """The canonical left mask: of each swapped pair of comps, the one with
-    the smallest vertex name. Index order is name order within a side, so
-    the pair's smallest name is at its lowest left or its lowest right
-    index. None when `image` maps a component onto itself, as it does when
-    comps is one component (Fix is no cut), or when comps is empty."""
-    names, left_side = g._index.names, (1 << g.v1) - 1
-    left = taken = 0
-    for comp in comps:
-        img = sum(1 << image[i] for i in _bits(comp))
-        if img == comp:
-            return None
-        if not comp & taken:
-            pair = comp | img
-            taken |= pair
-            first = min((m & -m for m in (pair & left_side, pair & ~left_side) if m),
-                        key=lambda low: names[low.bit_length() - 1])
-            left |= comp if comp & first else img
-    return left or None
+def _completer(g: Bigraph, comps: list[int]) -> Callable[[list[int]], Optional[int]]:
+    """Completion for comps, the components of G - Fix: an involution moving
+    their vertices goes to its canonical left mask (of each swapped pair, the
+    component with the smallest name); None if one maps onto itself, or no comps."""
+    owner = {i: c for c, comp in enumerate(comps) for i in _bits(comp)}
+    reps = [(comp & -comp).bit_length() - 1 for comp in comps]
+    first = [min(map(g._index.names.__getitem__, _bits(comp))) for comp in comps]
+
+    def complete(image: list[int]) -> Optional[int]:
+        left = 0
+        for c, rep in enumerate(reps):
+            d = owner[image[rep]]
+            if d == c:
+                return None
+            if first[c] < first[d]:
+                left |= comps[c]
+        return left or None
+    return complete
 
 
 def _fold(g: Bigraph, image: list[int], left: int) -> Fold:
-    """The Fold of an (image, left mask) pair over g.vertices()."""
-    names = g._index.names
-    return Fold(_named(g, g, image), (names[i] for i in _bits(left)))
+    """The Fold of an (image, left mask) pair over g.vertices(), unchecked,
+    its items in the graph's name order, as sorting would give them."""
+    (order, sorted_names), name = g._index.by_name, g._index.names.__getitem__
+    fold = object.__new__(Fold)
+    values = map(name, map(image.__getitem__, order))
+    object.__setattr__(fold, "phi_items", tuple(zip(sorted_names, values)))
+    object.__setattr__(fold, "left", frozenset(map(name, _bits(left))))
+    return fold
 
 
 def is_cut_involution(g: Bigraph, phi: Mapping[str, str]) -> bool:
@@ -125,7 +134,7 @@ def complete_to_fold(g: Bigraph, phi: Mapping[str, str]) -> Optional[Fold]:
         raise ValueError("phi is not a cut-involution of g")
     pos = g._index.pos
     image = [pos[phi[v]] for v in g.vertices()]
-    left = _complete(g, image, comps)
+    left = _completer(g, comps)(image)
     return None if left is None else _fold(g, image, left)
 
 
@@ -161,15 +170,17 @@ def folding_maps(g: Bigraph, fold: Fold) -> tuple[dict[str, str], dict[str, str]
 
 def _fold_maps(g: Bigraph) -> list[tuple[list[int], int]]:
     """`enumerate_folds` as (image over g.vertices(), left mask) pairs."""
-    found = []
+    found, layouts = [], {}
     # the whole search runs before any filtering, so a refusal comes at once
     for image in list(_maps(g, g, involutive=True)):
         moved = sum(1 << i for i, j in enumerate(image) if i != j)
-        left = _complete(g, image, g._index.components(moved))
+        if moved not in layouts:
+            layouts[moved] = _completer(g, g._index.components(moved))
+        left = layouts[moved](image)
         if left is not None:
             found.append((image, left))
-    # images are compared on the same side, where index order is name order
-    found.sort(key=lambda pair: pair[0])
+    # images are distinct, compared on the same side, where index order is name order
+    found.sort()
     return found
 
 

@@ -12,19 +12,19 @@ pool.
 The search runs on integers. Its pool is (image, left mask) pairs (see
 `sidlab.folds`). A fold is checked once, where it enters: a supplied pool
 of `Fold`s is checked and converted, while the default and reflection
-pools are built as pairs and go to the search unchecked. Each pair is
-compiled once into an index array over the elements, so a preimage is a
-gather; each BFS level is a packed bit array, expanded in bounded chunks
-of rows. Candidates are deduplicated against one set of packed states in
-(state row, fold) order. A FIFO queue pops the states of one level in the
-order they were found and tries the folds in pool order, so that is the
-order a queue-based BFS meets them in; parents, certificates, state
-counts, and where the goal check and the budget stop fall, are therefore
-the same as for a queue. Parents are kept per level as (parent row, fold
-index) arrays, and a certificate's states are recomputed from its start
-element and folds; only its folds become `Fold`s. `verify_certificate`
-recomputes every preimage over frozensets, apart from the search, once per
-returned certificate.
+pools are built as pairs and go to the search unchecked. `_moves` compiles
+the stacked pool at once (one np.where gives every phi_L, one gather through
+an element lookup its moves), so a preimage is a gather; each BFS level is a
+packed bit array, expanded in bounded chunks of rows. Candidates are
+deduplicated against one set of packed states in (state row, fold) order. A
+FIFO queue pops the states of one level in the order they were found and
+tries the folds in pool order, so that is the order a queue-based BFS meets
+them in; parents, certificates, state counts, and where the goal check and
+the budget stop fall, are therefore the same as for a queue. Parents are
+kept per level as (parent row, fold index) arrays, and a certificate's
+states are recomputed from its start element and folds; only its folds
+become `Fold`s. `verify_certificate` recomputes every preimage over
+frozensets, apart from the search, once per returned certificate.
 """
 
 from __future__ import annotations
@@ -168,6 +168,25 @@ def verify_certificate(g: Bigraph, cert: PercolationCertificate) -> Verification
     return VerificationResult(True)
 
 
+def _moves(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]]) -> np.ndarray:
+    """The moves of `pool`, (image, left mask) pairs taken to be folds of g:
+    entry [f, i] is the position of element i's image under fold f's
+    left-folding map, so a state's preimage under f is state[moves[f]]."""
+    spec, v, nbytes = _MODES[mode], g.v, (g.v + 7) // 8
+    # each element's vertex indices, a left one first, as one code in base v
+    ends = np.array([spec.move(g._index.pos, x) for x in spec.elements(g)], dtype=np.intp)
+    ends = ends.reshape(len(ends), -1)
+    radix = v ** np.arange(ends.shape[1])[::-1]
+    lookup = np.zeros(g.v1 * radix[0], dtype=np.intp)
+    lookup[ends @ radix] = np.arange(len(ends))
+    # phi_L is the identity on the left mask and the image elsewhere
+    lefts = np.frombuffer(b"".join(left.to_bytes(nbytes, "little") for _, left in pool),
+                          dtype=np.uint8).reshape(len(pool), nbytes)
+    lefts = np.unpackbits(lefts, axis=1, count=v, bitorder="little")
+    images = np.array([image for image, _ in pool], dtype=np.intp).reshape(len(pool), v)
+    return lookup[np.where(lefts, np.arange(v), images)[:, ends] @ radix]
+
+
 def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
             budget: int) -> PercolationCertificate | NotFound:
     """BFS over `pool`, (image, left mask) pairs taken to be folds of g, from
@@ -175,18 +194,9 @@ def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
     count as explored; the search stops with `budget` once more than budget
     states are explored, before any expansion when the start states alone
     are more than budget (unless one of them is the goal)."""
-    spec = _MODES[mode]
-    elements = spec.elements(g)
+    elements = _MODES[mode].elements(g)
     n, n_folds = len(elements), len(pool)
-    # each element over vertex indices, and its position among the elements
-    where = {spec.move(g._index.pos, x): i for i, x in enumerate(elements)}
-    # imgs[f, i] is the index of element i's image under fold f's
-    # left-folding map, so a state's preimage under f is state[imgs[f]]
-    table = []
-    for image, left in pool:
-        phi_l = [i if left >> i & 1 else j for i, j in enumerate(image)]
-        table.append([where[spec.move(phi_l, k)] for k in where])
-    imgs = np.array(table, dtype=np.intp).reshape(n_folds, n)
+    imgs = _moves(g, mode, pool)
     # states are packed to whole bytes; padding bits are zero, so index n
     # (a padding bit whenever padding exists) pads each row of imgs too
     nbytes = (n + 7) // 8

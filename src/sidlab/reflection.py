@@ -17,7 +17,9 @@ import itertools
 import re
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .bigraph import Bigraph, ColoredBigraph
 from .folds import Fold, _fold
@@ -130,14 +132,17 @@ class IncidenceBigraph:
         return ColoredBigraph(Bigraph(left, right, colors), colors)
 
     @functools.cached_property
-    def _right_index(self) -> dict[tuple[int, int], int]:
-        """The vertex index in `graph` of each right vertex, by (point mask,
-        slot), enumerated as in `colored`; bit v - 1 of a point mask is set
-        iff point v is in the subset."""
-        pos = self.graph._index.pos
-        return {(sum(1 << v - 1 for v in subset), slot): pos[right_id(subset, slot)]
-                for slot, k in enumerate(self.uniformities, start=1)
-                for subset in itertools.combinations(range(1, self.n + 1), k)}
+    def _slots(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The points (the left side), then each slot's subsets, as point
+        masks in increasing order (bit p - 1 is set iff p is in; Python ints
+        past 63 points) and the vertex index in `graph` of each."""
+        pos, points = self.graph._index.pos, range(1, self.n + 1)
+        slots = [[(1 << p - 1, pos[str(p)]) for p in points]]
+        slots += [[(sum(1 << p - 1 for p in s), pos[right_id(s, slot)])
+                   for s in itertools.combinations(points, k)]
+                  for slot, k in enumerate(self.uniformities, start=1)]
+        return [(np.array(masks, dtype=np.int64 if self.n < 64 else object), np.array(verts))
+                for masks, verts in (zip(*sorted(slot)) for slot in slots)]
 
     @classmethod
     def from_bigraph(cls, g: Bigraph) -> "IncidenceBigraph":
@@ -168,33 +173,31 @@ def build_incidence(n: int, ks: Sequence[int]) -> ColoredBigraph:
     return IncidenceBigraph(n, ks).colored
 
 
-def _reflection_pair(ib: IncidenceBigraph, a: int, b: int) -> tuple[list[int], int]:
-    """The fold of t_{ab} as an (image, left mask) pair over ib.graph.vertices().
-    L holds a and each subset that has a but not b (the chamber rule)."""
-    pos, right = ib.graph._index.pos, ib._right_index
-    image = list(range(len(pos)))
-    i, j = pos[str(a)], pos[str(b)]
-    image[i], image[j] = j, i
-    left = 1 << i
-    bit_a, bit_b = 1 << a - 1, 1 << b - 1
-    for (mask, slot), u in right.items():
-        if mask & bit_a and not mask & bit_b:
-            w = right[mask ^ bit_a ^ bit_b, slot]
-            image[u], image[w] = w, u
-            left |= 1 << u
-    return image, left
-
-
-def _reflection_pairs(ib: IncidenceBigraph) -> list[tuple[list[int], int]]:
-    """The pairs of all C(n,2) transposition folds, ordered by (a, b)."""
-    return [_reflection_pair(ib, a, b) for a, b in TypeAReflectionSystem(ib.n).reflections()]
+def _reflection_pairs(ib: IncidenceBigraph, ab: Optional[Sequence] = None
+                      ) -> list[tuple[list[int], int]]:
+    """The folds of the transpositions t_{ab} in `ab` (all C(n,2) by default,
+    ordered by (a, b)) as (image, left mask) pairs over ib.graph.vertices().
+    L holds each point or subset that has a but not b (the chamber rule)."""
+    ab = np.array(TypeAReflectionSystem(ib.n).reflections() if ab is None else ab,
+                  dtype=np.intp).reshape(-1, 2)
+    v, rows = ib.graph.v, np.arange(len(ab))[:, None]
+    images, lefts = np.tile(np.arange(v), (len(ab), 1)), np.zeros((len(ab), v), dtype=bool)
+    for masks, verts in ib._slots:
+        # bits a and b of every mask, for all transpositions at once
+        bit_a, bit_b = np.left_shift(1, (ab.T[:, :, None] - 1).astype(masks.dtype))
+        has_a, has_b = masks & bit_a != 0, masks & bit_b != 0
+        swapped = np.where(has_a != has_b, masks ^ (bit_a | bit_b), masks)
+        images[rows, verts] = verts[np.searchsorted(masks, swapped)]
+        lefts[rows, verts] = has_a & ~has_b
+    return [(image, int.from_bytes(row.tobytes(), "little"))
+            for image, row in zip(images.tolist(), np.packbits(lefts, 1, bitorder="little"))]
 
 
 def reflection_fold(ib: IncidenceBigraph, a: int, b: int) -> Fold:
     """The fold induced by the transposition t_{ab} (1 <= a < b <= n)."""
     if not (1 <= a < b <= ib.n):
         raise ValueError(f"need 1 <= a < b <= n, got a={a}, b={b}")
-    return _fold(ib.graph, *_reflection_pair(ib, a, b))
+    return _fold(ib.graph, *_reflection_pairs(ib, [(a, b)])[0])
 
 
 def reflection_fold_pool(ib: IncidenceBigraph) -> list[Fold]:

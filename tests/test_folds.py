@@ -202,6 +202,12 @@ def test_enumerate_folds_deterministic():
     assert enumerate_folds(cycle4()) == enumerate_folds(cycle4())
 
 
+def test_enumerate_folds_star10_count():
+    # each of the 9,496 involutions of the leaves but the identity swaps
+    # isolated leaves of G - Fix in pairs, so it completes to one fold
+    assert len(enumerate_folds(star(10))) == 9495
+
+
 # ---------------------------------------------------------------------------
 # JSON
 

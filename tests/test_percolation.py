@@ -5,11 +5,13 @@ import math
 import sys
 
 import pytest
+from test_oracles import GRAPHS
 
 from sidlab.bigraph import Bigraph, amalgamate_left, book, cycle4, rho, star
 from sidlab.cli import main
-from sidlab.folds import Fold, check_fold, complete_to_fold, enumerate_folds
+from sidlab.folds import Fold, _fold_maps, check_fold, complete_to_fold, enumerate_folds
 from sidlab.percolation import (
+    _MODES,
     DEFAULT_BUDGET,
     NotFound,
     PercolationCertificate,
@@ -17,12 +19,18 @@ from sidlab.percolation import (
     certificate_from_json,
     certificate_to_json,
     find_cut_percolating,
+    _moves,
     find_left_cut_percolating,
     lift_certificate,
     project_to_left,
     verify_certificate,
 )
-from sidlab.reflection import IncidenceBigraph, reflection_fold, reflection_fold_pool
+from sidlab.reflection import (
+    IncidenceBigraph,
+    _reflection_pairs,
+    reflection_fold,
+    reflection_fold_pool,
+)
 from sidlab.testers import test_cs_tree as run_cs_tree
 
 
@@ -437,6 +445,39 @@ def test_cs_tree_checks_a_supplied_pool_once(monkeypatch):
     pool = enumerate_folds(g)[:4]
     assert run_cs_tree(g, trials=200, fold_pool=pool).trials == 200
     assert len(checks) == len(pool)
+
+
+# ---------------------------------------------------------------------------
+# the move table against each fold's left-folding map
+
+
+def assert_moves_are_left_map_preimages(g, pairs, folds):
+    """Row f of the compiled table holds, element by element, the position
+    of the element's image under folds[f].left_map(), so state[row] is the
+    state's preimage."""
+    for mode, spec in _MODES.items():
+        elements = spec.elements(g)
+        if not elements:  # both searches refuse an empty element set
+            continue
+        where = {x: i for i, x in enumerate(elements)}
+        table = _moves(g, mode, pairs)
+        assert table.shape == (len(folds), len(elements))
+        for row, fold in zip(table.tolist(), folds):
+            phi_l = fold.left_map()
+            assert row == [where[spec.move(phi_l, x)] for x in elements]
+
+
+@pytest.mark.parametrize("name", [name for name, g in GRAPHS.items() if _fold_maps(g)])
+def test_default_pool_moves_match_left_maps(name):
+    g = GRAPHS[name]
+    assert_moves_are_left_map_preimages(g, _fold_maps(g), enumerate_folds(g))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_reflection_pool_moves_match_left_maps(n):
+    ib = IncidenceBigraph(n, [2, 3])
+    assert_moves_are_left_map_preimages(ib.graph, _reflection_pairs(ib),
+                                        reflection_fold_pool(ib))
 
 
 # ---------------------------------------------------------------------------
