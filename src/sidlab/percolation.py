@@ -10,21 +10,21 @@ subsets, so returned certificates are shortest within the supplied fold
 pool.
 
 The search runs on integers. Its pool is (image, left mask) pairs (see
-`sidlab.folds`). A fold is checked once, where it enters: a supplied pool
-of `Fold`s is checked and converted, while the default and reflection
-pools are built as pairs and go to the search unchecked. `_moves` compiles
-the stacked pool at once (one np.where gives every phi_L, one gather through
-an element lookup its moves), so a preimage is a gather; each BFS level is a
-packed bit array, expanded in bounded chunks of rows. Candidates are
-deduplicated against one set of packed states in (state row, fold) order. A
-FIFO queue pops the states of one level in the order they were found and
-tries the folds in pool order, so that is the order a queue-based BFS meets
-them in; parents, certificates, state counts, and where the goal check and
-the budget stop fall, are therefore the same as for a queue. Parents are
-kept per level as (parent row, fold index) arrays, and a certificate's
-states are recomputed from its start element and folds; only its folds
-become `Fold`s. `verify_certificate` recomputes every preimage over
-frozensets, apart from the search, once per returned certificate.
+`sidlab.folds`). A fold is checked once, where it enters: a supplied pool of
+`Fold`s is checked and converted, while the default and reflection pools are
+built as pairs and go to the search unchecked. `_moves` compiles the stacked
+pool at once (one np.where gives every phi_L, one gather through an element
+lookup its moves), so a preimage is a gather; each BFS level is a packed bit
+array, expanded in bounded chunks of rows. A chunk's candidates are
+deduplicated by sorting their keys and searching sorted tiers of the states
+seen (see `_search`), keeping the first occurrence of each in the order a
+queue-based BFS meets them; parents, certificates, state counts, and where
+the goal check and the budget stop fall, are therefore the same as for a
+queue. Parents are kept per level as one array of parent row * pool size +
+fold index, and a certificate's states are recomputed from its start element
+and folds; only its folds become `Fold`s. `verify_certificate` recomputes
+every preimage over frozensets, apart from the search, once per returned
+certificate.
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ DEFAULT_BUDGET = 10**6
 # frontier rows expanded together are capped so that one chunk gathers at
 # most about this many candidate cells (one byte each before packing)
 _CHUNK_CELLS = 1 << 20
+
+# each tier of seen states is kept at least this many times as long as the
+# next, so a search visits few tiers and a state is merged a few times in all
+_TIER_RATIO = 8
 
 LeftState = frozenset[str]
 EdgeState = frozenset[tuple[str, str]]
@@ -187,20 +191,131 @@ def _moves(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]]) -> np.n
     return lookup[np.where(lefts, np.arange(v), images)[:, ends] @ radix]
 
 
+# an odd constant (2^64 over the golden ratio) that mixes words into a key
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _words(states: np.ndarray) -> np.ndarray:
+    """Packed states, one void item each, as rows of uint64 words."""
+    return states.view(np.uint64).reshape(len(states), states.itemsize // 8)
+
+
+def _keys(states: np.ndarray) -> tuple[np.ndarray, bool]:
+    """One uint64 key per packed state, and whether a key identifies its
+    state: a one-word state is its own key; wider ones are keyed by a mix
+    of their words, which unequal states may share."""
+    if states.itemsize == 8:
+        return states.view(np.uint64), True
+    words = _words(states)
+    keys = words[:, 0]
+    for j in range(1, words.shape[1]):
+        keys = ((keys ^ (keys >> np.uint64(29))) * _MIX) ^ words[:, j]
+    return keys, False
+
+
+def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether packed states a[i] and b[i] differ, compared word by word."""
+    a, b = _words(a), _words(b)
+    out = a[:, 0] != b[:, 0]
+    for j in range(1, a.shape[1]):
+        out |= a[:, j] != b[:, j]
+    return out
+
+
+def _merge(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Two tiers of (sorted keys, their states) as one, without a sort."""
+    (keys_a, states_a), (keys_b, states_b) = a, b
+    at = np.searchsorted(keys_a, keys_b, side="right") + np.arange(len(keys_b))
+    keep = np.ones(len(keys_a) + len(keys_b), dtype=bool)
+    keep[at] = False
+    keys, states = np.empty(len(keep), keys_a.dtype), np.empty(len(keep), states_a.dtype)
+    keys[keep], keys[at] = keys_a, keys_b
+    states[keep], states[at] = states_a, states_b
+    return keys, states
+
+
+def _fresh(cands: np.ndarray, seen: list[tuple[np.ndarray, np.ndarray]]
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The first occurrence of each candidate state not in `seen`, as
+    ascending candidate indices, and their keys; those states are added to
+    `seen`, a list of tiers (sorted keys, their states).
+
+    One argsort groups the candidates by key, and the smallest index in a
+    run of equal keys is the run's first occurrence; a search of each tier
+    drops the runs already seen. Where keys do not identify states, a run
+    whose states differ, or whose key a tier holds first for another
+    state, holds a key collision: its states are compared whole, in index
+    order, with every seen state of that key."""
+    keys, exact = _keys(cands)
+    order = keys.argsort()
+    sorted_keys = keys[order]
+    new_run = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    starts = new_run.nonzero()[0]
+    first = np.minimum.reduceat(order, starts)
+    run_keys = sorted_keys[starts]
+    unseen = np.ones(len(starts), dtype=bool)
+    if not exact:  # runs of unequal states hold collisions
+        sorted_states = cands[order]
+        differ = _differ(sorted_states[1:], sorted_states[:-1]) & ~new_run[1:]
+        clash = np.logical_or.reduceat(np.concatenate(([False], differ)), starts)
+    for tier_keys, tier_states in seen:
+        at = tier_keys.searchsorted(run_keys)
+        hit = tier_keys.take(at, mode="clip") == run_keys
+        unseen[hit] = False
+        if not exact:  # so do runs whose key the tier holds first for another state
+            found = hit.nonzero()[0]
+            clash[found] |= _differ(tier_states[at[found]], cands[first[found]])
+    if exact or not clash.any():
+        fresh = first[unseen]
+    else:
+        fresh = first[unseen & ~clash]
+        ends = np.append(starts[1:], len(keys))
+        extra = []
+        for r in clash.nonzero()[0]:
+            key = run_keys[r]
+            known = {state.tobytes() for tier_keys, tier_states in seen
+                     for state in tier_states[tier_keys.searchsorted(key):
+                                              tier_keys.searchsorted(key, side="right")]}
+            for i in np.sort(order[starts[r]:ends[r]]):
+                state = cands[i].tobytes()
+                if state not in known:
+                    known.add(state)
+                    extra.append(i)
+        fresh = np.concatenate([fresh, np.array(extra, dtype=fresh.dtype)])
+        fresh = fresh[np.argsort(keys[fresh], kind="stable")]
+    # fresh is in key order, so it is a tier
+    if len(fresh):
+        seen.append((keys[fresh], cands[fresh]))
+    while len(seen) > 1 and _TIER_RATIO * len(seen[-1][0]) > len(seen[-2][0]):
+        seen[-2:] = [_merge(*seen[-2:])]
+    fresh.sort()
+    return fresh, keys[fresh]
+
+
 def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
             budget: int) -> PercolationCertificate | NotFound:
     """BFS over `pool`, (image, left mask) pairs taken to be folds of g, from
     every singleton state to the set of all elements. The start states
     count as explored; the search stops with `budget` once more than budget
     states are explored, before any expansion when the start states alone
-    are more than budget (unless one of them is the goal)."""
+    are more than budget (unless one of them is the goal, which is answered
+    without reading the pool).
+
+    A state is packed into whole uint64 words, one void item per state.
+    Its key is its word when it has one (up to 64 elements), so that the
+    key is the state; a wider state is keyed by a mix of its words, and
+    states that share a key are told apart by comparing them word by word
+    (see `_fresh`), so a collision costs time but never merges two states.
+    A chunk's candidates are in (state row, fold) order. A FIFO queue pops
+    a level's states in the order they were found and tries the folds in
+    pool order, so this is the order in which it meets them, and the first
+    occurrence of each state that no earlier chunk found is the state it
+    enqueues: fresh states, their order, parents and fold indices, the
+    state count, and where the goal check and the budget stop fall, are
+    the same as for the queue."""
     elements = _MODES[mode].elements(g)
     n, n_folds = len(elements), len(pool)
-    imgs = _moves(g, mode, pool)
-    # states are packed to whole bytes; padding bits are zero, so index n
-    # (a padding bit whenever padding exists) pads each row of imgs too
-    nbytes = (n + 7) // 8
-    gather = np.pad(imgs, ((0, 0), (0, 8 * nbytes - n)), constant_values=n)
 
     def build(start: int, fold_idx: list[int]) -> PercolationCertificate:
         state = np.zeros(n, dtype=bool)
@@ -217,65 +332,88 @@ def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
             raise AssertionError(f"search produced an invalid certificate: {res.reason}")
         return cert
 
-    frontier = np.packbits(np.eye(n, dtype=bool), axis=1)
-    key_type = np.dtype((np.void, nbytes))
-    goal = np.packbits(np.ones(n, dtype=bool)).tobytes()
-    # the empty state is never explored; seeding it skips empty preimages
-    seen = set(frontier.view(key_type).ravel().tolist()) | {bytes(nbytes)}
-    if goal in seen:
+    if n == 1:
         return build(0, [])
     explored = n
     if explored > budget:
         return NotFound("budget", explored)
-    # per level after the first: each state's parent row and fold index
-    parents: list[tuple[np.ndarray, np.ndarray]] = []
+    imgs = _moves(g, mode, pool)
+    # states are packed to whole bytes, then to whole words; padding bits
+    # are zero, so index n (a padding bit whenever padding exists) pads
+    # each row of imgs too
+    nbytes, width = (n + 7) // 8, 8 * ((n + 63) // 64)
+    gather = np.full((n_folds, 8 * nbytes), n)
+    gather[:, :n] = imgs
+    state_type = np.dtype((np.void, width))
+
+    def pack(bits: np.ndarray) -> np.ndarray:
+        """Rows of 8 * nbytes bits (the last axis) as packed states:
+        zero-padded whole words, one void item each, so that gathers and
+        merges move single items."""
+        packed = np.packbits(bits).reshape(-1, nbytes)
+        out = np.zeros((len(packed), width), dtype=np.uint8)
+        out[:, :nbytes] = packed
+        return out.view(state_type).ravel()
+
+    # the singletons, the empty state and the goal
+    bits = np.eye(n + 2, 8 * nbytes, dtype=bool)
+    bits[n] = False
+    bits[n + 1] = np.arange(8 * nbytes) < n
+    initial = pack(bits)
+    keys = _keys(initial)[0]
+    frontier, goal, goal_key = initial[:n], initial[n + 1:], keys[n + 1]
+    # the empty state is never explored; seeding it skips empty preimages
+    order = keys[:n + 1].argsort()
+    seen = [(keys[order], initial[order])]
+    # per level after the first: each state's candidate index in its level,
+    # parent row * n_folds + fold index
+    parents: list[np.ndarray] = []
     rows_per_chunk = max(1, _CHUNK_CELLS // max(1, n_folds * n))
     while len(frontier) and n_folds:
-        level_rows, level_parents, level_folds = [], [], []
+        level_rows, level_parents = [], []
         for lo in range(0, len(frontier), rows_per_chunk):
             # one row of bits per element, so the gather copies whole rows
-            bits = np.unpackbits(frontier[lo:lo + rows_per_chunk], axis=1).T.copy()
+            states = frontier[lo:lo + rows_per_chunk]
+            bits = np.unpackbits(states.view(np.uint8).reshape(len(states), width)[:, :nbytes].T,
+                                 axis=0)
             # candidates in (state row, fold) order, which is the order a
             # FIFO queue would generate them in
-            cands = np.packbits(bits[gather].transpose(2, 0, 1).ravel())
-            cands = cands.reshape(-1, nbytes)
-            keys = cands.view(key_type).ravel().tolist()
-            fresh = []
-            for k, key in enumerate(keys):
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(k)
-            if not fresh:
+            cands = pack(bits[gather].transpose(2, 0, 1))
+            fresh, fresh_keys = _fresh(cands, seen)
+            if not len(fresh):
                 continue
             over = budget - explored  # fresh[over] would pass the budget
-            if goal in seen:
-                j = next(j for j, k in enumerate(fresh) if keys[k] == goal)
-                if j <= over:
-                    row, f = divmod(fresh[j], n_folds)
-                    row += lo
-                    fold_idx = [f]
-                    for rows, folds in reversed(parents):
-                        fold_idx.append(int(folds[row]))
-                        row = int(rows[row])
-                    return build(row, fold_idx[::-1])
+            found = cands[fresh]
+            at_goal = (fresh_keys == goal_key).nonzero()[0]
+            if len(at_goal):
+                at_goal = at_goal[~_differ(found[at_goal], goal)]
+            if len(at_goal) and at_goal[0] <= over:
+                row, f = divmod(int(fresh[at_goal[0]]) + lo * n_folds, n_folds)
+                fold_idx = [f]
+                for level in reversed(parents):
+                    row, f = divmod(int(level[row]), n_folds)
+                    fold_idx.append(f)
+                return build(row, fold_idx[::-1])
             if len(fresh) > over:
                 return NotFound("budget", budget + 1)
             explored += len(fresh)
-            fresh_idx = np.array(fresh)
-            level_rows.append(cands[fresh_idx])
-            level_parents.append(lo + fresh_idx // n_folds)
-            level_folds.append(fresh_idx % n_folds)
+            level_rows.append(found)
+            level_parents.append(fresh + lo * n_folds)
         if not level_rows:
             break
         frontier = np.concatenate(level_rows)
-        parents.append((np.concatenate(level_parents), np.concatenate(level_folds)))
+        parents.append(np.concatenate(level_parents))
     return NotFound("exhausted", explored)
 
 
-def _resolve_pool(g: Bigraph, fold_pool: Optional[Sequence[Fold]]) -> list[tuple[list[int], int]]:
-    if fold_pool is None:
-        return _fold_maps(g)
-    return [check_fold(g, f) for f in fold_pool]
+def _resolve_pool(g: Bigraph, fold_pool: Optional[Sequence[Fold]], elements: int
+                  ) -> list[tuple[list[int], int]]:
+    """A supplied pool, each fold checked; else every fold of g, unless the
+    search has a single element, whose start state `_search` answers
+    without reading the pool."""
+    if fold_pool is not None:
+        return [check_fold(g, f) for f in fold_pool]
+    return [] if elements == 1 else _fold_maps(g)
 
 
 def find_left_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = None,
@@ -288,7 +426,7 @@ def find_left_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = 
     """
     if g.v1 == 0:
         raise ValueError("graph has an empty left side")
-    return _search(g, "left", _resolve_pool(g, fold_pool), budget)
+    return _search(g, "left", _resolve_pool(g, fold_pool, g.v1), budget)
 
 
 def find_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = None,
@@ -297,7 +435,7 @@ def find_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = None,
     """Shortest edge-mode certificate within the pool, or NotFound."""
     if g.e == 0:
         raise ValueError("graph has no edges")
-    return _search(g, "edge", _resolve_pool(g, fold_pool), budget)
+    return _search(g, "edge", _resolve_pool(g, fold_pool, g.e), budget)
 
 
 def lift_certificate(parts: Sequence[Bigraph], base_cert: PercolationCertificate,

@@ -43,7 +43,7 @@ def parse_right_id(rid: str) -> tuple[frozenset[int], int]:
     m = _RIGHT_ID.match(rid)
     if not m:
         raise ValueError(f"not an incidence right-vertex id: {rid!r}")
-    return frozenset(int(x) for x in m.group(1).split(",")), int(m.group(2))
+    return frozenset(map(int, m.group(1).split(","))), int(m.group(2))
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class IncidenceBigraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "uniformities", ks)
 
-    @property
+    @functools.cached_property
     def graph(self) -> Bigraph:
         return self.colored.graph
 
@@ -146,26 +146,38 @@ class IncidenceBigraph:
 
     @classmethod
     def from_bigraph(cls, g: Bigraph) -> "IncidenceBigraph":
-        """Recover (n, uniformities) from a graph produced by build_incidence."""
+        """Recover (n, uniformities) from a graph produced by build_incidence.
+
+        The right ids are parsed and each right vertex's adjacency mask is
+        compared with the points of its subset, so no candidate graph is
+        built; g itself becomes the result's graph."""
         if not all(v.isdigit() for v in g.left):
             raise ValueError("left vertices are not points 1..n")
         points = sorted(int(v) for v in g.left)
         n = len(points)
         if points != list(range(1, n + 1)):
             raise ValueError("left side must be exactly 1..n")
+        parsed = [parse_right_id(rid) for rid in g.right]
         slots: dict[int, set[int]] = {}
-        for rid in g.right:
-            subset, slot = parse_right_id(rid)
+        for subset, slot in parsed:
             slots.setdefault(slot, set()).add(len(subset))
         ks = []
         for slot in range(1, len(slots) + 1):
             if slot not in slots or len(slots[slot]) != 1:
                 raise ValueError("slots must be 1..t with one uniformity each")
             ks.append(slots[slot].pop())
-        candidate = cls(n, ks)
-        if candidate.graph != g:
+        found = cls(n, ks)
+        index = g._index
+        bit = {p: 1 << index.pos[str(p)] for p in range(1, n + 1) if str(p) in index.pos}
+        # canonical names, every subset of each slot once (the ids are
+        # distinct), and each right vertex adjacent to exactly its points
+        if len(bit) != n or g.v2 != sum(comb(n, k) for k in ks) or any(
+                rid != right_id(subset, slot) or not subset <= bit.keys()
+                or adj != sum(bit[p] for p in subset)
+                for rid, (subset, slot), adj in zip(g.right, parsed, index.adj[n:])):
             raise ValueError("graph is not a complete-hypergraph incidence bigraph")
-        return candidate
+        object.__setattr__(found, "graph", g)
+        return found
 
 
 def build_incidence(n: int, ks: Sequence[int]) -> ColoredBigraph:

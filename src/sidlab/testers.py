@@ -532,24 +532,43 @@ def _pair_color(t: int, base_color: int, offset: int) -> int:
 def _left_weak_holder_margins(instances: Sequence[tuple]) -> list[float]:
     h, = _shared(instances)
     g = h.graph
-    offset = max(h.color_set()) + 1
+    base = h.color_set()
+    offset = max(base) + 1
+    edges = g.sorted_edges()
     colors = h.colors
+    edge_colors = [colors[e] for e in edges]
+    # every left-constant coloring t * offset + c(e) reads its codes in the
+    # order of base, so all of them share one index
+    rank = {c: i for i, c in enumerate(base)}
+    constant = [rank[c] for c in edge_colors]
 
-    def paired(label):
-        return {e: _pair_color(label(e[0]), c, offset) for e, c in colors.items()}
+    def trial(parts, codes, index, ws):
+        for c in codes:
+            if c not in parts:
+                raise ValueError(f"tuple missing bigraphon for color {c}")
+        return [parts[c].values for c in codes], index, ws.row_weights, ws.col_weights, ()
     # the product coloring, then the left-constant one of each label used
-    labels = [list(dict.fromkeys(ell[v] for v in g.left)) for _, ell, _ in instances]
-    logs = _colored_logs(g, [[(paired(ell.get), ws)]
-                             + [(paired(lambda _: t), ws) for t in ts]
-                             for (_, ell, ws), ts in zip(instances, labels)])
-    log_rhs = []
-    for (_, ell, _), ts, (_, *rest) in zip(instances, labels, logs):
-        per_label = dict(zip(ts, rest))
+    labels, trials = [], []
+    for _, ell, ws in instances:
+        parts = dict(ws.parts)
+        codes = [_pair_color(ell[l], c, offset) for (l, _), c in zip(edges, edge_colors)]
+        used = sorted(set(codes))
+        position = {c: i for i, c in enumerate(used)}
+        ts = list(dict.fromkeys(ell[v] for v in g.left))
+        labels.append(ts)
+        trials.append(trial(parts, used, [position[c] for c in codes], ws))
+        trials += [trial(parts, [_pair_color(t, c, offset) for c in base], constant, ws)
+                   for t in ts]
+    logs = map(math.log, _graph_densities(g, trials))
+    log_lhs, log_rhs = [], []
+    for (_, ell, _), ts in zip(instances, labels):
+        log_lhs.append(next(logs))
+        per_label = {t: next(logs) for t in ts}
         total = 0.0
         for v in g.left:
             total += per_label[ell[v]] / g.v1
         log_rhs.append(total)
-    return _log_ratio_margins(log_rhs, (log_lhs for log_lhs, *_ in logs))
+    return _log_ratio_margins(log_rhs, log_lhs)
 
 
 def test_left_weak_holder(h: ColoredBigraph, trials: int = 200, grid: int = 4,
@@ -564,13 +583,13 @@ def test_left_weak_holder(h: ColoredBigraph, trials: int = 200, grid: int = 4,
         return _precondition_report("left-weak-holder", "not left-color-regular",
                                     seed, tol)
     g = h.graph
+    base = h.color_set()
 
     def sample(rng):
         n_colors, ell = _random_labels(rng, g.left, 3)
-        offset = max(h.color_set()) + 1
+        offset = max(base) + 1
         pair_colors = sorted({_pair_color(t, c, offset)
-                              for t in range(1, n_colors + 1)
-                              for c in h.color_set()})
+                              for t in range(1, n_colors + 1) for c in base})
         return h, ell, _sample_tuple(rng, grid, pair_colors, preset)
     # without left vertices or edges the bound holds vacuously; no trials run
     return _run("left-weak-holder", sample, trials if g.v1 and g.e else 0, seed, tol)

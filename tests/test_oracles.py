@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import reference_search as ref
+from sidlab import percolation
 from sidlab.bigraph import (
     Bigraph,
     Flag,
@@ -158,8 +159,8 @@ def search_cases():
     return out
 
 
-@pytest.mark.parametrize("mode", list(SEARCHES))
-def test_searches_match_reference(mode):
+def compare_searches(mode):
+    """The number of (case, budget) searches that equal the reference."""
     compared = 0
     for name, g, pool, ref_pool in search_cases():
         starts = g.v1 if mode == "left" else g.e
@@ -172,4 +173,32 @@ def test_searches_match_reference(mode):
             got = SEARCHES[mode](g, pool, budget=budget)
             assert got == ref.search(g, mode, ref_pool, budget), (name, budget)
             compared += 1
-    assert compared > 250
+    return compared
+
+
+@pytest.mark.parametrize("mode", list(SEARCHES))
+def test_searches_match_reference(mode):
+    assert compare_searches(mode) > 250
+
+
+def popcount_keys(states):
+    """A coarse key for `percolation._keys`: the number of elements in the
+    state, which unequal states share."""
+    bits = np.unpackbits(states.view(np.uint8).reshape(len(states), states.itemsize), axis=1)
+    return bits.sum(1, dtype=np.uint64), False
+
+
+@pytest.mark.parametrize("mode", list(SEARCHES))
+def test_searches_match_reference_under_key_collisions(monkeypatch, mode):
+    """The same searches when a state's key is only its popcount, so that
+    unequal states share keys in most chunks: the collision rule alone must
+    keep them apart."""
+    chunks = []
+
+    def popcount(states):
+        keys, exact = popcount_keys(states)
+        chunks.append(len(np.unique(keys)) < len(np.unique(states)))
+        return keys, exact
+    monkeypatch.setattr(percolation, "_keys", popcount)
+    assert compare_searches(mode) > 250
+    assert sum(chunks) > len(chunks) / 2

@@ -4,9 +4,11 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
-from test_oracles import GRAPHS
+from test_oracles import GRAPHS, popcount_keys
 
+from sidlab import percolation
 from sidlab.bigraph import Bigraph, amalgamate_left, book, cycle4, rho, star
 from sidlab.cli import main
 from sidlab.folds import Fold, _fold_maps, check_fold, complete_to_fold, enumerate_folds
@@ -152,6 +154,61 @@ def test_budget_below_start_count_unless_a_start_is_the_goal():
     assert find_left_cut_percolating(path, budget=1) == NotFound("budget", 2)
     assert find_left_cut_percolating(path, budget=2) == NotFound("exhausted", 2)
     assert find_cut_percolating(rho(), budget=0).length == 0
+
+
+@pytest.mark.parametrize("coarse", [False, True])
+@pytest.mark.parametrize("words", [1, 2])
+def test_fresh_matches_a_set(monkeypatch, words, coarse):
+    """Batches of candidates from a few small states, against a set of the
+    states seen so far split into random tiers: the first occurrence of
+    each unseen state is fresh, and the tiers stay sorted and hold each
+    seen state once. Popcount keys make unequal states share keys within
+    a batch and with the tiers."""
+    if coarse:
+        monkeypatch.setattr(percolation, "_keys", popcount_keys)
+    rng = np.random.default_rng([7, words])
+    state_type = np.dtype((np.void, 8 * words))
+    for _ in range(300):
+        pool = rng.integers(0, 4, size=(40, words)).astype(np.uint64)
+        known = np.unique(pool[rng.random(40) < 0.3], axis=0)
+        seen = []
+        for part in np.array_split(known[rng.permutation(len(known))], rng.integers(1, 4)):
+            if not len(part):  # a search keeps no empty tier
+                continue
+            part = part.view(state_type).ravel()
+            keys = percolation._keys(part)[0]
+            order = keys.argsort()
+            seen.append((keys[order], part[order]))
+        known = {row.tobytes() for row in known}
+        for _ in range(3):
+            cands = pool[rng.integers(0, 40, size=rng.integers(1, 30))].view(state_type).ravel()
+            want = []
+            for i, state in enumerate(cands):
+                if state.tobytes() not in known:
+                    known.add(state.tobytes())
+                    want.append(i)
+            fresh, keys = percolation._fresh(cands, seen)
+            assert fresh.tolist() == want
+            assert keys.tolist() == percolation._keys(cands[fresh])[0].tolist()
+            for tier_keys, tier_states in seen:
+                assert (tier_keys[1:] >= tier_keys[:-1]).all()
+                assert (percolation._keys(tier_states)[0] == tier_keys).all()
+            assert sorted(state.tobytes() for _, states in seen for state in states) \
+                == sorted(known)
+
+
+def test_single_element_needs_no_pool(monkeypatch):
+    """A one-element mode's start state is the goal, so the default pool is
+    never enumerated; a supplied pool is still checked."""
+    def refuse(g):
+        raise AssertionError("the default pool was enumerated")
+    monkeypatch.setattr(percolation, "_fold_maps", refuse)
+    cert = find_left_cut_percolating(star(13))
+    assert cert.folds == () and cert.trajectory == (frozenset({"0"}),)
+    assert find_cut_percolating(rho()).length == 0
+    identity = Fold({"0": "0", "1": "1", "2": "2"}, ())
+    with pytest.raises(ValueError, match="not a vertex cut"):
+        find_left_cut_percolating(star(2), [identity])
 
 
 def test_left_search_empty_left_errors():

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from sidlab.bigraph import (
+    Bigraph,
     amalgamate_left,
     graphs_isomorphic,
     is_color_edge_transitive,
@@ -195,6 +196,31 @@ def test_from_bigraph_round_trip():
     assert back == ib
     with pytest.raises(ValueError):
         IncidenceBigraph.from_bigraph(build_incidence(3, [2]).graph.without_vertices(["1"]))
+
+
+def renamed(g, old, new):
+    """g with vertex old renamed to new."""
+    name = {v: new if v == old else v for v in g.vertices()}
+    return Bigraph([name[v] for v in g.left], [name[v] for v in g.right],
+                   [(name[l], name[r]) for l, r in g.edges])
+
+
+def test_from_bigraph_refuses_near_misses():
+    """Graphs that agree with incidence(4,{2,3}) in their ids and degrees,
+    but not in their names or edges, are refused; the input graph itself
+    becomes the result's graph."""
+    g = IncidenceBigraph(4, [2, 3]).graph
+    assert IncidenceBigraph.from_bigraph(g).graph is g
+    # two subsets of slot 1 trade one point each: every degree is kept
+    a, b = "{1,2}@1", "{3,4}@1"
+    edges = (g.edges - {("2", a), ("4", b)}) | {("4", a), ("2", b)}
+    near = [Bigraph(g.left, g.right, edges),
+            renamed(g, "{1,2}@1", "{2,1}@1"),  # a subset out of order
+            renamed(g, "3", "03"),  # a point with a leading zero
+            g.without_vertices(["{1,2,3}@2"])]  # a missing subset
+    for h in near:
+        with pytest.raises(ValueError, match="not a complete-hypergraph incidence bigraph"):
+            IncidenceBigraph.from_bigraph(h)
 
 
 def test_parse_right_id():
