@@ -557,12 +557,12 @@ def _orbit(x, maps: Sequence, move) -> set:
 
 def _edge_transitive(h: ColoredBigraph, auts: list[dict[str, str]]) -> bool:
     """is_color_edge_transitive, given the colored automorphisms of h: they
-    keep each color class, so it is one orbit iff its first edge's orbit
-    is as large."""
+    keep each color class and are a whole group, so a class is one orbit
+    iff its first edge has as many images under them."""
     by_color: dict[int, list[tuple[str, str]]] = {}
     for edge, c in h.edge_colors:
         by_color.setdefault(c, []).append(edge)
-    return all(len(_orbit(edges[0], auts, lambda a, e: (a[e[0]], a[e[1]]))) == len(edges)
+    return all(len({(a[edges[0][0]], a[edges[0][1]]) for a in auts}) == len(edges)
                for edges in by_color.values())
 
 

@@ -4,7 +4,7 @@ A step bigraphon stands in for a bounded measurable kernel on a product of
 probability spaces; rows carry the left space, columns the right space.
 
 A bigraphon is checked where its data enters: the `StepBigraphon`
-constructor (and so `uniform`, `constant`, `scaled` and `with_values`) and
+constructor (and so `uniform`, `constant` and `with_values`) and
 `bigraphon_from_json` copy every array and check shapes, weights that are
 nonnegative and sum to 1, and values that are finite and nonnegative.
 Values sidlab computes itself skip the check and the copies: the testers'
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -126,9 +126,6 @@ class StepBigraphon:
     def is_biregular(self, tol: float = 1e-9) -> bool:
         return self.marginal_residual() < tol
 
-    def scaled(self, lam: float) -> "StepBigraphon":
-        return StepBigraphon(self.row_weights, self.col_weights, lam * self.values)
-
     def with_values(self, values) -> "StepBigraphon":
         return StepBigraphon(self.row_weights, self.col_weights, values)
 
@@ -174,18 +171,26 @@ class BigraphonTuple:
                     and np.array_equal(w.col_weights, nu)):
                 raise ValueError("all bigraphons must share row/column weights")
         object.__setattr__(self, "parts", items)
+        object.__setattr__(self, "_by_color", dict(items))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BigraphonTuple) and self.parts == other.parts
 
     def __getitem__(self, color: int) -> StepBigraphon:
-        for c, w in self.parts:
-            if c == color:
-                return w
-        raise KeyError(f"no bigraphon for color {color}")
+        if color not in self._by_color:
+            raise KeyError(f"no bigraphon for color {color}")
+        return self._by_color[color]
 
     def __contains__(self, color: int) -> bool:
-        return any(c == color for c, _ in self.parts)
+        return color in self._by_color
+
+    def _values(self, colors: Iterable[int]) -> list[np.ndarray]:
+        """The value matrices of `colors`, in order; ValueError names the
+        first color the tuple lacks."""
+        try:
+            return [self._by_color[c].values for c in colors]
+        except KeyError as missing:
+            raise ValueError(f"tuple missing bigraphon for color {missing.args[0]}") from None
 
     def colors(self) -> tuple[int, ...]:
         return tuple(c for c, _ in self.parts)

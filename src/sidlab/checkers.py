@@ -18,13 +18,13 @@ from .bigraph import (
     ColoredBigraph,
     Flag,
     _edge_transitive,
-    _orbit,
     colored_automorphisms,
     flags_isomorphic,
     induced_subgraph,
     two_core,
     two_core_flag,
 )
+from .fractional import _own_profile
 from . import testers
 from .schema import check
 
@@ -206,8 +206,8 @@ def check_orbit_hypotheses(g: Bigraph, h: ColoredBigraph,
         raise PreconditionError(problems)
 
     # no isolated vertices, so every right vertex is counted
-    d_g = testers._own_profile(g)
-    d_h = testers._own_profile(hg)
+    d_g = _own_profile(g)
+    d_h = _own_profile(hg)
     relevant = {u for u in set(d_g) | set(d_h) if len(u) >= 2}
 
     rows = []
@@ -216,7 +216,7 @@ def check_orbit_hypotheses(g: Bigraph, h: ColoredBigraph,
     for u in sorted(relevant, key=lambda s: (len(s), sorted(s))):
         if u in covered:
             continue
-        orbit = _orbit(u, auts, lambda a, s: frozenset(a[v] for v in s))
+        orbit = {frozenset(a[v] for v in u) for a in auts}  # auts is a whole group
         covered |= orbit
         g_sum = sum(d_g.get(member, 0) for member in orbit)
         h_sum = sum(d_h.get(member, 0) for member in orbit)

@@ -327,13 +327,9 @@ def colored_densities(g: Bigraph, colorings: Sequence[Mapping[tuple, int]],
     edges = g.sorted_edges()
     trials = []
     for coloring, ws in zip(colorings, tuples):
-        parts = dict(ws.parts)
         used = sorted(set(coloring.values()))
-        for c in used:
-            if c not in parts:
-                raise ValueError(f"tuple missing bigraphon for color {c}")
         position = {c: i for i, c in enumerate(used)}
-        trials.append(([parts[c].values for c in used], [position[coloring[e]] for e in edges],
+        trials.append((ws._values(used), [position[coloring[e]] for e in edges],
                        ws.row_weights, ws.col_weights, ()))
     return _graph_densities(g, trials)
 
@@ -417,9 +413,8 @@ def left_regularize_tuple(h: ColoredFractionalBigraph, ws: BigraphonTuple,
     if e_pivot == 0:
         raise ValueError("pivot color has zero edge mass")
     for c in h.colors:
-        if c not in ws:
-            raise ValueError(f"tuple missing bigraphon for color {c}")
-        if np.any(ws[c].values <= 0):
+        values, = ws._values([c])
+        if np.any(values <= 0):
             raise ValueError("bigraphons must be strictly positive")
 
     out = dict(ws.as_dict())

@@ -33,7 +33,6 @@ __all__ = [
     "fractional_densities",
     "dual_star_table",
     "compile_profiles",
-    "batch_profile_log_densities",
     "induced_subgraph_profiles",
 ]
 
@@ -181,9 +180,7 @@ def fractional_densities(h: ColoredFractionalBigraph,
     index = (0,) * len(groups)
     trials = []
     for ws in tuples:
-        for _, c, _ in h.weights:
-            if c not in ws:
-                raise ValueError(f"tuple missing bigraphon for color {c}")
+        ws._values(c for _, c, _ in h.weights)  # refuses a tuple that lacks a color
         tables: dict[tuple[int, int], np.ndarray] = {}
         arrays = [(ws.row_weights,)]
         for c, k, wgt in keys:
@@ -263,14 +260,6 @@ def compile_profiles(vertices: Sequence[str],
     return log_densities
 
 
-def batch_profile_log_densities(vertices: Sequence[str],
-                                profiles: Sequence[Mapping[frozenset, float]],
-                                w: StepBigraphon) -> np.ndarray:
-    """log t for many single-color fractional bigraphs sharing one bigraphon:
-    compile_profiles(vertices, profiles) applied to w."""
-    return compile_profiles(vertices, profiles)(w)
-
-
 # ---------------------------------------------------------------------------
 # induced-subgraph profiles
 
@@ -295,8 +284,8 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
     carries an earlier profile onto A's full profile carries each profile
     below the earlier one (in every count) onto the matching profile below
     A's, and the earlier profile's subset enumerated all of those, so A
-    would yield no new class. The cap counts every count vector before
-    skipping, so it refuses the same graphs whatever is skipped.
+    would yield no new class. The cap counts the count vectors of the
+    subsets actually enumerated, each subset's before its first vector.
 
     Classes are told apart without sorting. Under one relabeling, the
     (subset, count) pairs of a profile sort by subset rank alone, so two
@@ -312,20 +301,6 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
     if len(left) > 8:
         raise GraphTooLargeError("profile enumeration capped at 8 left vertices")
     traces_full = [frozenset(g.neighbors(w)) for w in g.right]
-    work = []
-    total = 0
-    for r in range(len(left) + 1):
-        for a in itertools.combinations(left, r):
-            aset = frozenset(a)
-            types = Counter(t & aset for t in traces_full)
-            types.pop(frozenset(), None)
-            items = sorted(types.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-            total += math.prod(c + 1 for _, c in items)
-            if total > PROFILE_CLASS_CAP:
-                raise GraphTooLargeError(
-                    f"induced-subgraph profiles: more than {PROFILE_CLASS_CAP:,} "
-                    "count vectors to enumerate (PROFILE_CLASS_CAP)")
-            work.append(items)
 
     # subset-image table, uint8 under the 8-vertex cap: images[m, p] is the
     # mask of left subset m under permutation p
@@ -340,7 +315,9 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
     order = sorted(range(1 << n), key=lambda m: [left[i] for i in range(n) if m >> i & 1])
     rank = np.empty(1 << n, dtype=np.int64)
     rank[order] = np.arange(1 << n)
-    most = max((c for items in work for _, c in items), default=0)
+    # the largest count of any type: a type's count is at most each member's
+    # degree, and the type {v} of the subset {v} counts deg v
+    most = max(map(g.degree, left), default=0)
     base = max(most, 1) + 1
     digits = 1  # ranks per word: base ** digits stays exact in a float
     while base ** (digits + 1) <= 1 << 53:
@@ -353,14 +330,21 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
     chunk = max(1, _PROFILE_CHUNK // perms)
     # a representative's (subset, count) pair under its best permutation has
     # code rank * (most + 1) + count, which orders pairs as their name tuples
-    # do; `absent` pads a list past its last code
-    width = max(1, *map(len, work))
+    # do; `absent` pads a list past its last code. Restricting a subset only
+    # merges types, so the full left side has the most
+    width = max(1, len(set(traces_full) - {frozenset()}))
     absent = (most + 1) << n
 
     seen: set[bytes] = set()
     found: list[dict[frozenset, int]] = []
     lists = []
-    for items in work:
+    total = 0
+    for a in itertools.chain.from_iterable(
+            itertools.combinations(left, r) for r in range(n + 1)):
+        aset = frozenset(a)
+        types = Counter(t & aset for t in traces_full)
+        types.pop(frozenset(), None)
+        items = sorted(types.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
         image = images[np.array([sum(bit[v] for v in s) for s, _ in items], dtype=np.intp)]
         word, place = word_of[image], place_of[image]
 
@@ -386,6 +370,11 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
             continue
         radices = [c + 1 for _, c in items]
         count = math.prod(radices)
+        total += count
+        if total > PROFILE_CLASS_CAP:
+            raise GraphTooLargeError(
+                f"induced-subgraph profiles: more than {PROFILE_CLASS_CAP:,} "
+                "count vectors to enumerate (PROFILE_CLASS_CAP)")
         for start in range(0, count, chunk):
             index = np.arange(start, min(start + chunk, count))
             counts = np.empty((len(index), len(items)), dtype=np.int64)

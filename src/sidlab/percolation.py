@@ -114,14 +114,10 @@ class PercolationCertificate:
 
 @dataclass(frozen=True)
 class NotFound:
-    """Search failure; `budget_exhausted` distinguishes cutoff from exhaustion."""
+    """Search failure; `reason` tells a budget cutoff from exhaustion."""
 
     reason: str  # "exhausted" | "budget"
     states_explored: int
-
-    @property
-    def budget_exhausted(self) -> bool:
-        return self.reason == "budget"
 
     def __bool__(self) -> bool:
         return False

@@ -69,32 +69,6 @@ class TypeAReflectionSystem:
     def simple_reflections(self) -> list[tuple[int, int]]:
         return [(i, i + 1) for i in range(1, self.n)]
 
-    def subset_choice(self, k: int) -> list[tuple[int, int]]:
-        """Simple reflections minus t_{k,k+1}: generators of the k-th parabolic."""
-        if not 1 <= k <= self.n:
-            raise ValueError("k out of range")
-        return [t for t in self.simple_reflections() if t != (k, k + 1)]
-
-    def coset_subset_bijection_holds(self, k: int) -> bool:
-        """Check sigma*R_k -> sigma([k]) is a coset/subset bijection (small n)."""
-        if self.n > 6:
-            raise ValueError("exhaustive check limited to n <= 6")
-        perms = list(itertools.permutations(range(1, self.n + 1)))
-        parabolic = [p for p in perms
-                     if set(p[:k]) == set(range(1, k + 1))]
-        fibers: dict[frozenset[int], set[tuple[int, ...]]] = {}
-        for sigma in perms:
-            fibers.setdefault(frozenset(sigma[:k]), set()).add(sigma)
-        if len(fibers) != comb(self.n, k):
-            return False
-        for fiber in fibers.values():
-            sigma0 = next(iter(fiber))
-            coset = {tuple(sigma0[r[i] - 1] for i in range(self.n))
-                     for r in parabolic}
-            if fiber != coset:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class IncidenceBigraph:

@@ -8,16 +8,16 @@ Numeric verdicts validate or falsify; they never certify an inequality
 universally, and reports say so.
 
 Each inequality is one entry of PROPERTIES: its tester (the precondition
-and per-trial sampler it hands to the one trial runner), its margin and its
-witness fields, each with its format in the `schema` table. A margin is
-written once, over a batch of a run's instances, which share their graph:
-the runner draws every trial first and scores them all in one pass, and a
-single margin, as witness replay computes it, is a batch of one. The
-density engine gives each trial of a batch the floats of its batch of one
-(see `density`), so the worst batched score is the replayed margin bit for
-bit, and the report takes it as it stands. `replay_witness` checks a witness
-against its entry's field formats, builds the instance and recomputes the
-margin; `sidlab test` dispatches on the table.
+and per-trial sampler it hands to the one trial runner), its gap (log lhs
+minus log rhs; the margin is its expm1) and its witness fields, each with
+its format in the `schema` table. A gap is written once, over a batch of a
+run's instances, which share their graph: the runner draws every trial
+first and scores them all in one pass, and witness replay scores a batch
+of one. The density engine gives each trial of a batch the floats of its
+batch of one (see `density`), so the worst batched score is the replayed
+margin bit for bit, and the report takes it as it stands. `replay_witness`
+checks a witness against its entry's field formats, builds the instance
+and recomputes the margin; `sidlab test` dispatches on the table.
 """
 
 from __future__ import annotations
@@ -128,11 +128,11 @@ class Property:
 
     tester names its public test function, which checks the input, defines
     the per-trial sampler and hands both to the runner. An instance is a
-    tuple of margin arguments; margins scores a list of instances that share
-    their graph, one float each. witness gives each argument's JSON key and
-    its format in the `schema` table, and check names what a decoded
-    instance lacks across its fields or raises ValueError with the reason,
-    or returns None.
+    tuple of margin arguments; gaps scores a list of instances that share
+    their graph, one float each: log lhs - log rhs, whose expm1 is the
+    margin. witness gives each argument's JSON key and its format in the
+    `schema` table, and check names what a decoded instance lacks across
+    its fields or raises ValueError with the reason, or returns None.
     cli_input is what `sidlab test` loads (plain, colored, fractional or
     none); cli_options are the options it passes to tester.
     """
@@ -142,9 +142,12 @@ class Property:
     cli_input: Optional[str]
     cli_options: tuple[str, ...]
     tester: str
-    margins: Callable[[Sequence[tuple]], list[float]]
+    gaps: Callable[[Sequence[tuple]], list[float]]
     witness: tuple[tuple[str, str], ...]
     check: Callable[..., Optional[str]] = lambda *instance: None
+
+    def margins(self, instances: Sequence[tuple]) -> list[float]:
+        return [math.expm1(gap) for gap in self.gaps(instances)]
 
     def margin(self, *instance) -> float:
         """The margin of one instance: margins on a batch of one."""
@@ -222,23 +225,28 @@ def _shared(instances: Sequence[tuple], count: int = 1) -> tuple:
     return first
 
 
-def _each(margin: Callable[..., float]) -> Callable[[Sequence[tuple]], list[float]]:
-    """A per-instance margin as a batch margin."""
-    return lambda instances: [margin(*instance) for instance in instances]
+def _each(gap: Callable[..., float]) -> Callable[[Sequence[tuple]], list[float]]:
+    """A per-instance gap as a batch of gaps."""
+    return lambda instances: [gap(*instance) for instance in instances]
 
 
-def _log_ratio_margins(log_lhs: Iterable[float], log_rhs: Iterable[float]) -> list[float]:
-    """expm1(log lhs - log rhs), pairwise."""
-    return [math.expm1(a - b) for a, b in zip(log_lhs, log_rhs)]
-
-
-def _colored_logs(g: Bigraph, trials: Sequence[Sequence[tuple]]) -> list[list[float]]:
-    """log t(g, coloring; tuple) for each trial's (coloring, tuple) pairs;
-    every pair of every trial goes through the engine in one batch."""
-    pairs = [pair for trial in trials for pair in trial]
-    logs = map(math.log, colored_densities(g, [c for c, _ in pairs],
-                                           [ws for _, ws in pairs]))
-    return [[next(logs) for _ in trial] for trial in trials]
+def _mean_bound_gaps(g: Bigraph, instances: Sequence[tuple]) -> list[float]:
+    """The count-weighted mean of log t(g, c; ws) over the (c, count) pairs,
+    less log t(g, coloring; ws), for each (coloring, pairs, ws); the mean
+    adds count * log left to right from 0.0 and divides by the count total.
+    Every coloring of every instance goes through the engine in one batch."""
+    colorings = [c for coloring, pairs, _ in instances
+                 for c in [coloring, *(other for other, _ in pairs)]]
+    tuples = [ws for _, pairs, ws in instances for _ in range(1 + len(pairs))]
+    logs = map(math.log, colored_densities(g, colorings, tuples))
+    gaps = []
+    for _, pairs, _ in instances:
+        log_lhs = next(logs)
+        total = 0.0
+        for _, count in pairs:
+            total += count * next(logs)
+        gaps.append(total / sum(count for _, count in pairs) - log_lhs)
+    return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +336,14 @@ _CODECS = {
 # plain and strong Sidorenko
 
 
-def _sidorenko_margins(instances: Sequence[tuple]) -> list[float]:
-    g, = _shared(instances)
-    ws = [w for _, w in instances]
-    return [math.expm1(math.log(t) - g.e * math.log(w.edge_density()))
+def _normalized_log_densities(g: Bigraph, ws: Sequence[StepBigraphon]) -> list[float]:
+    return [math.log(t) - g.e * math.log(w.edge_density())
             for t, w in zip(densities(g, ws), ws)]
+
+
+def _sidorenko_gaps(instances: Sequence[tuple]) -> list[float]:
+    g, = _shared(instances)
+    return _normalized_log_densities(g, [w for _, w in instances])
 
 
 def test_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4, seed: int = 0,
@@ -342,7 +353,7 @@ def test_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4, seed: int = 0,
                 trials, seed, tol)
 
 
-def _strong_sidorenko_margins(instances: Sequence[tuple]) -> list[float]:
+def _strong_sidorenko_gaps(instances: Sequence[tuple]) -> list[float]:
     g, = _shared(instances)
     e = g.e
     # potentials in the first instance's vertex order
@@ -361,7 +372,7 @@ def _strong_sidorenko_margins(instances: Sequence[tuple]) -> list[float]:
     for t, w, f_prod, g_prod in zip(lhs, ws, f_prods, g_prods):
         base = float((w.row_weights * f_prod[:w.rows]) @ w.values
                      @ (w.col_weights * g_prod[:w.cols]))
-        out.append(math.expm1(math.log(t) - e * math.log(base)))
+        out.append(math.log(t) - e * math.log(base))
     return out
 
 
@@ -419,16 +430,11 @@ def test_strong_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4,
 # weak domination and induced-Sidorenko
 
 
-def _normalized_log_densities(g: Bigraph, ws: Sequence[StepBigraphon]) -> list[float]:
-    return [math.log(t) - g.e * math.log(w.edge_density())
-            for t, w in zip(densities(g, ws), ws)]
-
-
-def _weak_domination_margins(instances: Sequence[tuple]) -> list[float]:
+def _weak_domination_gaps(instances: Sequence[tuple]) -> list[float]:
     g, h = _shared(instances, 2)
     ws = [w for _, _, w in instances]
-    return _log_ratio_margins(_normalized_log_densities(g, ws),
-                              _normalized_log_densities(h, ws))
+    return [a - b for a, b in zip(_normalized_log_densities(g, ws),
+                                  _normalized_log_densities(h, ws))]
 
 
 def test_weak_domination(g: Bigraph, h: Bigraph, trials: int = 200, grid: int = 4,
@@ -441,7 +447,7 @@ def test_weak_domination(g: Bigraph, h: Bigraph, trials: int = 200, grid: int = 
     return _run("weak-domination", sample, trials, seed, tol)
 
 
-def _induced_margins(instances: Sequence[tuple]) -> list[float]:
+def _induced_gaps(instances: Sequence[tuple]) -> list[float]:
     # every trial goes through its own two-row [own, profile] batch, the same
     # shape as in replay, so a shipped witness reproduces its margin bit for
     # bit; the batch is compiled once per distinct profile
@@ -457,7 +463,7 @@ def _induced_margins(instances: Sequence[tuple]) -> list[float]:
         batch, edges = batches[key]
         logs = batch(w)
         log_rho = math.log(w.edge_density())
-        out.append(math.expm1((logs[0] - g.e * log_rho) - (logs[1] - edges * log_rho)))
+        out.append((logs[0] - g.e * log_rho) - (logs[1] - edges * log_rho))
     return out
 
 
@@ -486,17 +492,14 @@ def test_induced_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4,
 # weakly norming and left-weakly Hoelder
 
 
-def _weakly_norming_margins(instances: Sequence[tuple]) -> list[float]:
+def _weakly_norming_gaps(instances: Sequence[tuple]) -> list[float]:
     g, = _shared(instances)
     edges = g.sorted_edges()
-    counts = [sorted(Counter(coloring.values()).items()) for _, coloring, _ in instances]
-    # the coloring itself, then the constant coloring of each color it uses
-    logs = _colored_logs(g, [[(coloring, ws)] + [(dict.fromkeys(edges, c), ws) for c, _ in cs]
-                             for (_, coloring, ws), cs in zip(instances, counts)])
-    return _log_ratio_margins(
-        (sum(cnt * log for (_, cnt), log in zip(cs, rest)) / g.e
-         for cs, (_, *rest) in zip(counts, logs)),
-        (log_lhs for log_lhs, *_ in logs))
+    # against the constant coloring of each color used, weighted by its edges
+    return _mean_bound_gaps(g, [
+        (coloring, [(dict.fromkeys(edges, c), count)
+                    for c, count in sorted(Counter(coloring.values()).items())], ws)
+        for _, coloring, ws in instances])
 
 
 def _coloring_check(g: Bigraph, coloring: Mapping[tuple, int], *_) -> None:
@@ -529,7 +532,7 @@ def _pair_color(t: int, base_color: int, offset: int) -> int:
     return t * offset + base_color
 
 
-def _left_weak_holder_margins(instances: Sequence[tuple]) -> list[float]:
+def _left_weak_holder_gaps(instances: Sequence[tuple]) -> list[float]:
     h, = _shared(instances)
     g = h.graph
     base = h.color_set()
@@ -542,33 +545,29 @@ def _left_weak_holder_margins(instances: Sequence[tuple]) -> list[float]:
     rank = {c: i for i, c in enumerate(base)}
     constant = [rank[c] for c in edge_colors]
 
-    def trial(parts, codes, index, ws):
-        for c in codes:
-            if c not in parts:
-                raise ValueError(f"tuple missing bigraphon for color {c}")
-        return [parts[c].values for c in codes], index, ws.row_weights, ws.col_weights, ()
+    def trial(codes, index, ws):
+        return ws._values(codes), index, ws.row_weights, ws.col_weights, ()
     # the product coloring, then the left-constant one of each label used
     labels, trials = [], []
     for _, ell, ws in instances:
-        parts = dict(ws.parts)
         codes = [_pair_color(ell[l], c, offset) for (l, _), c in zip(edges, edge_colors)]
         used = sorted(set(codes))
         position = {c: i for i, c in enumerate(used)}
         ts = list(dict.fromkeys(ell[v] for v in g.left))
         labels.append(ts)
-        trials.append(trial(parts, used, [position[c] for c in codes], ws))
-        trials += [trial(parts, [_pair_color(t, c, offset) for c in base], constant, ws)
+        trials.append(trial(used, [position[c] for c in codes], ws))
+        trials += [trial([_pair_color(t, c, offset) for c in base], constant, ws)
                    for t in ts]
     logs = map(math.log, _graph_densities(g, trials))
-    log_lhs, log_rhs = [], []
+    gaps = []
     for (_, ell, _), ts in zip(instances, labels):
-        log_lhs.append(next(logs))
+        log_lhs = next(logs)
         per_label = {t: next(logs) for t in ts}
         total = 0.0
         for v in g.left:
             total += per_label[ell[v]] / g.v1
-        log_rhs.append(total)
-    return _log_ratio_margins(log_rhs, log_lhs)
+        gaps.append(total - log_lhs)
+    return gaps
 
 
 def test_left_weak_holder(h: ColoredBigraph, trials: int = 200, grid: int = 4,
@@ -599,11 +598,11 @@ def test_left_weak_holder(h: ColoredBigraph, trials: int = 200, grid: int = 4,
 # color-Sidorenko
 
 
-def _color_sidorenko_margins(instances: Sequence[tuple]) -> list[float]:
+def _color_sidorenko_gaps(instances: Sequence[tuple]) -> list[float]:
     h, = _shared(instances)
     tuples = [ws for _, ws in instances]
     e = h.total_edge_mass()
-    return [math.expm1(math.log(lhs) - e * math.log(star))
+    return [math.log(lhs) - e * math.log(star)
             for lhs, star in zip(fractional_densities(h, tuples),
                                  fractional_densities(rainbow_star(h), tuples))]
 
@@ -657,23 +656,14 @@ def _leaves(g: Bigraph, coloring: Mapping[tuple, int],
     return leaves
 
 
-def _cs_margins(instances: Sequence[tuple]) -> list[float]:
+def _cs_gaps(instances: Sequence[tuple]) -> list[float]:
     g, = _shared(instances)
-    # the coloring, then each distinct leaf coloring with its count
-    counts = []
-    for _, coloring, folds, _ in instances:
-        leaves = _leaves(g, coloring, folds)
-        counts.append((len(leaves), sorted(
-            Counter(tuple(sorted(leaf.items())) for leaf in leaves).items())))
-    logs = _colored_logs(g, [[(coloring, ws)] + [(dict(leaf), ws) for leaf, _ in cs]
-                             for (_, coloring, _, ws), (_, cs) in zip(instances, counts)])
-    log_rhs = []
-    for (n, cs), (_, *rest) in zip(counts, logs):
-        total = 0.0
-        for (_, cnt), log in zip(cs, rest):
-            total += cnt * log
-        log_rhs.append(total / n)
-    return _log_ratio_margins(log_rhs, (log_lhs for log_lhs, *_ in logs))
+    # against each distinct leaf coloring, weighted by its count
+    bounds = []
+    for _, coloring, folds, ws in instances:
+        leaves = Counter(tuple(sorted(leaf.items())) for leaf in _leaves(g, coloring, folds))
+        bounds.append((coloring, [(dict(leaf), n) for leaf, n in sorted(leaves.items())], ws))
+    return _mean_bound_gaps(g, bounds)
 
 
 def verify_cs_inequality(g: Bigraph, coloring: Mapping[tuple, int],
@@ -736,8 +726,8 @@ def endo_preimage(g: Bigraph, sub: Bigraph, phi: Mapping[str, str]) -> Bigraph:
 # inductive Jensen bound
 
 
-def _jensen_margin(weights: np.ndarray, gvec: np.ndarray,
-                   fvecs: Sequence[np.ndarray], ps: Sequence[float]) -> float:
+def _jensen_gap(weights: np.ndarray, gvec: np.ndarray,
+                fvecs: Sequence[np.ndarray], ps: Sequence[float]) -> float:
     n = len(fvecs)
     lhs = weights * gvec
     for f, p in zip(fvecs, ps):
@@ -754,7 +744,7 @@ def _jensen_margin(weights: np.ndarray, gvec: np.ndarray,
         for f in fvecs[i + 1:]:
             tail = tail * np.asarray(f)
         log_rhs -= (ps_ext[i] - ps_ext[i + 1]) * math.log(float(tail.sum()))
-    return math.expm1(math.log(lhs_val) - log_rhs)
+    return math.log(lhs_val) - log_rhs
 
 
 def _jensen_shape(weights: np.ndarray, gvec: np.ndarray,
@@ -788,19 +778,20 @@ def test_inductive_jensen(n: int, trials: int = 200, seed: int = 0,
 # color restriction
 
 
-def _color_restriction_margins(instances: Sequence[tuple]) -> list[float]:
+def _color_restriction_gaps(instances: Sequence[tuple]) -> list[float]:
     h, keep = _shared(instances, 2)
     tuples = [ws for *_, ws in instances]
     kept = h.restrict_colors(keep)
     lhs = colored_densities(kept.graph, [kept.colors] * len(tuples), tuples)
     dropped = [(c, h.edge_count(c)) for c in sorted(set(h.color_set()) - set(keep))]
-    log_rhs = []
-    for t, ws in zip(colored_densities(h.graph, [h.colors] * len(tuples), tuples), tuples):
+    gaps = []
+    for t, ws, kept_t in zip(colored_densities(h.graph, [h.colors] * len(tuples), tuples),
+                             tuples, lhs):
         total = math.log(t)
         for c, count in dropped:
             total -= count * math.log(ws[c].edge_density())
-        log_rhs.append(total)
-    return _log_ratio_margins(log_rhs, map(math.log, lhs))
+        gaps.append(total - math.log(kept_t))
+    return gaps
 
 
 def _kept_colors(h: ColoredBigraph, colors: Iterable[int]) -> list[int]:
@@ -817,9 +808,8 @@ def _color_restriction_check(h: ColoredBigraph, keep: Iterable[int],
     """Raise ValueError unless keep is a subset of h's colors and every
     dropped color's bigraphon is in ws, positive and left-regular."""
     for c in sorted(set(h.color_set()) - set(_kept_colors(h, keep))):
-        if c not in ws:
-            raise ValueError(f"tuple missing bigraphon for color {c}")
-        if np.any(ws[c].values <= 0):
+        values, = ws._values([c])
+        if np.any(values <= 0):
             raise ValueError(f"bigraphon for dropped color {c} must be positive")
         if not ws[c].is_left_regular(tol=1e-8):
             raise ValueError(f"bigraphon for dropped color {c} must be left-regular")
@@ -875,42 +865,42 @@ _GRID_PRESET = ("grid", "preset")
 
 PROPERTIES: dict[str, Property] = {p.name: p for p in (
     Property("sidorenko", "sidorenko", "plain", _GRID_PRESET, "test_sidorenko",
-             _sidorenko_margins, (("graph", "bigraph"), ("bigraphon", "step bigraphon"))),
+             _sidorenko_gaps, (("graph", "bigraph"), ("bigraphon", "step bigraphon"))),
     Property("strong-sidorenko", "strong-sidorenko", "plain", _GRID_PRESET,
-             "test_strong_sidorenko", _strong_sidorenko_margins,
+             "test_strong_sidorenko", _strong_sidorenko_gaps,
              (("graph", "bigraph"), ("bigraphon", "step bigraphon"), ("f", "vector map"),
               ("g", "vector map")), _strong_sidorenko_check),
     # two graphs, and the CLI has no way to name the second one
     Property("weak-domination", None, None, (), "test_weak_domination",
-             _weak_domination_margins,
+             _weak_domination_gaps,
              (("graph", "bigraph"), ("other", "bigraph"), ("bigraphon", "step bigraphon"))),
     Property("induced-sidorenko", "induced-sidorenko", "plain", _GRID_PRESET,
-             "test_induced_sidorenko", _induced_margins,
+             "test_induced_sidorenko", _induced_gaps,
              (("graph", "bigraph"), ("bigraphon", "step bigraphon"), ("profile", "profile")),
              lambda g, w, profile: next((f"'profile' names {v!r}, not a left vertex"
                                          for s in profile for v in sorted(s)
                                          if v not in g.left), None)),
     Property("weakly-norming", "weak-norming", "plain", _GRID_PRESET,
-             "test_weakly_norming", _weakly_norming_margins,
+             "test_weakly_norming", _weakly_norming_gaps,
              (("graph", "bigraph"), ("coloring", "coloring"), ("tuple", "bigraphon tuple")),
              _coloring_check),
     Property("left-weak-holder", "left-weak-holder", "colored", _GRID_PRESET,
-             "test_left_weak_holder", _left_weak_holder_margins,
+             "test_left_weak_holder", _left_weak_holder_gaps,
              (("colored", "colored bigraph"), ("ell", "label map"),
               ("tuple", "bigraphon tuple")),
              lambda h, ell, ws: _missing_vertex("ell", ell, h.graph.left)),
     Property("color-sidorenko", "color-sidorenko", "fractional", _GRID_PRESET,
-             "test_color_sidorenko", _color_sidorenko_margins,
+             "test_color_sidorenko", _color_sidorenko_gaps,
              (("fractional", "fractional bigraph"), ("tuple", "bigraphon tuple"))),
-    Property("cs-tree", "cs-tree", "plain", _GRID_PRESET, "test_cs_tree", _cs_margins,
+    Property("cs-tree", "cs-tree", "plain", _GRID_PRESET, "test_cs_tree", _cs_gaps,
              (("graph", "bigraph"), ("coloring", "coloring"), ("folds", "fold list"),
               ("tuple", "bigraphon tuple")), _cs_check),
     Property("jensen", "jensen", "none", ("n",), "test_inductive_jensen",
-             _each(_jensen_margin),
+             _each(_jensen_gap),
              (("weights", "vector"), ("g", "vector"), ("fs", "vector list"),
               ("ps", "number list")), _jensen_shape),
     Property("color-restriction", "color-restriction", "colored", ("grid", "colors"),
-             "test_color_restriction_trials", _color_restriction_margins,
+             "test_color_restriction_trials", _color_restriction_gaps,
              (("colored", "colored bigraph"), ("keep_colors", "color list"),
               ("tuple", "bigraphon tuple")),
              _color_restriction_check),

@@ -27,7 +27,6 @@ from sidlab.density import (
 )
 from sidlab.fractional import (
     ColoredFractionalBigraph,
-    batch_profile_log_densities,
     compile_profiles,
     dual_star_table,
     fractional_densities,
@@ -162,7 +161,7 @@ def test_induced_margins_compile_each_shared_profile_once(monkeypatch):
     own = testers._own_profile(g)
     want = []
     for _, w, profile in instances:
-        logs = batch_profile_log_densities(g.left, [own, profile], w)
+        logs = compile_profiles(g.left, [own, profile])(w)
         log_rho = math.log(w.edge_density())
         edges = sum(len(s) * c for s, c in profile.items())
         want.append(math.expm1((logs[0] - g.e * log_rho) - (logs[1] - edges * log_rho)))
@@ -341,5 +340,5 @@ def test_compiled_profiles_equal_the_per_subset_batch():
     rng = np.random.default_rng(43)
     for w in mixed_bigraphons(rng, 6, most=4):
         logs = compiled(w)
-        assert np.array_equal(logs, batch_profile_log_densities(g.left, profiles, w))
+        assert np.array_equal(logs, compile_profiles(g.left, profiles)(w))
         assert np.array_equal(logs, per_subset_log_densities(g.left, profiles, w))

@@ -17,6 +17,8 @@ from sidlab.bigraphon import (
     random_step_bigraphon,
     sinkhorn_biregularize,
 )
+from sidlab.density import colored_densities, left_regularize_tuple
+from sidlab.fractional import fractional_densities, from_right_uniform
 from sidlab.reflection import build_incidence
 
 
@@ -210,6 +212,40 @@ def test_tuple_shared_spaces():
         BigraphonTuple({1: w1, 2: other_space})
     with pytest.raises(KeyError):
         ws[9]
+
+
+INCIDENCE = build_incidence(4, [2, 3])  # colors 1 and 2
+# each site that reads a tuple's bigraphons by color, on a tuple of the given
+# colors, and the first color it lacks; left-weak-Hoelder reads pair colors
+# t * 3 + c, here 4 and 5
+TUPLE_READERS = {
+    "colored_densities": (lambda ws: colored_densities(
+        INCIDENCE.graph, [INCIDENCE.colors], [ws]), (1,), 2),
+    "left_regularize_tuple": (lambda ws: left_regularize_tuple(
+        from_right_uniform(INCIDENCE), ws, 1), (1,), 2),
+    "fractional_densities": (lambda ws: fractional_densities(
+        from_right_uniform(INCIDENCE), [ws]), (1,), 2),
+    "left-weak-holder": (lambda ws: testers.PROPERTIES["left-weak-holder"].margin(
+        INCIDENCE, dict.fromkeys(INCIDENCE.graph.left, 1), ws), (4,), 5),
+    "color-restriction": (lambda ws: testers.test_color_restriction(
+        INCIDENCE, [1], ws), (1,), 2),
+}
+
+
+@pytest.mark.parametrize("site", list(TUPLE_READERS))
+def test_a_tuple_missing_a_color_is_refused_by_name(site):
+    read, colors, missing = TUPLE_READERS[site]
+    ws = BigraphonTuple({c: StepBigraphon.constant(0.5, 2, 2) for c in colors})
+    with pytest.raises(ValueError, match=f"^tuple missing bigraphon for color {missing}$"):
+        read(ws)
+
+
+def test_a_nonpositive_color_is_refused_before_a_later_missing_one():
+    ws = BigraphonTuple({1: StepBigraphon.constant(0.0, 2, 2)})
+    with pytest.raises(ValueError, match="^bigraphons must be strictly positive$"):
+        left_regularize_tuple(from_right_uniform(INCIDENCE), ws, 1)
+    with pytest.raises(ValueError, match="^bigraphon for dropped color 1 must be positive$"):
+        testers.test_color_restriction(INCIDENCE, [], ws)
 
 
 def test_json_round_trip():

@@ -7,7 +7,9 @@ import pytest
 from sidlab.bigraph import (
     ColoredBigraph,
     Bigraph,
+    _orbit,
     book,
+    colored_automorphisms,
     cycle4,
     graphs_isomorphic,
     two_core,
@@ -179,6 +181,21 @@ def test_orbit_check_invariant_under_right_relabeling():
     assert a.passed == b.passed
     assert [(r["g_sum"], r["h_sum"]) for r in a.orbits] == \
         [(r["g_sum"], r["h_sum"]) for r in b.orbits]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_orbits_under_a_listed_group_are_image_sets(n):
+    """The listed colored automorphisms are a whole group, so the images of
+    an edge or a right neighborhood under them are its orbit: the closure
+    `_orbit` takes under them as generators."""
+    h = build_incidence(n, [2, 3])
+    auts = colored_automorphisms(h)
+    g = h.graph
+    points = [(e, lambda a, e: (a[e[0]], a[e[1]])) for e in g.sorted_edges()]
+    points += [(frozenset(g.neighbors(w)), lambda a, s: frozenset(a[v] for v in s))
+               for w in g.right]
+    for x, move in points:
+        assert {move(a, x) for a in auts} == _orbit(x, auts, move)
 
 
 # ---------------------------------------------------------------------------

@@ -249,13 +249,19 @@ def test_test_induced_sidorenko(tmp_path):
 
 
 def test_test_induced_sidorenko_refuses_past_the_profile_cap(tmp_path, capsys):
-    # incidence(5,{2,3}) has 2,066,122 count vectors; the refusal comes first
+    # incidence(5,{2,3}) has 1,243,649 count vectors in the subsets enumerated
     gpath = make_graph(tmp_path, "construct", "incidence", "--n", "5",
                        "--uniformities", "2,3")
     assert main(["test", "induced-sidorenko", str(gpath), "--trials", "2"]) == 1
     err = capsys.readouterr().err
     assert "more than 200,000 count vectors to enumerate (PROFILE_CLASS_CAP)" in err
     assert "Traceback" not in err
+
+
+def test_test_induced_sidorenko_runs_where_pruning_keeps_under_the_cap(tmp_path):
+    gpath = make_graph(tmp_path, "construct", "incidence", "--n", "5",
+                       "--uniformities", "2,4")
+    assert main(["test", "induced-sidorenko", str(gpath), "--trials", "2"]) in (0, 3)
 
 
 README_OPTIONS = ("grid", "preset", "n", "colors")

@@ -101,7 +101,7 @@ def test_density_scaling_law():
         g = random_bigraph(rng, max_side=3, max_total=6)
         w = random_step_bigraphon(3, 3, seed=2000 + trial)
         lam = float(rng.uniform(0.2, 2.5))
-        assert density(g, w.scaled(lam)) == pytest.approx(
+        assert density(g, w.with_values(lam * w.values)) == pytest.approx(
             lam ** g.e * density(g, w), rel=1e-12)
 
 

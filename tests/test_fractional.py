@@ -12,8 +12,8 @@ from sidlab.bigraphon import BigraphonTuple, StepBigraphon, random_step_bigrapho
 from sidlab.density import colored_density, density, left_regularize_tuple
 from sidlab.fractional import (
     ColoredFractionalBigraph,
-    batch_profile_log_densities,
     color_power,
+    compile_profiles,
     dual_star_table,
     fractional_density,
     from_right_uniform,
@@ -257,7 +257,7 @@ def test_batch_profile_log_densities_against_engine():
     ]
     for seed in (1, 2, 3):
         w = random_step_bigraphon(3, 4, seed=seed)
-        logs = batch_profile_log_densities(verts, profiles, w)
+        logs = compile_profiles(verts, profiles)(w)
         for prof, logt in zip(profiles, logs):
             g = profile_graph(verts, prof)
             assert logt == pytest.approx(math.log(density(g, w)), abs=1e-11)
@@ -271,7 +271,7 @@ def test_batch_matches_engine_on_real_induced_profiles():
     profiles = induced_subgraph_profiles(g)
     nonempty = [p for p in profiles if p][:12]
     w = random_step_bigraphon(4, 4, seed=77)
-    logs = batch_profile_log_densities(g.left, nonempty, w)
+    logs = compile_profiles(g.left, nonempty)(w)
     for prof, logt in zip(nonempty, logs):
         built = profile_graph(g.left, prof)
         assert logt == pytest.approx(math.log(density(built, w)), abs=1e-11)
@@ -286,11 +286,11 @@ def test_batch_blocks_match_one_product(monkeypatch, rows_per_block):
     g = build_incidence(4, [2, 3]).graph
     profiles = [p for p in induced_subgraph_profiles(g) if p]
     w = random_step_bigraphon(4, 4, seed=78)
-    whole = batch_profile_log_densities(g.left, profiles, w)
+    whole = compile_profiles(g.left, profiles)(w)
     assert len(profiles) == 227
     fractional = sys.modules["sidlab.fractional"]
     monkeypatch.setattr(fractional, "_BLOCK_CELLS", rows_per_block * 4 ** g.v1)
-    blocked = batch_profile_log_densities(g.left, profiles, w)
+    blocked = compile_profiles(g.left, profiles)(w)
     np.testing.assert_allclose(blocked, whole, rtol=1e-15, atol=0)
 
 
@@ -299,7 +299,7 @@ def test_batch_profile_handles_integer_exponents_only_graphs():
     verts = ["x", "y"]
     prof = {frozenset({"x", "y"}): 0.5, frozenset({"x"}): 1.5}
     w = random_step_bigraphon(2, 3, seed=9)
-    logs = batch_profile_log_densities(verts, [prof], w)
+    logs = compile_profiles(verts, [prof])(w)
     h = ColoredFractionalBigraph(
         verts, [1], {(("x", "y"), 1): 0.5, (("x",), 1): 1.5})
     assert logs[0] == pytest.approx(

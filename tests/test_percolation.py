@@ -145,7 +145,7 @@ def test_left_search_budget_flag():
     ib = IncidenceBigraph(5, [2])
     res = find_left_cut_percolating(ib.graph, reflection_fold_pool(ib), budget=1)
     assert isinstance(res, NotFound)
-    assert res.budget_exhausted
+    assert res.reason == "budget"
 
 
 def test_budget_below_start_count_unless_a_start_is_the_goal():

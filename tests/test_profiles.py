@@ -107,6 +107,13 @@ def test_profile_count_needs_a_wider_dtype():
     assert len(profiles) == 1 + 2 * 300  # empty, then {a}: c and {a,b}: c
 
 
+def test_profile_cap_counts_the_vectors_enumerated():
+    # 219,774 count vectors over all left subsets, past PROFILE_CLASS_CAP,
+    # and 67,858 in the subsets enumerated
+    g = build_incidence(5, [2, 4]).graph
+    assert len(induced_subgraph_profiles(g)) == 3030
+
+
 def twinned_bigraph(seed):
     """3 or 4 base left vertices, then twins (same right neighborhood) of
     random base vertices up to 5 or 6 left vertices, and 2 to 5 right
