@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .bigraph import Bigraph, ColoredBigraph, Flag
+from .bigraph import Bigraph, ColoredBigraph, Flag, GraphTooLargeError
 from .bigraphon import BigraphonTuple, StepBigraphon
 
 if TYPE_CHECKING:
@@ -340,7 +340,7 @@ def density_brute_force(g: Bigraph, w: StepBigraphon) -> float:
     sizes = [w.rows] * g.v1 + [w.cols] * g.v2
     total = math.prod(sizes) if sizes else 1
     if total > BRUTE_FORCE_CAP:
-        raise ValueError(f"brute force over {total} assignments exceeds cap")
+        raise GraphTooLargeError(f"brute force over {total} assignments exceeds cap")
     flat = np.arange(total)
     idx: dict[str, np.ndarray] = {}
     stride = total

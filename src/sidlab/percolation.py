@@ -16,15 +16,15 @@ built as pairs and go to the search unchecked. `_moves` compiles the stacked
 pool at once (one np.where gives every phi_L, one gather through an element
 lookup its moves), so a preimage is a gather; each BFS level is a packed bit
 array, expanded in bounded chunks of rows. A chunk's candidates are
-deduplicated by sorting their keys and searching sorted tiers of the states
-seen (see `_search`), keeping the first occurrence of each in the order a
-queue-based BFS meets them; parents, certificates, state counts, and where
-the goal check and the budget stop fall, are therefore the same as for a
-queue. Parents are kept per level as one array of parent row * pool size +
-fold index, and a certificate's states are recomputed from its start element
-and folds; only its folds become `Fold`s. `verify_certificate` recomputes
-every preimage over frozensets, apart from the search, once per returned
-certificate.
+deduplicated in `_fresh`, the only code that handles keys, by sorting their
+keys and searching sorted tiers of the states seen (see `_search`), keeping
+the first occurrence of each in the order a queue-based BFS meets them;
+parents, certificates, state counts, and where the goal check and the budget
+stop fall, are therefore the same as for a queue. Parents are kept per level
+as one array of parent row * pool size + fold index, and a certificate's
+states are recomputed from its start element and folds; only its folds become
+`Fold`s. `verify_certificate` recomputes every preimage over frozensets,
+apart from the search, once per returned certificate.
 """
 
 from __future__ import annotations
@@ -218,31 +218,18 @@ def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _merge(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Two tiers of (sorted keys, their states) as one, without a sort."""
-    (keys_a, states_a), (keys_b, states_b) = a, b
-    at = np.searchsorted(keys_a, keys_b, side="right") + np.arange(len(keys_b))
-    keep = np.ones(len(keys_a) + len(keys_b), dtype=bool)
-    keep[at] = False
-    keys, states = np.empty(len(keep), keys_a.dtype), np.empty(len(keep), states_a.dtype)
-    keys[keep], keys[at] = keys_a, keys_b
-    states[keep], states[at] = states_a, states_b
-    return keys, states
-
-
-def _fresh(cands: np.ndarray, seen: list[tuple[np.ndarray, np.ndarray]]
-           ) -> tuple[np.ndarray, np.ndarray]:
+def _fresh(cands: np.ndarray, seen: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """The first occurrence of each candidate state not in `seen`, as
-    ascending candidate indices, and their keys; those states are added to
-    `seen`, a list of tiers (sorted keys, their states).
+    ascending candidate indices; those states are added to `seen`, a list
+    of tiers (sorted keys, their states), the only place keys are kept.
 
     One argsort groups the candidates by key, and the smallest index in a
     run of equal keys is the run's first occurrence; a search of each tier
     drops the runs already seen. Where keys do not identify states, a run
     whose states differ, or whose key a tier holds first for another
     state, holds a key collision: its states are compared whole, in index
-    order, with every seen state of that key."""
+    order, with every seen state of that key. `np.insert` merges tiers, each
+    newer state after the older ones of its key, so no tier is re-sorted."""
     keys, exact = _keys(cands)
     order = keys.argsort()
     sorted_keys = keys[order]
@@ -284,9 +271,13 @@ def _fresh(cands: np.ndarray, seen: list[tuple[np.ndarray, np.ndarray]]
     if len(fresh):
         seen.append((keys[fresh], cands[fresh]))
     while len(seen) > 1 and _TIER_RATIO * len(seen[-1][0]) > len(seen[-2][0]):
-        seen[-2:] = [_merge(*seen[-2:])]
+        (keys_a, states_a), (keys_b, states_b) = seen.pop(-2), seen.pop()
+        at = keys_a.searchsorted(keys_b, side="right")
+        states = np.insert(states_a, at, states_b)
+        del states_a, states_b  # the larger arrays: freed before the keys merge, for peak memory
+        seen.append((np.insert(keys_a, at, keys_b), states))
     fresh.sort()
-    return fresh, keys[fresh]
+    return fresh
 
 
 def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
@@ -298,18 +289,18 @@ def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
     are more than budget (unless one of them is the goal, which is answered
     without reading the pool).
 
-    A state is packed into whole uint64 words, one void item per state.
-    Its key is its word when it has one (up to 64 elements), so that the
-    key is the state; a wider state is keyed by a mix of its words, and
-    states that share a key are told apart by comparing them word by word
-    (see `_fresh`), so a collision costs time but never merges two states.
-    A chunk's candidates are in (state row, fold) order. A FIFO queue pops
-    a level's states in the order they were found and tries the folds in
-    pool order, so this is the order in which it meets them, and the first
-    occurrence of each state that no earlier chunk found is the state it
-    enqueues: fresh states, their order, parents and fold indices, the
-    state count, and where the goal check and the budget stop fall, are
-    the same as for the queue."""
+    A state is packed into whole uint64 words, one void item per state. Its
+    key is its word when it has one (up to 64 elements), so that the key is
+    the state; a wider state is keyed by a mix of its words, and states that
+    share a key are told apart by comparing them word by word (see `_fresh`),
+    so a collision costs time but never merges two states. The goal is found
+    among the fresh states by comparing states whole. A chunk's candidates
+    are in (state row, fold) order. A FIFO queue pops a level's states in the
+    order they were found and tries the folds in pool order, so this is the
+    order in which it meets them, and the first occurrence of each state that
+    no earlier chunk found is the state it enqueues: fresh states, their
+    order, parents and fold indices, the state count, and where the goal
+    check and the budget stop fall, are the same as for the queue."""
     elements = _MODES[mode].elements(g)
     n, n_folds = len(elements), len(pool)
 
@@ -356,11 +347,10 @@ def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
     bits[n] = False
     bits[n + 1] = np.arange(8 * nbytes) < n
     initial = pack(bits)
-    keys = _keys(initial)[0]
-    frontier, goal, goal_key = initial[:n], initial[n + 1:], keys[n + 1]
+    frontier, goal = initial[:n], initial[n + 1]
     # the empty state is never explored; seeding it skips empty preimages
-    order = keys[:n + 1].argsort()
-    seen = [(keys[order], initial[order])]
+    seen = []
+    _fresh(initial[:n + 1], seen)
     # per level after the first: each state's candidate index in its level,
     # parent row * n_folds + fold index
     parents: list[np.ndarray] = []
@@ -375,14 +365,12 @@ def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
             # candidates in (state row, fold) order, which is the order a
             # FIFO queue would generate them in
             cands = pack(bits[gather].transpose(2, 0, 1))
-            fresh, fresh_keys = _fresh(cands, seen)
+            fresh = _fresh(cands, seen)
             if not len(fresh):
                 continue
             over = budget - explored  # fresh[over] would pass the budget
             found = cands[fresh]
-            at_goal = (fresh_keys == goal_key).nonzero()[0]
-            if len(at_goal):
-                at_goal = at_goal[~_differ(found[at_goal], goal)]
+            at_goal = np.flatnonzero(found == goal)
             if len(at_goal) and at_goal[0] <= over:
                 row, f = divmod(int(fresh[at_goal[0]]) + lo * n_folds, n_folds)
                 fold_idx = [f]

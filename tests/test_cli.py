@@ -240,6 +240,14 @@ def test_test_cs_tree_and_jensen(tmp_path):
     assert main(["test", "jensen", "--n", "2", "--trials", "30"]) == 0
 
 
+def test_test_cs_tree_on_an_edgeless_graph_runs_no_trials(tmp_path):
+    gpath, out = tmp_path / "edgeless.json", tmp_path / "report.json"
+    gpath.write_text(json.dumps({"v1": ["a"], "v2": ["b"]}), encoding="utf-8")
+    assert main(["test", "cs-tree", str(gpath), "-o", str(out)]) == 0
+    report = read_json(out)
+    assert (report["verdict"], report["trials"]) == ("holds-on-all-trials", 0)
+
+
 def test_test_induced_sidorenko(tmp_path):
     gpath = make_graph(tmp_path, "construct", "cycle4")
     rpath = tmp_path / "ind.json"

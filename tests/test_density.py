@@ -70,6 +70,16 @@ def test_density_c4_diag():
     assert density_brute_force(cycle4(), DIAG) == pytest.approx(0.125, abs=1e-15)
 
 
+def test_brute_force_cap_is_typed():
+    """Past BRUTE_FORCE_CAP assignments: GraphTooLargeError, message unchanged."""
+    from sidlab.bigraph import GraphTooLargeError
+
+    star = Bigraph(["a"], list("bcdefghijkl"), [("a", r) for r in "bcdefghijkl"])
+    with pytest.raises(GraphTooLargeError,
+                       match="brute force over 16777216 assignments exceeds cap"):
+        density_brute_force(star, random_step_bigraphon(4, 4, seed=1))
+
+
 def test_density_empty_graph():
     g = Bigraph(["a"], ["b"], [])
     assert density(g, DIAG) == 1.0

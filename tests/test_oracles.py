@@ -202,3 +202,14 @@ def test_searches_match_reference_under_key_collisions(monkeypatch, mode):
     monkeypatch.setattr(percolation, "_keys", popcount)
     assert compare_searches(mode) > 250
     assert sum(chunks) > len(chunks) / 2
+
+
+@pytest.mark.parametrize("mode", list(SEARCHES))
+def test_searches_match_reference_under_one_shared_key(monkeypatch, mode):
+    """The same searches when every state has key 0. Under popcount keys
+    only the goal has all n elements; here every chunk is one run of
+    colliding states, every tier merge inserts among equal keys, and the
+    goal is told from the other fresh states only by comparing them whole."""
+    monkeypatch.setattr(percolation, "_keys",
+                        lambda states: (np.zeros(len(states), dtype=np.uint64), False))
+    assert compare_searches(mode) > 250

@@ -142,11 +142,27 @@ def test_induced_sidorenko_left_side_cap():
 
 
 def test_cs_tree_depth_cap():
+    """Both depth caps, on a sequence and on the tester's depth, raise
+    GraphTooLargeError with the cap's message."""
+    from sidlab.bigraph import GraphTooLargeError
+
     g = cycle4()
     c = {e: 1 for e in g.edges}
     fold = c4_left_fold()
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphTooLargeError, match="fold sequences capped at depth 20"):
         cs_tree_leaves(g, c, [fold] * 21)
+    with pytest.raises(GraphTooLargeError, match="fold sequences capped at depth 20"):
+        props.test_cs_tree(g, trials=1, max_depth=21)
+
+
+@pytest.mark.parametrize("tester, graph", [
+    ("test_cs_tree", Bigraph(["a"], ["b"])),
+    ("test_left_weak_holder", ColoredBigraph(Bigraph(["a", "b"], ["c"]), {})),
+])
+def test_edgeless_graph_runs_no_trials(tester, graph):
+    report = getattr(props, tester)(graph, trials=10, seed=19)
+    assert report.holds and report.witness is None
+    assert (report.trials, report.skipped, report.worst_margin) == (0, 0, 0.0)
 
 
 def test_induced_sidorenko_witness_replays():
@@ -663,6 +679,23 @@ def test_emptied_nested_object_names_the_key(name):
         if fmt == "bigraph":
             colored = {**witness[key], "edge_colors": [1] * len(witness[key]["edges"])}
             assert replay_witness({**witness, key: colored}) == witness["margin"]
+
+
+@pytest.mark.parametrize("name, key", [("weakly-norming", "graph"),
+                                       ("left-weak-holder", "colored")])
+def test_replay_refuses_an_edgeless_graph(name, key):
+    """No tester runs a trial on an edgeless graph, so replay ships no margin
+    for one: it names the graph field instead of failing in the arithmetic."""
+    witness = shipped_report(name).witness
+    graph = {**witness[key], "edges": []}
+    if "edge_colors" in graph:
+        graph["edge_colors"] = []
+    broken = {**witness, key: graph}
+    if "coloring" in broken:
+        broken["coloring"] = []
+    with pytest.raises(ValueError) as info:
+        replay_witness(broken)
+    assert str(info.value) == f"{name} witness '{key}' has no edges"
 
 
 def test_replay_refuses_what_the_tester_refuses():
