@@ -7,7 +7,8 @@ assignments is kept as an independent oracle, and the two agree to 1e-12.
 
 The engine walks its plan once for many trials of one factor structure:
 every factor and weight carries a leading trial axis, and a single density
-is a batch of one. Trials of a batch are zero-padded to the batch's largest
+is a batch of one. A batch's trials are sorted by their sizes and cut, in
+that order, into chunks, and each chunk is zero-padded to its own largest
 size of each variable. A padded cell is a zero factor entry under a zero
 weight, so each sum gains exact zeros after its last real term. numpy adds
 fewer than 8 terms one by one in index order, whether or not the summed
@@ -17,10 +18,11 @@ would regroup the real terms, and so would widening a size-1 axis, which
 can change which axis is innermost. So where a trial has a variable of 8
 or more cells, it shares a batch only with trials of the same sizes there
 and the same size-1 variables. Every trial of a batch then gets, bit for
-bit, the value of its batch of one, and the tests check this for every
-batched margin at grids 4 to 16. A batch goes through in chunks of at most
-2^13 bucket cells over all its trials, eight of the largest grid-4 buckets
-of incidence(5,{2,3}), so its memory stays near that of one trial.
+bit, the value of its batch of one, whatever chunk it lands in, and the
+tests check this for every batched margin at grids 4 to 16. A chunk of
+several trials holds at most 2^13 cells of its largest padded bucket over
+all its trials, eight of the largest grid-4 buckets of incidence(5,{2,3}),
+so its memory stays near that of one trial.
 
 A trial carries its distinct arrays in groups and each factor's position
 in its group; the batch names the group of every factor and of every
@@ -30,13 +32,14 @@ values of the colors its coloring uses, and each edge is at its color's
 position. A fractional trial holds mu and one power of a dual-star table
 per (color, subset size, weight); a pinned one, each edge's sliced values.
 A chunk of more than one trial becomes one zero pool per group, of shape
-(position, trial, padded axes), filled by one assignment per (array,
-trial). A factor at the same position in every trial reads its pool's view
-there, shared with every factor at that position; the factors of a group
-whose positions differ between trials (per-trial colorings) are gathered
-from the pool by one fancy index. Either way a factor's array is
-C-contiguous and holds the same zero-padded cells as a stack of its own,
-so padding stays exact as above.
+(position, trial, padded axes), filled by one assignment per trial whose
+arrays in the group share a shape, as a tuple's colors do, and by one per
+(array, trial) otherwise. A factor at the same position in every trial
+reads its pool's view there, shared with every factor at that position;
+the factors of a group whose positions differ between trials (per-trial
+colorings) are gathered from the pool by one fancy index. Either way a
+factor's array is C-contiguous and holds the same zero-padded cells as a
+stack of its own, so padding stays exact as above.
 
 Each elimination step sums one variable out of its bucket, the factors
 that mention it. A bucket whose full product has at most 2^16 cells is
@@ -205,7 +208,8 @@ def _layout(scopes: tuple[tuple[str, ...], ...], groups: tuple[int, ...],
     """The factors and weights of a chunk of trials on a leading trial axis,
     each variable v zero-padded to size[v]. A batch of one reads views of its
     arrays. Otherwise every group is one zero pool of shape (position, trial,
-    axes), filled by one assignment per (array, trial); a factor at the same
+    axes), filled by one assignment per trial whose arrays there share a
+    shape and by one per (array, trial) otherwise; a factor at the same
     position in every trial reads its pool's view, and the factors of a
     group whose positions differ between trials are gathered from the pool
     by one fancy index. Every factor array is C-contiguous, as a stack of
@@ -221,8 +225,11 @@ def _layout(scopes: tuple[tuple[str, ...], ...], groups: tuple[int, ...],
         members = [arrays[g] for arrays, _ in trials]
         pools[g] = pool = np.zeros((max(map(len, members)), len(trials)) + shape)
         for t, arrays in enumerate(members):
-            for i, a in enumerate(arrays):
-                pool[(i, t) + tuple(map(slice, a.shape))] = a
+            if all(a.shape == arrays[0].shape for a in arrays):
+                pool[(slice(len(arrays)), t) + tuple(map(slice, arrays[0].shape))] = arrays
+            else:
+                for i, a in enumerate(arrays):
+                    pool[(i, t) + tuple(map(slice, a.shape))] = a
     index = [ix for _, ix in trials]
     factors = [(vs, pools[g][i]) for vs, g, i in zip(scopes, groups, index[0])]
     if any(ix != index[0] for ix in index):
@@ -244,31 +251,41 @@ def _eliminate_trials(scopes: tuple[tuple[str, ...], ...], groups: tuple[int, ..
 
     Trials are grouped so that zero padding stays exact: a trial with a
     variable of _EXACT_PAD or more cells joins only trials with the same
-    such sizes and the same size-1 variables. A group goes through in
-    chunks whose largest padded bucket has at most _BATCH_CELLS cells over
-    all their trials, so a trial with a larger bucket, and every bucket
-    past _SMALL_BUCKET, runs in a batch of one."""
+    such sizes and the same size-1 variables. A group's trials are sorted
+    by their sizes and cut, in that order, into chunks padded to their own
+    largest sizes, each a single trial or at most _BATCH_CELLS cells of its
+    largest padded bucket over all its trials; so a trial with a larger
+    bucket, and every bucket past _SMALL_BUCKET, runs in a batch of one."""
     if not trials:
         return np.empty(0)
-    variables = tuple(sorted(weights))
     sized = sorted(set(weights.values()))
     lengths = [tuple(len(arrays[g][0]) for g in sized) for arrays, _ in trials]
-    batches: dict[tuple, list[int]] = {}
-    for t, sizes in enumerate(lengths):
-        key = () if max(sizes, default=0) < _EXACT_PAD else tuple(
-            n if n >= _EXACT_PAD or n == 1 else 0 for n in sizes)
-        batches.setdefault(key, []).append(t)
-    _, steps = _plan(scopes, variables)
+    keys = [() if max(sizes, default=0) < _EXACT_PAD else tuple(
+        n if n >= _EXACT_PAD or n == 1 else 0 for n in sizes) for sizes in lengths]
+    _, steps = _plan(scopes, tuple(sorted(weights)))
+    # each bucket as the positions of its variables' sizes in a size tuple
+    column = {g: i for i, g in enumerate(sized)}
+    buckets = {tuple(column[weights[u]] for u in step[2]) for step in steps}
+
+    @functools.cache
+    def largest(sizes: tuple[int, ...]) -> int:
+        return max((math.prod(sizes[i] for i in b) for b in buckets), default=1)
     out = np.empty(len(trials))
-    for members in batches.values():
-        most = dict(zip(sized, map(max, zip(*(lengths[t] for t in members)))))
-        size = {v: most[g] for v, g in weights.items()}
-        largest = max((math.prod(size[u] for u in step[2]) for step in steps), default=1)
-        chunk = max(1, _BATCH_CELLS // largest)
-        for lo in range(0, len(members), chunk):
-            part = members[lo:lo + chunk]
-            factors, vectors = _layout(scopes, groups, weights, [trials[t] for t in part], size)
-            out[part] = _eliminate_all(factors, vectors, len(part))
+
+    def run(part: list[int], most: tuple[int, ...]) -> None:
+        size = {v: most[column[g]] for v, g in weights.items()}
+        factors, vectors = _layout(scopes, groups, weights, [trials[t] for t in part], size)
+        out[part] = _eliminate_all(factors, vectors, len(part))
+    part, most = [], ()
+    for t in sorted(range(len(trials)), key=lambda t: (keys[t], lengths[t])):
+        grown = tuple(map(max, most, lengths[t])) if part else lengths[t]
+        if part and (keys[t] != keys[part[0]]
+                     or (len(part) + 1) * largest(grown) > _BATCH_CELLS):
+            run(part, most)
+            part, grown = [], lengths[t]
+        part.append(t)
+        most = grown
+    run(part, most)
     return out
 
 

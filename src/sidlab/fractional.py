@@ -250,8 +250,9 @@ def compile_profiles(vertices: Sequence[str],
         out = np.empty(len(profiles))
         blocks = max(1, len(profiles) // max(2, _BLOCK_CELLS // tables.shape[1]))
         bounds = [len(profiles) * b // blocks for b in range(blocks + 1)]
+        scratch = np.empty((-(-len(profiles) // blocks), tables.shape[1]))
         for lo, hi in zip(bounds, bounds[1:]):
-            combined = m[lo:hi] @ tables
+            combined = np.matmul(m[lo:hi], tables, out=scratch[:hi - lo])
             combined += logw
             peak = combined.max(axis=1, keepdims=True)
             combined -= peak

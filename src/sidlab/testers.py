@@ -265,9 +265,11 @@ def _sample_tuple(rng: np.random.Generator, grid: int, colors: Sequence[int],
                   preset: str = "uniform") -> BigraphonTuple:
     rows = int(rng.integers(1, grid + 1))
     cols = int(rng.integers(1, grid + 1))
-    # fresh draws in [floor, 1] over the shared uniform weights
-    return BigraphonTuple({c: _trusted(_draw_values(rng, rows, cols, preset))
-                           for c in sorted(colors)})
+    # fresh draws in [floor, 1] over the shared uniform weights; one uniform
+    # draw of every color reads the stream as one draw per color would
+    parts = (rng.uniform(1e-3, 1.0, size=(len(colors), rows, cols)) if preset == "uniform"
+             else [_draw_values(rng, rows, cols, preset) for _ in colors])
+    return BigraphonTuple({c: _trusted(values) for c, values in zip(sorted(colors), parts)})
 
 
 def _sample_bigraphon(rng: np.random.Generator, grid: int, preset: str) -> StepBigraphon:
@@ -534,6 +536,10 @@ def _pair_color(t: int, base_color: int, offset: int) -> int:
 
 
 def _left_weak_holder_gaps(instances: Sequence[tuple]) -> list[float]:
+    """Per (h, ell, ws), the mean log t of the left-constant colorings of
+    ell's labels less log t of the product coloring. Under one label t the
+    product coloring reads t's codes in the order of base at the shared
+    index, the same trial as t's left-constant one, so it runs once."""
     h, = _shared(instances)
     g = h.graph
     base = h.color_set()
@@ -548,22 +554,23 @@ def _left_weak_holder_gaps(instances: Sequence[tuple]) -> list[float]:
 
     def trial(codes, index, ws):
         return ws._values(codes), index, ws.row_weights, ws.col_weights, ()
-    # the product coloring, then the left-constant one of each label used
+    # the left-constant coloring of each label used, then the product one
     labels, trials = [], []
     for _, ell, ws in instances:
-        codes = [_pair_color(ell[l], c, offset) for (l, _), c in zip(edges, edge_colors)]
-        used = sorted(set(codes))
-        position = {c: i for i, c in enumerate(used)}
         ts = list(dict.fromkeys(ell[v] for v in g.left))
         labels.append(ts)
-        trials.append(trial(used, [position[c] for c in codes], ws))
         trials += [trial([_pair_color(t, c, offset) for c in base], constant, ws)
                    for t in ts]
+        if len(ts) > 1:
+            codes = [_pair_color(ell[l], c, offset) for (l, _), c in zip(edges, edge_colors)]
+            used = sorted(set(codes))
+            position = {c: i for i, c in enumerate(used)}
+            trials.append(trial(used, [position[c] for c in codes], ws))
     logs = map(math.log, _graph_densities(g, trials))
     gaps = []
     for (_, ell, _), ts in zip(instances, labels):
-        log_lhs = next(logs)
         per_label = {t: next(logs) for t in ts}
+        log_lhs = next(logs) if len(ts) > 1 else per_label[ts[0]]
         total = 0.0
         for v in g.left:
             total += per_label[ell[v]] / g.v1
@@ -625,10 +632,13 @@ def test_color_sidorenko(h: ColoredFractionalBigraph, trials: int = 200,
 
 def _cs_check(g: Bigraph, coloring: Mapping[tuple, int], folds: Sequence[Fold],
               *_) -> None:
-    """Raise ValueError unless the sequence is at most CS_TREE_DEPTH_CAP folds
-    of g and coloring colors exactly its edges; test_cs_tree's trials skip it."""
+    """Raise ValueError unless g has an edge, the sequence is at most
+    CS_TREE_DEPTH_CAP folds of g and coloring colors exactly its edges;
+    test_cs_tree's trials skip it."""
     if len(folds) > CS_TREE_DEPTH_CAP:
         raise GraphTooLargeError(f"fold sequences capped at depth {CS_TREE_DEPTH_CAP}")
+    if not g.e:  # test_cs_tree runs no trials on an edgeless graph
+        raise ValueError("'graph' has no edges")
     for fold in folds:
         check_fold(g, fold)
     if set(coloring) != g.edges:

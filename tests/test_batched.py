@@ -222,6 +222,51 @@ def test_batched_colored_and_fractional_densities_equal_single_ones():
         assert t == fractional_density(frac, ws)
 
 
+def test_sorted_chunks_give_every_trial_its_batch_of_one(monkeypatch):
+    """Colored trials of sizes 1..7 beside sizes of 8 to 11, whose keyed
+    groups share their large and size-1 sizes, and fractional trials whose
+    groups hold arrays of several shapes: in any order every value equals
+    its batch of one, and a chunk of several trials is padded to its own
+    largest sizes, within _BATCH_CELLS cells of its largest bucket."""
+    rng = np.random.default_rng(47)
+    g = build_incidence(3, [2]).graph
+    edges = tuple(g.sorted_edges())
+    weights = dict.fromkeys(g.left, 1) | dict.fromkeys(g.right, 2)
+    trials = []
+    for w in mixed_bigraphons(rng, 90, most=7) + mixed_bigraphons(rng, 60, most=11):
+        values = [w.values] + [rng.uniform(1e-3, 1.0, w.values.shape) for _ in range(2)]
+        index = [int(i) for i in rng.integers(0, 3, size=len(edges))]
+        trials.append(((values, (w.row_weights,), (w.col_weights,)), index))
+    _, steps = DENSITY._plan(edges, tuple(sorted(weights)))
+    chunks = []
+    real = DENSITY._layout
+
+    def spy(scopes, groups, weights, part, size):
+        chunks.append((part, size))
+        return real(scopes, groups, weights, part, size)
+    monkeypatch.setattr(DENSITY, "_layout", spy)
+
+    def engine(part):
+        return DENSITY._eliminate_trials(edges, (0,) * len(edges), weights, part).tolist()
+    single = [engine([t])[0] for t in trials]
+    for order in (range(len(trials)), rng.permutation(len(trials)), range(len(trials))[::-1]):
+        chunks.clear()
+        assert engine([trials[t] for t in order]) == [single[t] for t in order]
+        assert 1 < len(chunks) < len(trials)
+        for part, size in chunks:
+            own = [{v: len(arrays[k][0]) for v, k in weights.items()} for arrays, _ in part]
+            assert size == {v: max(s[v] for s in own) for v in weights}
+            cells = max(math.prod(size[u] for u in step[2]) for step in steps)
+            assert len(part) == 1 or len(part) * cells <= DENSITY._BATCH_CELLS
+    frac = from_right_uniform(build_incidence(4, [2, 3]))
+    tuples = [BigraphonTuple({c: w.with_values(rng.uniform(1e-3, 1.0, w.values.shape))
+                              for c in (1, 2)}) for w in mixed_bigraphons(rng, 40, most=11)]
+    singles = [fractional_density(frac, ws) for ws in tuples]
+    order = rng.permutation(len(tuples))
+    assert (fractional_densities(frac, [tuples[t] for t in order]).tolist()
+            == [singles[t] for t in order])
+
+
 def count_batches(monkeypatch):
     """Count the engine's calls and the trials each one takes."""
     seen = []

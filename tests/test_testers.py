@@ -11,7 +11,7 @@ import pytest
 from sidlab.bigraph import (
     Bigraph, ColoredBigraph, book, cycle4, from_json_dict, rho, star, to_json_dict)
 from sidlab.bigraphon import BigraphonTuple, SinkhornError, random_step_bigraphon
-from sidlab.density import exponent_balance
+from sidlab.density import colored_densities, exponent_balance
 from sidlab.folds import Fold, check_fold, complete_to_fold, fold_to_json
 from sidlab.fractional import from_right_uniform, rainbow_star
 from sidlab.checkers import decomposition_from_json, verify_rtd
@@ -252,6 +252,69 @@ def test_left_weak_holder_constant_coloring_equality():
     witness = {"property": "left-weak-holder", "colored": to_json_dict(h),
                "ell": {v: 1 for v in h.graph.left}, "tuple": ws}
     assert abs(replay_witness(witness)) < 1e-12  # both sides identical
+
+
+def two_trial_gap(h, ell, ws):
+    """The left-weak-Hoelder gap with the product coloring and each label's
+    left-constant coloring as separate trials of one batch."""
+    g = h.graph
+    offset = max(h.color_set()) + 1
+    labels = list(dict.fromkeys(ell[v] for v in g.left))
+    colorings = [{e: props._pair_color(ell[e[0]], c, offset) for e, c in h.colors.items()}]
+    colorings += [{e: props._pair_color(t, c, offset) for e, c in h.colors.items()}
+                  for t in labels]
+    log_lhs, *logs = map(math.log, colored_densities(g, colorings, [ws] * len(colorings)))
+    per_label = dict(zip(labels, logs))
+    total = 0.0
+    for v in g.left:
+        total += per_label[ell[v]] / g.v1
+    return total - log_lhs
+
+
+def test_a_constant_labeling_runs_once_and_keeps_its_gap(monkeypatch):
+    """One engine trial per label of a constant labeling, none more for its
+    product coloring; every gap of a mixed batch equals the two-trial
+    computation, and a constant labeling's witness replays exactly."""
+    h = build_incidence(4, [2, 3])
+    offset = max(h.color_set()) + 1
+    instances = []
+    for trial in range(60):
+        n_colors, ell = props._random_labels(props._trial_rng(8, trial), h.graph.left, 3)
+        if trial % 3 == 0:
+            ell = dict.fromkeys(h.graph.left, n_colors)
+        colors = [props._pair_color(t, c, offset)
+                  for t in range(1, n_colors + 1) for c in h.color_set()]
+        ws = props._sample_tuple(props._trial_rng(9, trial), 4, colors,
+                                 ("uniform", "adversarial")[trial % 2])
+        instances.append((h, ell, ws))
+    counts = []
+    real = props._graph_densities
+    monkeypatch.setattr(props, "_graph_densities",
+                        lambda g, trials: counts.append(len(trials)) or real(g, trials))
+    assert props._left_weak_holder_gaps(instances) == [two_trial_gap(*i) for i in instances]
+    labels = [len(set(ell.values())) for _, ell, _ in instances]
+    assert counts == [sum(n + (n > 1) for n in labels)]
+    assert labels.count(1) >= 20
+    name = "left-weak-holder"
+    for instance in instances[:6:3]:  # two constant labelings
+        gap, = props._left_weak_holder_gaps([instance])
+        witness = json.loads(json.dumps(
+            {"property": name, **props.PROPERTIES[name].encode(instance)}))
+        assert replay_witness(witness) == math.expm1(gap) == math.expm1(two_trial_gap(*instance))
+
+
+@pytest.mark.parametrize("grid", [1, 4, 16])
+def test_a_uniform_tuple_is_one_draw_of_every_color(grid):
+    """The uniform preset draws a tuple in one call, with the values and the
+    final generator state of one _draw_values call per color."""
+    for seed, k in itertools.product(range(20), (1, 2, 6)):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        ws = props._sample_tuple(rng, grid, range(k, 0, -1))
+        rows, cols = int(ref.integers(1, grid + 1)), int(ref.integers(1, grid + 1))
+        for c in range(1, k + 1):
+            want = props._draw_values(ref, rows, cols, "uniform")
+            assert ws[c].values.tobytes() == want.tobytes() and ws[c].values.shape == want.shape
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +759,21 @@ def test_replay_refuses_an_edgeless_graph(name, key):
     with pytest.raises(ValueError) as info:
         replay_witness(broken)
     assert str(info.value) == f"{name} witness '{key}' has no edges"
+
+
+def test_cs_tree_replay_refuses_an_edgeless_graph():
+    """The cs-tree check raises for an edgeless graph, in replay and in the
+    public functions that run it, as the checks above name it."""
+    witness = shipped_report("cs-tree").witness
+    broken = {**witness, "graph": {**witness["graph"], "edges": []}, "coloring": [],
+              "folds": []}
+    with pytest.raises(ValueError, match="^'graph' has no edges$"):
+        replay_witness(broken)
+    ws = props._sample_tuple(np.random.default_rng(0), 2, [1])
+    for call in (lambda: cs_tree_leaves(Bigraph(["a"], ["b"]), {}, []),
+                 lambda: verify_cs_inequality(Bigraph(["a"], ["b"]), {}, [], ws)):
+        with pytest.raises(ValueError, match="^'graph' has no edges$"):
+            call()
 
 
 def test_replay_refuses_what_the_tester_refuses():
