@@ -32,14 +32,13 @@ values of the colors its coloring uses, and each edge is at its color's
 position. A fractional trial holds mu and one power of a dual-star table
 per (color, subset size, weight); a pinned one, each edge's sliced values.
 A chunk of more than one trial becomes one zero pool per group, of shape
-(position, trial, padded axes), filled by one assignment per trial whose
-arrays in the group share a shape, as a tuple's colors do, and by one per
-(array, trial) otherwise. A factor at the same position in every trial
-reads its pool's view there, shared with every factor at that position;
-the factors of a group whose positions differ between trials (per-trial
-colorings) are gathered from the pool by one fancy index. Either way a
-factor's array is C-contiguous and holds the same zero-padded cells as a
-stack of its own, so padding stays exact as above.
+(position, trial, padded axes), filled by one assignment per (array,
+trial). A factor at the same position in every trial reads its pool's view
+there, shared with every factor at that position; the factors of a group
+whose positions differ between trials (per-trial colorings) are gathered
+from the pool by one fancy index. Either way a factor's array is
+C-contiguous and holds the same zero-padded cells as a stack of its own,
+so padding stays exact as above.
 
 Each elimination step sums one variable out of its bucket, the factors
 that mention it. A bucket whose full product has at most 2^16 cells is
@@ -208,8 +207,7 @@ def _layout(scopes: tuple[tuple[str, ...], ...], groups: tuple[int, ...],
     """The factors and weights of a chunk of trials on a leading trial axis,
     each variable v zero-padded to size[v]. A batch of one reads views of its
     arrays. Otherwise every group is one zero pool of shape (position, trial,
-    axes), filled by one assignment per trial whose arrays there share a
-    shape and by one per (array, trial) otherwise; a factor at the same
+    axes), filled by one assignment per (array, trial); a factor at the same
     position in every trial reads its pool's view, and the factors of a
     group whose positions differ between trials are gathered from the pool
     by one fancy index. Every factor array is C-contiguous, as a stack of
@@ -225,11 +223,8 @@ def _layout(scopes: tuple[tuple[str, ...], ...], groups: tuple[int, ...],
         members = [arrays[g] for arrays, _ in trials]
         pools[g] = pool = np.zeros((max(map(len, members)), len(trials)) + shape)
         for t, arrays in enumerate(members):
-            if all(a.shape == arrays[0].shape for a in arrays):
-                pool[(slice(len(arrays)), t) + tuple(map(slice, arrays[0].shape))] = arrays
-            else:
-                for i, a in enumerate(arrays):
-                    pool[(i, t) + tuple(map(slice, a.shape))] = a
+            for i, a in enumerate(arrays):
+                pool[(i, t) + tuple(map(slice, a.shape))] = a
     index = [ix for _, ix in trials]
     factors = [(vs, pools[g][i]) for vs, g, i in zip(scopes, groups, index[0])]
     if any(ix != index[0] for ix in index):
@@ -256,36 +251,40 @@ def _eliminate_trials(scopes: tuple[tuple[str, ...], ...], groups: tuple[int, ..
     largest sizes, each a single trial or at most _BATCH_CELLS cells of its
     largest padded bucket over all its trials; so a trial with a larger
     bucket, and every bucket past _SMALL_BUCKET, runs in a batch of one."""
-    if not trials:
-        return np.empty(0)
     sized = sorted(set(weights.values()))
     lengths = [tuple(len(arrays[g][0]) for g in sized) for arrays, _ in trials]
     keys = [() if max(sizes, default=0) < _EXACT_PAD else tuple(
         n if n >= _EXACT_PAD or n == 1 else 0 for n in sizes) for sizes in lengths]
     _, steps = _plan(scopes, tuple(sorted(weights)))
     # each bucket as the positions of its variables' sizes in a size tuple
-    column = {g: i for i, g in enumerate(sized)}
-    buckets = {tuple(column[weights[u]] for u in step[2]) for step in steps}
+    buckets = {tuple(sized.index(weights[u]) for u in step[2]) for step in steps}
 
-    @functools.cache
-    def largest(sizes: tuple[int, ...]) -> int:
-        return max((math.prod(sizes[i] for i in b) for b in buckets), default=1)
+    @functools.cache  # sorted trials grow a chunk's sizes a few times only
+    def cells(most: tuple[int, ...]) -> int:
+        return max((math.prod(most[i] for i in b) for b in buckets), default=1)
     out = np.empty(len(trials))
 
     def run(part: list[int], most: tuple[int, ...]) -> None:
-        size = {v: most[column[g]] for v, g in weights.items()}
+        size = {v: most[sized.index(g)] for v, g in weights.items()}
         factors, vectors = _layout(scopes, groups, weights, [trials[t] for t in part], size)
         out[part] = _eliminate_all(factors, vectors, len(part))
-    part, most = [], ()
-    for t in sorted(range(len(trials)), key=lambda t: (keys[t], lengths[t])):
-        grown = tuple(map(max, most, lengths[t])) if part else lengths[t]
-        if part and (keys[t] != keys[part[0]]
-                     or (len(part) + 1) * largest(grown) > _BATCH_CELLS):
-            run(part, most)
-            part, grown = [], lengths[t]
-        part.append(t)
-        most = grown
-    run(part, most)
+    batches: dict[tuple, list[int]] = {}
+    for t in sorted(range(len(trials)), key=lengths.__getitem__):
+        batches.setdefault(keys[t], []).append(t)
+    for members in batches.values():
+        most = tuple(map(max, zip(*(lengths[t] for t in members))))
+        if len(members) * cells(most) <= _BATCH_CELLS:
+            run(members, most)  # as the cuts below would, with no per-trial work
+            continue
+        part = []
+        for t in members:
+            grown = tuple(map(max, most, lengths[t])) if part else lengths[t]
+            if part and (len(part) + 1) * cells(grown) > _BATCH_CELLS:
+                run(part, most)
+                part, grown = [], lengths[t]
+            part.append(t)
+            most = grown
+        run(part, most)
     return out
 
 

@@ -254,21 +254,23 @@ def _mean_bound_gaps(g: Bigraph, instances: Sequence[tuple]) -> list[float]:
 # shared samplers and codecs
 
 
-def _draw_values(rng: np.random.Generator, rows: int, cols: int, preset: str,
-                 floor: float = 1e-3) -> np.ndarray:
-    if preset == "adversarial" and rng.random() < 0.5:
-        return np.where(rng.random((rows, cols)) < 0.5, floor, 1.0)
-    return rng.uniform(floor, 1.0, size=(rows, cols))
+def _draw_values(rng: np.random.Generator, count: int, rows: int, cols: int,
+                 preset: str, floor: float = 1e-3) -> Sequence[np.ndarray]:
+    """count value matrices in [floor, 1]: uniform ones in one draw, which
+    reads the stream as one draw per matrix; adversarial ones each after a
+    coin flip, as a floor/1 mask or uniform values."""
+    if preset != "adversarial":
+        return rng.uniform(floor, 1.0, size=(count, rows, cols))
+    return [np.where(rng.random((rows, cols)) < 0.5, floor, 1.0) if rng.random() < 0.5
+            else rng.uniform(floor, 1.0, size=(rows, cols)) for _ in range(count)]
 
 
 def _sample_tuple(rng: np.random.Generator, grid: int, colors: Sequence[int],
                   preset: str = "uniform") -> BigraphonTuple:
     rows = int(rng.integers(1, grid + 1))
     cols = int(rng.integers(1, grid + 1))
-    # fresh draws in [floor, 1] over the shared uniform weights; one uniform
-    # draw of every color reads the stream as one draw per color would
-    parts = (rng.uniform(1e-3, 1.0, size=(len(colors), rows, cols)) if preset == "uniform"
-             else [_draw_values(rng, rows, cols, preset) for _ in colors])
+    # fresh draws in [floor, 1] over the shared uniform weights
+    parts = _draw_values(rng, len(colors), rows, cols, preset)
     return BigraphonTuple({c: _trusted(values) for c, values in zip(sorted(colors), parts)})
 
 

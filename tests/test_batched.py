@@ -224,10 +224,11 @@ def test_batched_colored_and_fractional_densities_equal_single_ones():
 
 def test_sorted_chunks_give_every_trial_its_batch_of_one(monkeypatch):
     """Colored trials of sizes 1..7 beside sizes of 8 to 11, whose keyed
-    groups share their large and size-1 sizes, and fractional trials whose
-    groups hold arrays of several shapes: in any order every value equals
-    its batch of one, and a chunk of several trials is padded to its own
-    largest sizes, within _BATCH_CELLS cells of its largest bucket."""
+    groups share their large and size-1 sizes, and fractional trials, whose
+    groups each hold one array, of several shapes between groups: in any
+    order every value equals its batch of one, and a chunk of several
+    trials is padded to its own largest sizes, within _BATCH_CELLS cells of
+    its largest bucket."""
     rng = np.random.default_rng(47)
     g = build_incidence(3, [2]).graph
     edges = tuple(g.sorted_edges())

@@ -136,7 +136,7 @@ def test_sinkhorn_equals_the_first_loop_bit_for_bit():
             rows = 1
         elif k % 8 in (4, 5):
             cols = 1
-        vals = testers._draw_values(rng, rows, cols, preset)
+        vals, = testers._draw_values(rng, 1, rows, cols, preset)
         w = (StepBigraphon(rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(cols)), vals)
              if k % 3 == 0 else StepBigraphon.uniform(vals))
         seen["1 x n" if rows == 1 else "n x 1" if cols == 1 else "n x m"] += 1

@@ -303,16 +303,26 @@ def test_a_constant_labeling_runs_once_and_keeps_its_gap(monkeypatch):
         assert replay_witness(witness) == math.expm1(gap) == math.expm1(two_trial_gap(*instance))
 
 
+def draw_one_color(rng, rows, cols, preset):
+    """One color's values drawn on their own: a coin flip first under the
+    adversarial preset, then a floor/1 mask or uniform values in [1e-3, 1]."""
+    if preset == "adversarial" and rng.random() < 0.5:
+        return np.where(rng.random((rows, cols)) < 0.5, 1e-3, 1.0)
+    return rng.uniform(1e-3, 1.0, size=(rows, cols))
+
+
+@pytest.mark.parametrize("preset", ["uniform", "adversarial"])
 @pytest.mark.parametrize("grid", [1, 4, 16])
-def test_a_uniform_tuple_is_one_draw_of_every_color(grid):
-    """The uniform preset draws a tuple in one call, with the values and the
-    final generator state of one _draw_values call per color."""
+def test_a_tuple_reads_the_stream_as_one_draw_per_color(grid, preset):
+    """A tuple has the values, and leaves the generator in the state, of
+    one draw per color in color order, though the uniform preset draws
+    every color in one call."""
     for seed, k in itertools.product(range(20), (1, 2, 6)):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        ws = props._sample_tuple(rng, grid, range(k, 0, -1))
+        ws = props._sample_tuple(rng, grid, range(k, 0, -1), preset)
         rows, cols = int(ref.integers(1, grid + 1)), int(ref.integers(1, grid + 1))
         for c in range(1, k + 1):
-            want = props._draw_values(ref, rows, cols, "uniform")
+            want = draw_one_color(ref, rows, cols, preset)
             assert ws[c].values.tobytes() == want.tobytes() and ws[c].values.shape == want.shape
         assert rng.bit_generator.state == ref.bit_generator.state
 
