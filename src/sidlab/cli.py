@@ -96,11 +96,12 @@ def _tolerance(args) -> float:
     return args.tol
 
 
-def _parse_uniformities(text: str) -> list[int]:
+def _parse_ints(text: str, what: str) -> list[int]:
+    """The comma-separated integers of `text`, empty items skipped."""
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        return [int(x) for x in text.split(",") if x]
     except ValueError as exc:
-        raise UsageError(f"bad uniformities {text!r}") from exc
+        raise UsageError(f"bad {what} {text!r}") from exc
 
 
 def _parse_profile(text: str) -> dict[int, int]:
@@ -166,7 +167,7 @@ def build_parser() -> _Parser:
 # each kind `sidlab construct` builds: (the options it needs, its builder)
 CONSTRUCTORS = {
     "incidence": (("n", "uniformities"),
-                  lambda n, ks: build_incidence(n, _parse_uniformities(ks))),
+                  lambda n, ks: build_incidence(n, _parse_ints(ks, "uniformities"))),
     "book": (("k",), book),
     "star": (("d",), star),
     "cycle4": ((), cycle4),
@@ -216,10 +217,7 @@ def _cmd_certify(args) -> int:
 def _kept_colors(args) -> list[int]:
     if args.colors is None:
         raise UsageError(f"{args.property} needs --colors")
-    try:
-        return [int(c) for c in args.colors.split(",") if c]
-    except ValueError as exc:
-        raise UsageError(f"bad --colors {args.colors!r}") from exc
+    return _parse_ints(args.colors, "--colors")
 
 
 # how `sidlab test` reads and checks each tester option, and builds each kind

@@ -119,8 +119,7 @@ def from_right_uniform(h: ColoredBigraph) -> ColoredFractionalBigraph:
     for w in g.right:
         nbhd = tuple(sorted(g.neighbors(w)))
         # right-uniform: any incident edge carries the vertex's color
-        color = next(c for (l, r), c in h.edge_colors if r == w)
-        key = (nbhd, color)
+        key = (nbhd, colors[(nbhd[0], w)])
         counts[key] = counts.get(key, 0.0) + 1.0
     return ColoredFractionalBigraph(g.left, h.color_set(), counts)
 

@@ -107,16 +107,15 @@ class IncidenceBigraph:
 
     @functools.cached_property
     def _slots(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The points (the left side), then each slot's subsets, as point
-        masks in increasing order (bit p - 1 is set iff p is in; Python ints
-        past 63 points) and the vertex index in `graph` of each."""
-        pos, points = self.graph._index.pos, range(1, self.n + 1)
-        slots = [[(1 << p - 1, pos[str(p)]) for p in points]]
-        slots += [[(sum(1 << p - 1 for p in s), pos[right_id(s, slot)])
-                   for s in itertools.combinations(points, k)]
-                  for slot, k in enumerate(self.uniformities, start=1)]
-        return [(np.array(masks, dtype=np.int64 if self.n < 64 else object), np.array(verts))
-                for masks, verts in (zip(*sorted(slot)) for slot in slots)]
+        """The points (the left side), then each slot's subsets (slots in first-id order),
+        as masks over the left vertex indices of `graph` in increasing order (Python ints
+        past 63 points) and the vertex index of each."""
+        n, adj = self.n, self.graph._index.adj
+        slots = {"": [(1 << i, i) for i in range(n)]}  # keyed by the id's slot
+        for j, rid in enumerate(self.graph.right, n):
+            slots.setdefault(rid.rpartition("@")[2], []).append((adj[j], j))
+        return [(np.array(masks, dtype=np.int64 if n < 64 else object), np.array(verts))
+                for masks, verts in (zip(*sorted(slot)) for slot in slots.values())]
 
     @classmethod
     def from_bigraph(cls, g: Bigraph) -> "IncidenceBigraph":
@@ -164,13 +163,14 @@ def _reflection_pairs(ib: IncidenceBigraph, ab: Optional[Sequence] = None
     """The folds of the transpositions t_{ab} in `ab` (all C(n,2) by default,
     ordered by (a, b)) as (image, left mask) pairs over ib.graph.vertices().
     L holds each point or subset that has a but not b (the chamber rule)."""
-    ab = np.array(TypeAReflectionSystem(ib.n).reflections() if ab is None else ab,
-                  dtype=np.intp).reshape(-1, 2)
+    pos = ib.graph._index.pos  # a point's bit in the masks is its left vertex index
+    pairs = TypeAReflectionSystem(ib.n).reflections() if ab is None else ab
+    ab = np.array([[pos[str(p)] for p in pair] for pair in pairs], dtype=np.intp).reshape(-1, 2)
     v, rows = ib.graph.v, np.arange(len(ab))[:, None]
     images, lefts = np.tile(np.arange(v), (len(ab), 1)), np.zeros((len(ab), v), dtype=bool)
     for masks, verts in ib._slots:
         # bits a and b of every mask, for all transpositions at once
-        bit_a, bit_b = np.left_shift(1, (ab.T[:, :, None] - 1).astype(masks.dtype))
+        bit_a, bit_b = np.left_shift(1, ab.T[:, :, None].astype(masks.dtype))
         has_a, has_b = masks & bit_a != 0, masks & bit_b != 0
         swapped = np.where(has_a != has_b, masks ^ (bit_a | bit_b), masks)
         images[rows, verts] = verts[np.searchsorted(masks, swapped)]

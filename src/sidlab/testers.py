@@ -369,34 +369,14 @@ def _strong_sidorenko_gaps(instances: Sequence[tuple]) -> list[float]:
         pots = fs | gs
         trials.append(((w.values,), index, w.row_weights, w.col_weights,
                        [pots[v] for v in potentials]))
-    lhs = _graph_densities(g, trials, potentials)
-    ws = [w for _, w, _, _ in instances]
-    f_prods = _powered_products([fs for _, _, fs, _ in instances], [w.rows for w in ws], 1.0 / e)
-    g_prods = _powered_products([gs for _, _, _, gs in instances], [w.cols for w in ws], 1.0 / e)
     out = []
-    for t, w, f_prod, g_prod in zip(lhs, ws, f_prods, g_prods):
-        base = float((w.row_weights * f_prod[:w.rows]) @ w.values
-                     @ (w.col_weights * g_prod[:w.cols]))
+    for t, (_, w, fs, gs) in zip(_graph_densities(g, trials, potentials), instances):
+        # each instance's (1/e)-powers, multiplied in sorted vertex order
+        f_prod, g_prod = (np.multiply.reduce(np.array([m[v] for v in sorted(m)]) ** (1.0 / e))
+                          for m in (fs, gs))
+        base = float((w.row_weights * f_prod) @ w.values @ (w.col_weights * g_prod))
         out.append(math.log(t) - e * math.log(base))
     return out
-
-
-def _powered_products(maps: Sequence[Mapping], sizes: Sequence[int],
-                      power: float) -> np.ndarray:
-    """Row i: the product of maps[i][v] ** power over the sorted keys v,
-    taken left to right and padded with 1 to the longest size. The powers
-    of every map are taken in one elementwise call over a padded stack,
-    which gives each element the float it gets alone, and one reduce
-    multiplies its layers in key order, so row i is the per-trial product.
-    Every map of the batch must have the same keys."""
-    keys = sorted(maps[0])
-    if any(m.keys() != maps[0].keys() for m in maps):
-        raise ValueError("a margin batch must share its weight maps' vertices")
-    stack = np.ones((len(keys), len(maps), max(sizes)))
-    for i, (m, size) in enumerate(zip(maps, sizes)):
-        stack[:, i, :size] = [m[v] for v in keys]
-    stack **= power
-    return np.multiply.reduce(stack, axis=0)
 
 
 def _require_an_edge(g: Bigraph) -> None:

@@ -59,6 +59,10 @@ CASES = [
     ("test_inductive_jensen", (3,), False),
 ]
 CASE_IDS = [f"{name}-{i}" for i, (name, _, _) in enumerate(CASES)]
+# strong Sidorenko's powered products also at grids 1 and 16
+GRID_CASES = [pytest.param(case, grid, id=f"{grid}-{case_id}") for grid in (4, 8, 1, 16)
+              for case, case_id in zip(CASES, CASE_IDS)
+              if grid in (4, 8) or case[0] == "test_strong_sidorenko"]
 
 
 def both_reports(monkeypatch, tester, args, **params):
@@ -70,8 +74,7 @@ def both_reports(monkeypatch, tester, args, **params):
     return batched, per_trial
 
 
-@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-@pytest.mark.parametrize("grid", [4, 8])
+@pytest.mark.parametrize("case, grid", GRID_CASES)
 def test_batched_run_reports_equal_the_per_trial_loop(monkeypatch, case, grid):
     tester, args, has_preset = case
     presets = ("uniform", "adversarial") if has_preset else (None,)

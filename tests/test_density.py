@@ -462,6 +462,39 @@ def test_plan_is_bit_identical_to_per_call_planning(monkeypatch):
     check_every_density_kind(monkeypatch, lambda value, reference: value == reference)
 
 
+def test_every_laid_out_array_is_c_contiguous(monkeypatch):
+    """Every factor and weight array `_layout` hands the elimination is
+    C-contiguous: in batches of one, in a pinned flag density whose right
+    vertex slices a column out of W, and in factors gathered for per-trial
+    colorings."""
+    planned = DENSITY._eliminate_all
+    seen = Counter()
+
+    def checked(factors, weights, trials):
+        for arr in [arr for _, arr in factors] + list(weights.values()):
+            assert arr.flags.c_contiguous, (arr.shape, arr.strides)
+        seen[trials] += 1
+        return planned(factors, weights, trials)
+    monkeypatch.setattr(DENSITY, "_eliminate_all", checked)
+
+    rng = np.random.default_rng(8)
+    w = StepBigraphon.uniform(rng.uniform(1e-3, 1.0, size=(3, 4)))
+    g = cycle4()
+    density(g, w)
+    weighted_density(g, w, {v: rng.uniform(0.1, 2.0, size=3) for v in g.left},
+                     {u: rng.uniform(0.1, 2.0, size=4) for u in g.right})
+    for labels, assignment in ((["c"], {"c": 2}), (["a"], {"a": 1}),
+                               (["a", "c"], {"a": 0, "c": 3})):
+        flag_density(Flag(g, labels), w, assignment)
+    ws = BigraphonTuple({c: w.with_values(rng.uniform(1e-3, 1.0, size=(3, 4)))
+                         for c in (1, 2)})
+    edges = g.sorted_edges()
+    colored_density(ColoredBigraph(g, dict.fromkeys(edges, 1)), ws)
+    colorings = [{e: 1 + (i + j) % 2 for j, e in enumerate(edges)} for i in range(3)]
+    DENSITY.colored_densities(g, colorings, [ws] * 3)
+    assert seen[1] == 6 and seen[3] == 1, seen
+
+
 def test_plan_is_cached_per_factor_structure():
     plan = DENSITY._plan
     g = cycle4()
