@@ -13,24 +13,26 @@ size of each variable. A padded cell is a zero factor entry under a zero
 weight, so each sum gains exact zeros after its last real term. numpy adds
 fewer than 8 terms one by one in index order, whether or not the summed
 axis is the innermost one, so zero padding is exact along axes shorter
-than 8. From 8 terms on numpy sums the innermost axis pairwise: padding
-would regroup the real terms, and so would widening a size-1 axis, which
-can change which axis is innermost. So where a trial has a variable of 8
-or more cells, it shares a batch only with trials of the same sizes there
-and the same size-1 variables. Every trial of a batch then gets, bit for
-bit, the value of its batch of one, whatever chunk it lands in, and the
-tests check this for every batched margin at grids 4 to 16. A chunk of
-several trials holds at most 2^13 cells of its largest padded bucket over
-all its trials, eight of the largest grid-4 buckets of incidence(5,{2,3}),
-so its memory stays near that of one trial.
+than 8. From 8 terms on numpy sums the innermost axis pairwise, and
+padding would regroup the real terms. So padding only ever widens axes
+shorter than 8: a trial with a variable of 8 or more cells shares a chunk
+only with trials of exactly its sizes. Every trial of a batch then gets,
+bit for bit, the value of its batch of one, whatever chunk it lands in,
+and the tests check this for every batched margin at grids 4 to 16. A
+chunk of several trials holds at most 2^13 cells of its largest padded
+bucket over all its trials, eight of the largest grid-4 buckets of
+incidence(5,{2,3}), so its memory stays near that of one trial; a trial
+past that bound, or with a bucket past 2^16 cells, runs in a chunk of one.
 
 A trial carries its distinct arrays in groups and each factor's position
 in its group; the batch names the group of every factor and of every
 variable's weight. A plain density's trial is the groups (W), (mu), (nu),
 every edge at position 0 of W's. A colored trial's first group holds the
 values of the colors its coloring uses, and each edge is at its color's
-position. A fractional trial holds mu and one power of a dual-star table
-per (color, subset size, weight); a pinned one, each edge's sliced values.
+position; each coloring object is laid out once per call, however many
+trials repeat it. A fractional trial holds mu and one power of a
+dual-star table per (color, subset size, weight); a pinned one, each
+edge's sliced values.
 Every chunk, a batch of one included, becomes one zero pool per group, of
 shape (position, trial, padded axes), filled by one assignment per (array,
 trial). A factor at the same position in every trial reads its pool's view
@@ -47,12 +49,12 @@ multiplied into that product and summed, in a fixed order of operations.
 grid-4 results keep the floats of the product-only engine; it is not a
 measured crossover. At grid 4 the product is also the faster branch: with
 every step on einsum, 200 densities of incidence(5,{2,3}) take about four
-times as long. A larger bucket is contracted pairwise by `np.einsum` along
-a greedy path, one trial at a time, so the full product is never built
-(bucket elimination; Dechter, AIJ 1999); the chunking puts such a bucket
-in a batch of one, so it is never padded. The step's einsum subscripts are
-compiled with the elimination order in the plan cache; its path is searched
-once per (subscripts, shapes) and kept in a second bounded cache: on
+times as long. A larger bucket comes only in a chunk of one, so it is
+never padded, and is contracted pairwise by `np.einsum` along a greedy
+path, so the full product is never built (bucket elimination; Dechter,
+AIJ 1999). The step's einsum subscripts are compiled with the
+elimination order in the plan cache; its path is searched once per
+(subscripts, shapes) and kept in a second bounded cache: on
 incidence(5|6,{2,3}) at grid 16 a search takes 1-3 ms beside a 3-35 ms
 contraction, and shapes repeat across trials, since only the larger grid
 sizes cross the threshold.
@@ -174,8 +176,8 @@ def _eliminate_all(factors: list[Factor], weights: Mapping[str, np.ndarray],
     the factors' scopes, for each of `trials` trials at once: every array
     has a leading trial axis, and sizes are read from the weights on every
     call. Returns one value per trial. A bucket whose product exceeds
-    _SMALL_BUCKET cells is contracted along its cached einsum path, one
-    trial at a time, instead of being built whole."""
+    _SMALL_BUCKET cells, which only a batch of one holds, is contracted
+    along its cached einsum path instead of being built whole."""
     constants, steps = _plan(tuple(vs for vs, _ in factors), tuple(sorted(weights)))
     arrs = [arr for _, arr in factors]
     scalar = np.ones(trials)
@@ -183,14 +185,9 @@ def _eliminate_all(factors: list[Factor], weights: Mapping[str, np.ndarray],
         scalar *= arrs[i]
     for v, inputs, bucket, windex, axis, keep, expr in steps:
         if math.prod(weights[u].shape[1] for u in bucket) > _SMALL_BUCKET:
-            operands = [arrs[i] for i, _, _ in inputs] + [weights[v]]
-            path = _einsum_path(expr, tuple(op.shape[1:] for op in operands))
-            parts = [np.einsum(expr, *(op[t] for op in operands), optimize=path)
-                     for t in range(trials)]
-            # np.stack would copy a batch of one's only part: with that copy, a
-            # 2-trial grid-16 test_sidorenko on incidence(6,{2,3}) took 20.3
-            # against 18.9 ms (medians of 90 calls, one 2-vCPU host)
-            acc = parts[0][None] if trials == 1 else np.stack(parts)
+            operands = [arrs[i][0] for i, _, _ in inputs] + [weights[v][0]]
+            path = _einsum_path(expr, tuple(op.shape for op in operands))
+            acc = np.einsum(expr, *operands, optimize=path)[None]
         else:
             (i, order, index), *rest = inputs
             acc = arrs[i].transpose(order)[index]
@@ -244,16 +241,16 @@ def _eliminate_trials(scopes: tuple[tuple[str, ...], ...], groups: tuple[int, ..
     weighted by the one vector of group weights[v].
 
     Trials are grouped so that zero padding stays exact: a trial with a
-    variable of _EXACT_PAD or more cells joins only trials with the same
-    such sizes and the same size-1 variables. A group's trials are sorted
-    by their sizes and cut, in that order, into chunks padded to their own
-    largest sizes, each a single trial or at most _BATCH_CELLS cells of its
-    largest padded bucket over all its trials; so a trial with a larger
-    bucket, and every bucket past _SMALL_BUCKET, runs in a batch of one."""
+    variable of _EXACT_PAD or more cells joins only trials of exactly its
+    sizes. A group's trials are sorted by their sizes and cut, in that
+    order, into chunks padded to their own largest sizes, each a single
+    trial or at most min(_BATCH_CELLS, _SMALL_BUCKET) cells of its largest
+    padded bucket over all its trials; so a trial with a larger bucket, and
+    every bucket past _SMALL_BUCKET, runs in a batch of one."""
     sized = sorted(set(weights.values()))
     lengths = [tuple(len(arrays[g][0]) for g in sized) for arrays, _ in trials]
-    keys = [() if max(sizes, default=0) < _EXACT_PAD else tuple(
-        n if n >= _EXACT_PAD or n == 1 else 0 for n in sizes) for sizes in lengths]
+    keys = [() if max(sizes, default=0) < _EXACT_PAD else sizes for sizes in lengths]
+    limit = min(_BATCH_CELLS, _SMALL_BUCKET)
     _, steps = _plan(scopes, tuple(sorted(weights)))
     # each bucket as the positions of its variables' sizes in a size tuple
     buckets = {tuple(sized.index(weights[u]) for u in step[2]) for step in steps}
@@ -272,13 +269,13 @@ def _eliminate_trials(scopes: tuple[tuple[str, ...], ...], groups: tuple[int, ..
         batches.setdefault(keys[t], []).append(t)
     for members in batches.values():
         most = tuple(map(max, zip(*(lengths[t] for t in members))))
-        if len(members) * cells(most) <= _BATCH_CELLS:
+        if len(members) * cells(most) <= limit:
             run(members, most)  # as the cuts below would, with no per-trial work
             continue
         part = []
         for t in members:
             grown = tuple(map(max, most, lengths[t])) if part else lengths[t]
-            if part and (len(part) + 1) * cells(grown) > _BATCH_CELLS:
+            if part and (len(part) + 1) * cells(grown) > limit:
                 run(part, most)
                 part, grown = [], lengths[t]
             part.append(t)
@@ -300,6 +297,18 @@ def _graph_densities(g: Bigraph, trials: Sequence[tuple],
     return _eliminate_trials(scopes, groups, weights, [
         ((values, (mu,), (nu,), *((pot,) for pot in pots)), index)
         for values, index, mu, nu, pots in trials])
+
+
+def _weighted_densities(g: Bigraph, ws: Sequence[StepBigraphon],
+                        potentials: Sequence[Mapping[str, np.ndarray]]) -> np.ndarray:
+    """t(G; pots; W) per (W, pots) pair, in one batched pass: pots maps
+    vertices to weight functions, every map naming the vertices of the
+    first, whose order the factors follow."""
+    names = tuple(potentials[0]) if potentials else ()
+    index = (0,) * (g.e + len(names))
+    return _graph_densities(g, [((w.values,), index, w.row_weights, w.col_weights,
+                                 [pots[v] for v in names])
+                                for w, pots in zip(ws, potentials)], names)
 
 
 def _check_potentials(g: Bigraph, w: StepBigraphon,
@@ -330,22 +339,25 @@ def density(g: Bigraph, w: StepBigraphon) -> float:
 
 def densities(g: Bigraph, ws: Sequence[StepBigraphon]) -> np.ndarray:
     """t(G, W) for every W in ws, in one batched pass."""
-    index = (0,) * g.e
-    return _graph_densities(g, [((w.values,), index, w.row_weights, w.col_weights, ())
-                                for w in ws])
+    return _weighted_densities(g, ws, [{}] * len(ws))
 
 
 def colored_densities(g: Bigraph, colorings: Sequence[Mapping[tuple, int]],
                       tuples: Sequence[BigraphonTuple]) -> np.ndarray:
     """t(H, W) per (coloring, tuple) pair over the edges of g, in one batched
-    pass; each edge reads the bigraphon of its color."""
+    pass; each edge reads the bigraphon of its color. Each coloring object
+    is laid out once per call, as its colors in order and each edge's
+    position among them."""
     edges = g.sorted_edges()
+    layouts = {}  # by id: `colorings` holds every object while the call runs
     trials = []
     for coloring, ws in zip(colorings, tuples):
-        used = sorted(set(coloring.values()))
-        position = {c: i for i, c in enumerate(used)}
-        trials.append((ws._values(used), [position[coloring[e]] for e in edges],
-                       ws.row_weights, ws.col_weights, ()))
+        if id(coloring) not in layouts:
+            used = sorted(set(coloring.values()))
+            position = {c: i for i, c in enumerate(used)}
+            layouts[id(coloring)] = used, [position[coloring[e]] for e in edges]
+        used, index = layouts[id(coloring)]
+        trials.append((ws._values(used), index, ws.row_weights, ws.col_weights, ()))
     return _graph_densities(g, trials)
 
 
@@ -403,9 +415,7 @@ def weighted_density(g: Bigraph, w: StepBigraphon,
                      right_weights: Mapping[str, Sequence[float]]) -> float:
     """t(G; f, g; W): density with a nonnegative step function at every vertex."""
     pots = _check_potentials(g, w, left_weights, right_weights)
-    return float(_graph_densities(
-        g, [((w.values,), (0,) * (g.e + len(pots)), w.row_weights, w.col_weights,
-             tuple(pots.values()))], tuple(pots))[0])
+    return float(_weighted_densities(g, [w], [pots])[0])
 
 
 # ---------------------------------------------------------------------------

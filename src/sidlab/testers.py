@@ -46,7 +46,7 @@ from .bigraphon import (
     bigraphon_to_json,
     sinkhorn_biregularize,
 )
-from .density import _check_potentials, _graph_densities, colored_densities, densities
+from .density import _check_potentials, _weighted_densities, colored_densities, densities
 from .folds import Fold, check_fold, enumerate_folds, fold_from_json, fold_to_json
 from .fractional import (
     ColoredFractionalBigraph,
@@ -361,16 +361,10 @@ def test_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4, seed: int = 0,
 def _strong_sidorenko_gaps(instances: Sequence[tuple]) -> list[float]:
     g, = _shared(instances)
     e = g.e
-    # potentials in the first instance's vertex order
-    potentials = (*instances[0][2], *instances[0][3])
-    index = (0,) * (e + len(potentials))
-    trials = []
-    for _, w, fs, gs in instances:
-        pots = fs | gs
-        trials.append(((w.values,), index, w.row_weights, w.col_weights,
-                       [pots[v] for v in potentials]))
     out = []
-    for t, (_, w, fs, gs) in zip(_graph_densities(g, trials, potentials), instances):
+    for t, (_, w, fs, gs) in zip(_weighted_densities(
+            g, [w for _, w, _, _ in instances], [fs | gs for _, _, fs, gs in instances]),
+            instances):
         # each instance's (1/e)-powers, multiplied in sorted vertex order
         f_prod, g_prod = (np.multiply.reduce(np.array([m[v] for v in sorted(m)]) ** (1.0 / e))
                           for m in (fs, gs))
@@ -520,35 +514,21 @@ def _pair_color(t: int, base_color: int, offset: int) -> int:
 def _left_weak_holder_gaps(instances: Sequence[tuple]) -> list[float]:
     """Per (h, ell, ws), the mean log t of the left-constant colorings of
     ell's labels less log t of the product coloring. Under one label t the
-    product coloring reads t's codes in the order of base at the shared
-    index, the same trial as t's left-constant one, so it runs once."""
+    product coloring is t's left-constant one, so it runs once."""
     h, = _shared(instances)
     g = h.graph
-    base = h.color_set()
-    offset = max(base) + 1
-    edges = g.sorted_edges()
-    colors = h.colors
-    edge_colors = [colors[e] for e in edges]
-    # every left-constant coloring t * offset + c(e) reads its codes in the
-    # order of base, so all of them share one index
-    rank = {c: i for i, c in enumerate(base)}
-    constant = [rank[c] for c in edge_colors]
-
-    def trial(codes, index, ws):
-        return ws._values(codes), index, ws.row_weights, ws.col_weights, ()
-    # the left-constant coloring of each label used, then the product one
-    labels, trials = [], []
-    for _, ell, ws in instances:
-        ts = list(dict.fromkeys(ell[v] for v in g.left))
-        labels.append(ts)
-        trials += [trial([_pair_color(t, c, offset) for c in base], constant, ws)
-                   for t in ts]
+    offset = max(h.color_set()) + 1
+    labels = [list(dict.fromkeys(ell[v] for v in g.left)) for _, ell, _ in instances]
+    # each label's left-constant coloring is one object, laid out once
+    constant = {t: {e: _pair_color(t, c, offset) for e, c in h.colors.items()}
+                for t in set().union(*labels)}
+    colorings, tuples = [], []
+    for (_, ell, ws), ts in zip(instances, labels):
+        colorings += [constant[t] for t in ts]
         if len(ts) > 1:
-            codes = [_pair_color(ell[l], c, offset) for (l, _), c in zip(edges, edge_colors)]
-            used = sorted(set(codes))
-            position = {c: i for i, c in enumerate(used)}
-            trials.append(trial(used, [position[c] for c in codes], ws))
-    logs = map(math.log, _graph_densities(g, trials))
+            colorings.append({e: _pair_color(ell[e[0]], c, offset) for e, c in h.colors.items()})
+        tuples += [ws] * (len(ts) + (len(ts) > 1))
+    logs = map(math.log, colored_densities(g, colorings, tuples))
     gaps = []
     for (_, ell, _), ts in zip(instances, labels):
         per_label = {t: next(logs) for t in ts}
@@ -573,13 +553,14 @@ def test_left_weak_holder(h: ColoredBigraph, trials: int = 200, grid: int = 4,
                                     seed, tol)
     g = h.graph
     base = h.color_set()
+    offset = max(base, default=0) + 1  # no trial runs without colors
+    # the colors a trial with n labels draws, by n
+    pair_colors = {n: sorted({_pair_color(t, c, offset) for t in range(1, n + 1) for c in base})
+                   for n in (1, 2, 3)}
 
     def sample(rng):
         n_colors, ell = _random_labels(rng, g.left, 3)
-        offset = max(base) + 1
-        pair_colors = sorted({_pair_color(t, c, offset)
-                              for t in range(1, n_colors + 1) for c in base})
-        return h, ell, _sample_tuple(rng, grid, pair_colors, preset)
+        return h, ell, _sample_tuple(rng, grid, pair_colors[n_colors], preset)
     # without left vertices or edges the bound holds vacuously; no trials run
     return _run("left-weak-holder", sample, trials if g.v1 and g.e else 0, seed, tol)
 

@@ -188,8 +188,8 @@ def test_a_margin_batch_shares_its_graph():
 
 
 def mixed_bigraphons(rng, count, most=9):
-    """Non-uniform bigraphons of sizes 1..most, so batches pad, split at 8
-    and keep size-1 axes."""
+    """Non-uniform bigraphons of sizes 1..most, so batches pad and split
+    at 8."""
     out = []
     for _ in range(count):
         rows, cols = (int(k) for k in rng.integers(1, most + 1, size=2))
@@ -226,12 +226,13 @@ def test_batched_colored_and_fractional_densities_equal_single_ones():
 
 
 def test_sorted_chunks_give_every_trial_its_batch_of_one(monkeypatch):
-    """Colored trials of sizes 1..7 beside sizes of 8 to 11, whose keyed
-    groups share their large and size-1 sizes, and fractional trials, whose
-    groups each hold one array, of several shapes between groups: in any
-    order every value equals its batch of one, and a chunk of several
-    trials is padded to its own largest sizes, within _BATCH_CELLS cells of
-    its largest bucket."""
+    """Colored trials of sizes 1..7 beside sizes of 8 to 11, which share a
+    chunk only with trials of exactly their sizes, and fractional trials,
+    whose groups each hold one array, of several shapes between groups: in
+    any order every value equals its batch of one, a chunk of several
+    trials is padded to its own largest sizes, within _BATCH_CELLS and
+    _SMALL_BUCKET cells of its largest bucket, and every padded cell of
+    every factor and weight array reads exactly 0.0."""
     rng = np.random.default_rng(47)
     g = build_incidence(3, [2]).graph
     edges = tuple(g.sorted_edges())
@@ -247,7 +248,14 @@ def test_sorted_chunks_give_every_trial_its_batch_of_one(monkeypatch):
 
     def spy(scopes, groups, weights, part, size):
         chunks.append((part, size))
-        return real(scopes, groups, weights, part, size)
+        factors, vectors = real(scopes, groups, weights, part, size)
+        for t, (arrays, _) in enumerate(part):
+            own = {v: len(arrays[k][0]) for v, k in weights.items()}
+            for vs, arr in factors + [((v,), vec) for v, vec in vectors.items()]:
+                padded = arr[t].copy()
+                padded[tuple(slice(own[v]) for v in vs)] = 0.0
+                assert not padded.any()
+        return factors, vectors
     monkeypatch.setattr(DENSITY, "_layout", spy)
 
     def engine(part):
@@ -260,8 +268,10 @@ def test_sorted_chunks_give_every_trial_its_batch_of_one(monkeypatch):
         for part, size in chunks:
             own = [{v: len(arrays[k][0]) for v, k in weights.items()} for arrays, _ in part]
             assert size == {v: max(s[v] for s in own) for v in weights}
+            assert max(size.values()) < DENSITY._EXACT_PAD or all(s == size for s in own)
             cells = max(math.prod(size[u] for u in step[2]) for step in steps)
-            assert len(part) == 1 or len(part) * cells <= DENSITY._BATCH_CELLS
+            assert len(part) == 1 or len(part) * cells <= min(DENSITY._BATCH_CELLS,
+                                                              DENSITY._SMALL_BUCKET)
     frac = from_right_uniform(build_incidence(4, [2, 3]))
     tuples = [BigraphonTuple({c: w.with_values(rng.uniform(1e-3, 1.0, w.values.shape))
                               for c in (1, 2)}) for w in mixed_bigraphons(rng, 40, most=11)]
@@ -269,6 +279,30 @@ def test_sorted_chunks_give_every_trial_its_batch_of_one(monkeypatch):
     order = rng.permutation(len(tuples))
     assert (fractional_densities(frac, [tuples[t] for t in order]).tolist()
             == [singles[t] for t in order])
+
+
+def test_coloring_layouts_are_per_object_and_per_call():
+    """One colored batch repeats a coloring object across trials beside
+    fresh colorings, an equal-content copy of it among them, and later
+    calls hand over fresh objects, each freed before the next call, which
+    may reuse an earlier one's id: every trial keeps its batch-of-one
+    value."""
+    rng = np.random.default_rng(48)
+    g = build_incidence(4, [2]).graph
+    edges = g.sorted_edges()
+
+    def fresh():
+        return {e: int(rng.integers(1, 4)) for e in edges}
+    shared = fresh()
+    tuples = [BigraphonTuple({c: w.with_values(rng.uniform(1e-3, 1.0, w.values.shape))
+                              for c in (1, 2, 3)}) for w in mixed_bigraphons(rng, 40)]
+    colorings = [(shared, dict(shared), fresh(), shared)[k % 4] for k in range(len(tuples))]
+    for t, coloring, ws in zip(colored_densities(g, colorings, tuples), colorings, tuples):
+        assert t == colored_density(ColoredBigraph(g, coloring), ws)
+    for ws in tuples:
+        colorings = [fresh()] * 2
+        expected = colored_density(ColoredBigraph(g, colorings[0]), ws)
+        assert colored_densities(g, colorings, [ws] * 2).tolist() == [expected] * 2
 
 
 def count_batches(monkeypatch):
@@ -318,20 +352,19 @@ def test_colored_batch_shares_gathers_and_splits_sources(monkeypatch):
 
 
 def test_weighted_batch_with_potentials_equals_single_ones():
-    """A potential at every vertex, sizes 1..9: each value equals its batch
-    of one and the literal weighted sum."""
+    """A potential at every vertex, sizes 1..9, maps in two vertex orders:
+    each value equals its batch of one and the literal weighted sum."""
     rng = np.random.default_rng(46)
     g = Bigraph(["a", "b"], ["c", "d"], [("a", "c"), ("a", "d"), ("b", "c")])
-    potentials = ("a", "b", "c", "d")
-    trials, singles = [], []
-    for w in mixed_bigraphons(rng, 40):
+    singles = []
+    for k, w in enumerate(mixed_bigraphons(rng, 40)):
         fs = {v: rng.uniform(0.1, 2.0, size=w.rows) for v in g.left}
         gs = {u: rng.uniform(0.1, 2.0, size=w.cols) for u in g.right}
-        pots = fs | gs
-        trials.append(((w.values,), (0,) * (g.e + 4), w.row_weights, w.col_weights,
-                       [pots[v] for v in potentials]))
+        if k % 2:  # maps in another vertex order than the first
+            fs, gs = dict(reversed(fs.items())), dict(reversed(gs.items()))
         singles.append((w, fs, gs))
-    batch = DENSITY._graph_densities(g, trials, potentials)
+    batch = DENSITY._weighted_densities(g, [w for w, _, _ in singles],
+                                        [fs | gs for _, fs, gs in singles])
     for t, (w, fs, gs) in zip(batch, singles):
         assert t == weighted_density(g, w, fs, gs)
         assert t == pytest.approx(test_density.loop_weighted_oracle(g, w, fs, gs), rel=1e-12)

@@ -288,9 +288,9 @@ def test_a_constant_labeling_runs_once_and_keeps_its_gap(monkeypatch):
                                  ("uniform", "adversarial")[trial % 2])
         instances.append((h, ell, ws))
     counts = []
-    real = props._graph_densities
-    monkeypatch.setattr(props, "_graph_densities",
-                        lambda g, trials: counts.append(len(trials)) or real(g, trials))
+    real = props.colored_densities
+    monkeypatch.setattr(props, "colored_densities", lambda g, colorings, tuples:
+                        counts.append(len(colorings)) or real(g, colorings, tuples))
     assert props._left_weak_holder_gaps(instances) == [two_trial_gap(*i) for i in instances]
     labels = [len(set(ell.values())) for _, ell, _ in instances]
     assert counts == [sum(n + (n > 1) for n in labels)]
