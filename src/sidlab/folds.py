@@ -9,7 +9,8 @@ Inside sidlab a fold travels as an (image, left mask) pair over the indices
 of `Bigraph._index`; `Fold` is built only at the boundary: returns, JSON.
 This module is the only one that converts between the two: `_fold` builds
 a `Fold` from a pair, unchecked and in the graph's name order, and
-`check_fold` returns the pair of the `Fold` it checked.
+`check_fold` returns the pair of the `Fold` it checked. Every search and
+tester takes its fold pool from `_fold_pool`.
 
 Completion runs per fixed-set layout: the components of G - Fix, with a
 representative and the smallest name of each, are found once per moved set
@@ -182,6 +183,12 @@ def _fold_maps(g: Bigraph) -> list[tuple[list[int], int]]:
     # images are distinct, compared on the same side, where index order is name order
     found.sort()
     return found
+
+
+def _fold_pool(g: Bigraph, fold_pool: Optional[Iterable[Fold]]) -> list[tuple[list[int], int]]:
+    """A supplied pool as (image, left mask) pairs, each fold checked once,
+    here, where it enters; else every fold of g, as `_fold_maps` finds them."""
+    return _fold_maps(g) if fold_pool is None else [check_fold(g, f) for f in fold_pool]
 
 
 def enumerate_folds(g: Bigraph) -> list[Fold]:

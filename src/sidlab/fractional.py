@@ -274,10 +274,10 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
     structure (isolated vertices do not affect any density).
 
     Profiles are enumerated per left subset A, counts in product order, and
-    the first profile seen of each class represents it. Classes are ordered
-    by the least relabeled, sorted (subset, count) list of their
-    representatives, with subsets ranked by their sorted tuples of vertex
-    names; that list is built only for representatives.
+    the first profile seen of each class represents it. One sort orders the
+    classes by their representatives' least relabeled, sorted (subset,
+    count) lists, a list before its extensions, with subsets ranked by their
+    sorted tuples of vertex names; only representatives get a list.
 
     A subset A is skipped when its full profile (every type at its full
     count) is of a class already seen. This is exact: a relabeling that
@@ -329,15 +329,9 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
     perms = len(perm_index)
     chunk = max(1, _PROFILE_CHUNK // perms)
     # a representative's (subset, count) pair under its best permutation has
-    # code rank * (most + 1) + count, which orders pairs as their name tuples
-    # do; `absent` pads a list past its last code. Restricting a subset only
-    # merges types, so the full left side has the most
-    width = max(1, len(set(traces_full) - {frozenset()}))
-    absent = (most + 1) << n
-
+    # code rank * (most + 1) + count, which orders pairs as their name tuples do
     seen: set[bytes] = set()
-    found: list[dict[frozenset, int]] = []
-    lists = []
+    found: list[tuple[list[int], dict[frozenset, int]]] = []
     total = 0
     for a in itertools.chain.from_iterable(
             itertools.combinations(left, r) for r in range(n + 1)):
@@ -388,17 +382,13 @@ def induced_subgraph_profiles(g: Bigraph) -> list[dict[frozenset, int]]:
                     new.append(i)
             if new:
                 rows = counts[new]
-                codes = np.full((len(new), width), absent)
-                codes[:, :len(items)] = np.where(
-                    rows > 0, rank[image[:, perm[new]]].T * (most + 1) + rows, absent)
-                codes.sort(axis=1)
-                lists.append(codes)
-                found += [{s: c for (s, _), c in zip(items, row) if c} for row in rows.tolist()]
+                codes = rank[image[:, perm[new]]].T * (most + 1) + rows
+                found += [(sorted(code for code, c in zip(code_row, row) if c),
+                           {s: c for (s, _), c in zip(items, row) if c})
+                          for code_row, row in zip(codes.tolist(), rows.tolist())]
 
     # classes in the order of their lists, a list before its extensions
-    codes = np.concatenate(lists)
-    codes[codes == absent] = 0
-    return [found[i] for i in np.lexsort(codes.T[::-1])]
+    return [profile for _, profile in sorted(found, key=lambda pair: pair[0])]
 
 
 def _profile_edge_count(profile: Mapping[frozenset, float]) -> float:

@@ -10,8 +10,8 @@ subsets, so returned certificates are shortest within the supplied fold
 pool.
 
 The search runs on integers. Its pool is (image, left mask) pairs (see
-`sidlab.folds`). A fold is checked once, where it enters: a supplied pool of
-`Fold`s is checked and converted, while the default and reflection pools are
+`sidlab.folds`). A fold is checked once, where it enters: `_fold_pool` checks
+and converts a supplied pool of `Fold`s; the default and reflection pools are
 built as pairs and go to the search unchecked. `_moves` compiles the stacked
 pool at once (one np.where gives every phi_L, one gather through an element
 lookup its moves), so a preimage is a gather; each BFS level is a packed bit
@@ -23,8 +23,8 @@ parents, certificates, state counts, and where the goal check and the budget
 stop fall, are therefore the same as for a queue. Parents are kept per level
 as one array of parent row * pool size + fold index, and a certificate's
 states are recomputed from its start element and folds; only its folds become
-`Fold`s. `verify_certificate` recomputes every preimage over frozensets,
-apart from the search, once per returned certificate.
+`Fold`s. `verify_certificate` recomputes every preimage over frozensets, apart
+from the search, once per returned certificate.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .bigraph import Bigraph, _orbit, amalgamate_left
-from .folds import Fold, _fold, _fold_maps, check_fold, fold_from_json, fold_to_json
+from .folds import Fold, _fold, _fold_pool, check_fold, fold_from_json, fold_to_json
 from .schema import check
 
 __all__ = [
@@ -75,13 +75,14 @@ class _Mode:
     goal: str
     encode: Callable[[Any], Any]
     decode: Callable[[Any], Any]
+    empty: str  # the search's refusal of a graph without elements
 
 
 _MODES = {
     "left": _Mode(lambda g: g.left, lambda m, v: m[v], "V_1(G)",
-                  lambda v: v, lambda v: v),
+                  lambda v: v, lambda v: v, "graph has an empty left side"),
     "edge": _Mode(lambda g: g.sorted_edges(), lambda m, e: (m[e[0]], m[e[1]]),
-                  "E(G)", list, tuple),
+                  "E(G)", list, tuple, "graph has no edges"),
 }
 
 
@@ -390,14 +391,15 @@ def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
     return NotFound("exhausted", explored)
 
 
-def _resolve_pool(g: Bigraph, fold_pool: Optional[Sequence[Fold]], elements: int
-                  ) -> list[tuple[list[int], int]]:
-    """A supplied pool, each fold checked; else every fold of g, unless the
-    search has a single element, whose start state `_search` answers
-    without reading the pool."""
-    if fold_pool is not None:
-        return [check_fold(g, f) for f in fold_pool]
-    return [] if elements == 1 else _fold_maps(g)
+def _pool(g: Bigraph, mode: str, fold_pool: Optional[Sequence[Fold]]
+          ) -> list[tuple[list[int], int]]:
+    """Refuse a graph without elements, else `_fold_pool`; a single element,
+    whose start state `_search` answers, enumerates no default pool."""
+    spec = _MODES[mode]
+    elements = len(spec.elements(g))
+    if not elements:
+        raise ValueError(spec.empty)
+    return [] if elements == 1 and fold_pool is None else _fold_pool(g, fold_pool)
 
 
 def find_left_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = None,
@@ -408,18 +410,14 @@ def find_left_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = 
     The default pool is every fold of g; passing a pool restricts the
     search to sequences of folds from that set.
     """
-    if g.v1 == 0:
-        raise ValueError("graph has an empty left side")
-    return _search(g, "left", _resolve_pool(g, fold_pool, g.v1), budget)
+    return _search(g, "left", _pool(g, "left", fold_pool), budget)
 
 
 def find_cut_percolating(g: Bigraph, fold_pool: Optional[Sequence[Fold]] = None,
                          budget: int = DEFAULT_BUDGET
                          ) -> PercolationCertificate | NotFound:
     """Shortest edge-mode certificate within the pool, or NotFound."""
-    if g.e == 0:
-        raise ValueError("graph has no edges")
-    return _search(g, "edge", _resolve_pool(g, fold_pool, g.e), budget)
+    return _search(g, "edge", _pool(g, "edge", fold_pool), budget)
 
 
 def lift_certificate(parts: Sequence[Bigraph], base_cert: PercolationCertificate,

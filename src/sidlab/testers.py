@@ -47,7 +47,7 @@ from .bigraphon import (
     sinkhorn_biregularize,
 )
 from .density import _check_potentials, _weighted_densities, colored_densities, densities
-from .folds import Fold, check_fold, enumerate_folds, fold_from_json, fold_to_json
+from .folds import Fold, _fold, _fold_pool, check_fold, fold_from_json, fold_to_json
 from .fractional import (
     ColoredFractionalBigraph,
     _own_profile,
@@ -96,6 +96,7 @@ HOLDS = "holds-on-all-trials"
 VIOLATED = "violated"
 
 CS_TREE_DEPTH_CAP = 20
+_FLOOR = 1e-3  # the least value any sampler draws: step values, weights, vectors
 
 
 @dataclass(frozen=True)
@@ -255,21 +256,21 @@ def _mean_bound_gaps(g: Bigraph, instances: Sequence[tuple]) -> list[float]:
 
 
 def _draw_values(rng: np.random.Generator, count: int, rows: int, cols: int,
-                 preset: str, floor: float = 1e-3) -> Sequence[np.ndarray]:
-    """count value matrices in [floor, 1]: uniform ones in one draw, which
+                 preset: str) -> Sequence[np.ndarray]:
+    """count value matrices in [_FLOOR, 1]: uniform ones in one draw, which
     reads the stream as one draw per matrix; adversarial ones each after a
-    coin flip, as a floor/1 mask or uniform values."""
+    coin flip, as a _FLOOR/1 mask or uniform values."""
     if preset != "adversarial":
-        return rng.uniform(floor, 1.0, size=(count, rows, cols))
-    return [np.where(rng.random((rows, cols)) < 0.5, floor, 1.0) if rng.random() < 0.5
-            else rng.uniform(floor, 1.0, size=(rows, cols)) for _ in range(count)]
+        return rng.uniform(_FLOOR, 1.0, size=(count, rows, cols))
+    return [np.where(rng.random((rows, cols)) < 0.5, _FLOOR, 1.0) if rng.random() < 0.5
+            else rng.uniform(_FLOOR, 1.0, size=(rows, cols)) for _ in range(count)]
 
 
 def _sample_tuple(rng: np.random.Generator, grid: int, colors: Sequence[int],
                   preset: str = "uniform") -> BigraphonTuple:
     rows = int(rng.integers(1, grid + 1))
     cols = int(rng.integers(1, grid + 1))
-    # fresh draws in [floor, 1] over the shared uniform weights
+    # fresh draws in [_FLOOR, 1] over the shared uniform weights
     parts = _draw_values(rng, len(colors), rows, cols, preset)
     return BigraphonTuple({c: _trusted(values) for c, values in zip(sorted(colors), parts)})
 
@@ -397,8 +398,8 @@ def test_strong_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4,
 
     def sample(rng):
         w = _sample_bigraphon(rng, grid, preset)
-        fs = {v: rng.uniform(1e-3, 1.0, size=w.rows) for v in g.left}
-        gs = {u: rng.uniform(1e-3, 1.0, size=w.cols) for u in g.right}
+        fs = {v: rng.uniform(_FLOOR, 1.0, size=w.rows) for v in g.left}
+        gs = {u: rng.uniform(_FLOOR, 1.0, size=w.cols) for u in g.right}
         return g, w, fs, gs
     return _run("strong-sidorenko", sample, trials, seed, tol)
 
@@ -424,23 +425,32 @@ def test_weak_domination(g: Bigraph, h: Bigraph, trials: int = 200, grid: int = 
     return _run("weak-domination", sample, trials, seed, tol)
 
 
+def _induced_scorer(g: Bigraph, profiles: Sequence[Mapping]
+                    ) -> Callable[[StepBigraphon], np.ndarray]:
+    """[own, *profiles] compiled once, as a function giving each profile's
+    gap (log t(g) - e(g) log rho) - (log t(p) - e(p) log rho) on a bigraphon."""
+    batch = compile_profiles(g.left, [_own_profile(g), *profiles])
+    edges = np.array([_profile_edge_count(p) for p in profiles])
+
+    def gaps(w: StepBigraphon) -> np.ndarray:
+        logs = batch(w)
+        log_rho = math.log(w.edge_density())
+        return (logs[0] - g.e * log_rho) - (logs[1:] - edges * log_rho)
+    return gaps
+
+
 def _induced_gaps(instances: Sequence[tuple]) -> list[float]:
     # every trial goes through its own two-row [own, profile] batch, the same
     # shape as in replay, so a shipped witness reproduces its margin bit for
     # bit; the batch is compiled once per distinct profile
     g, = _shared(instances)
-    own = _own_profile(g)
-    batches = {}
+    scorers = {}
     out = []
     for _, w, profile in instances:
         key = frozenset(profile.items())
-        if key not in batches:
-            batches[key] = (compile_profiles(g.left, [own, profile]),
-                            _profile_edge_count(profile))
-        batch, edges = batches[key]
-        logs = batch(w)
-        log_rho = math.log(w.edge_density())
-        out.append((logs[0] - g.e * log_rho) - (logs[1] - edges * log_rho))
+        if key not in scorers:
+            scorers[key] = _induced_scorer(g, [profile])
+        out.append(scorers[key](w)[0])
     return out
 
 
@@ -449,19 +459,12 @@ def test_induced_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4,
                            preset: str = "uniform") -> TestReport:
     """Weak domination of every induced subgraph class, batched per trial."""
     profiles = induced_subgraph_profiles(g)
-    own = _own_profile(g)
-    assert _profile_edge_count(own) == g.e
-    batch = compile_profiles(g.left, [own] + profiles)
-    e_counts = np.array([_profile_edge_count(p) for p in profiles])
+    gaps = _induced_scorer(g, profiles)
 
     def sample(rng):
         # every class is scored in one batch; the trial's instance is the worst
         w = sinkhorn_biregularize(_sample_bigraphon(rng, grid, preset))
-        logs = batch(w)
-        log_rho = math.log(w.edge_density())
-        base = logs[0] - g.e * log_rho
-        worst = int(np.argmin(base - (logs[1:] - e_counts * log_rho)))
-        return g, w, profiles[worst]
+        return g, w, profiles[int(np.argmin(gaps(w)))]
     return _run("induced-sidorenko", sample, trials, seed, tol)
 
 
@@ -655,12 +658,7 @@ def test_cs_tree(g: Bigraph, trials: int = 200, grid: int = 4, seed: int = 0,
     A supplied fold pool is checked once, here; the trials check no fold."""
     if max_depth > CS_TREE_DEPTH_CAP:
         raise GraphTooLargeError(f"fold sequences capped at depth {CS_TREE_DEPTH_CAP}")
-    if fold_pool is None:
-        pool = enumerate_folds(g)
-    else:
-        pool = list(fold_pool)
-        for fold in pool:
-            check_fold(g, fold)
+    pool = [_fold(g, image, left) for image, left in _fold_pool(g, fold_pool)]
     edges = g.sorted_edges()
 
     def sample(rng):
@@ -740,8 +738,8 @@ def test_inductive_jensen(n: int, trials: int = 200, seed: int = 0,
     def sample(rng):
         size = int(rng.integers(2, 7))
         weights = rng.dirichlet(np.ones(size))
-        gvec = rng.uniform(1e-3, 1.0, size=size)
-        fvecs = [rng.uniform(1e-3, 1.0, size=size) for _ in range(n)]
+        gvec = rng.uniform(_FLOOR, 1.0, size=size)
+        fvecs = [rng.uniform(_FLOOR, 1.0, size=size) for _ in range(n)]
         ps = sorted((1.0 + float(x) for x in rng.uniform(0.0, 3.0, size=n)),
                     reverse=True)
         return weights, gvec, fvecs, ps

@@ -17,6 +17,7 @@ from sidlab.bigraph import (
     colored_automorphisms,
     cycle4,
     dual_star,
+    find_isomorphism,
     flags_isomorphic,
     from_json_dict,
     graphs_isomorphic,
@@ -221,6 +222,14 @@ def test_automorphisms_star2():
         (("0", "0"), ("1", "1"), ("2", "2")),
         (("0", "0"), ("1", "2"), ("2", "1")),
     }
+
+
+def test_map_search_edge_cases():
+    assert automorphisms(Bigraph([], [])) == [{}]
+    # a prescription naming a vertex of neither graph extends to no map
+    assert find_isomorphism(cycle4(), cycle4(), {"z": "a"}) is None
+    assert find_isomorphism(cycle4(), cycle4(), {"a": "z"}) is None
+    assert find_isomorphism(cycle4(), cycle4(), {"a": "b"}) is not None
 
 
 def test_automorphisms_c4():

@@ -150,6 +150,19 @@ def test_orbit_check_preconditions_itemized():
     assert any("isolated" in item for item in err.value.items)
 
 
+@pytest.mark.parametrize("colors, problem", [
+    ({}, "h is trivial (no edges)"),
+    ({("x", "r"): 1, ("y", "r"): 2}, "h is not right-uniform"),
+    ({("x", "r"): 1}, "h has isolated vertices"),
+])
+def test_orbit_check_refuses_a_degenerate_template(colors, problem):
+    h = ColoredBigraph(Bigraph(["x", "y"], ["r"], colors), colors)
+    g = Bigraph(["x", "y"], ["s"], [("x", "s"), ("y", "s")])
+    with pytest.raises(PreconditionError) as err:
+        check_orbit_hypotheses(g, h, lwh_trials=5, seed=0)
+    assert problem in err.value.items
+
+
 def test_orbit_check_rejects_non_color_edge_transitive_template():
     # two stars of different degree, one color: the color class splits into
     # two automorphism orbits
@@ -226,6 +239,10 @@ def test_rtd_rejects_missing_cover():
     report = verify_rtd(g, t)
     assert not report.passed
     assert "cover" in report.reason or "inside no bag" in report.reason
+    # every vertex is in a bag, but no bag holds both ends of (p, w2)
+    split = ReflectiveTreeDecomposition(
+        [{"p", "q", "u1", "w1"}, {"q", "u2", "w2"}], [(0, 1)])
+    assert verify_rtd(g, split).reason == "edge (p, w2) is inside no bag"
 
 
 def test_rtd_rejects_running_intersection_violation():
@@ -252,6 +269,9 @@ def test_rtd_tree_validation():
         ReflectiveTreeDecomposition([{"p"}, {"q"}], [])  # disconnected
     with pytest.raises(ValueError):
         ReflectiveTreeDecomposition([{"p"}, {"q"}], [(0, 1), (1, 0)])
+    # n - 1 edges, but a cycle and a lone bag
+    with pytest.raises(ValueError, match="^tree is not connected$"):
+        ReflectiveTreeDecomposition([{"p"}, {"q"}, {"r"}, {"s"}], [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(PreconditionError):
         verify_rtd(Bigraph(["a"], ["b"], []),
                    ReflectiveTreeDecomposition([{"a", "b"}]))

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from cli_grid import run_grid
 
 from sidlab.bigraph import Bigraph, from_json_dict
 from sidlab.cli import TEST_PROPERTIES, main
@@ -299,6 +300,11 @@ def test_test_unknown_property(tmp_path):
     assert main(["test", "frobnicate", str(gpath)]) == 1
 
 
+def test_test_without_a_graph_file(capsys):
+    assert main(["test", "sidorenko"]) == 1
+    assert capsys.readouterr().err == "usage error: sidorenko requires a graph file\n"
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -394,10 +400,31 @@ def test_check_rtd_edges_may_be_omitted(tmp_path):
     assert main(["check", "rtd", str(gpath), "--decomposition", str(dpath)]) == 0
 
 
-def test_check_usage_errors():
+@pytest.mark.parametrize("checker", ["largeright", "conlonlee"])
+def test_check_profile_from_a_graph_file(tmp_path, checker):
+    """A graph file gives the bytes of its own --v1/--profile form; a graph
+    with an isolated vertex fails the precondition."""
+    gpath = make_graph(tmp_path, "construct", "incidence", "--n", "4",
+                       "--uniformities", "2,3")
+    on_graph, on_profile = tmp_path / "graph-rows.json", tmp_path / "profile-rows.json"
+    code = main(["check", checker, str(gpath), "-o", str(on_graph)])
+    assert main(["check", checker, "--v1", "4", "--profile", "2:6,3:4",
+                 "-o", str(on_profile)]) == code
+    assert on_graph.read_bytes() == on_profile.read_bytes()
+    isolated = tmp_path / "isolated.json"
+    isolated.write_text(json.dumps({"v1": ["a", "b", "c"], "v2": ["x"],
+                                    "edges": [["a", "x"], ["b", "x"]]}))
+    assert main(["check", checker, str(isolated)]) == 4
+
+
+def test_check_usage_errors(capsys):
     assert main(["check", "largeright"]) == 1
     assert main(["check", "orbits"]) == 1
     assert main(["check", "rtd"]) == 1
+    capsys.readouterr()
+    assert main(["check", "largeright", "--v1", "4", "--profile", "2-6"]) == 1
+    assert capsys.readouterr().err == \
+        "usage error: bad profile '2-6' (expected 'k:d_k,...')\n"
 
 
 def test_config_validation(tmp_path):
@@ -442,6 +469,16 @@ def test_bad_budget_env_message_and_explicit_override(tmp_path, monkeypatch, cap
         "usage error: argument --budget: invalid int value: '1.5'\n"
     # an explicit --budget is used, and the variable is not read
     assert main(["certify", str(gpath), "--mode", "left", "--budget", "1"]) == 2
+
+
+def test_cli_grid_repeats_its_bytes_in_one_process():
+    """The quick grid of tests/cli_grid.py gives the same bytes twice in one
+    process, the second time in reverse order, so no command leaves state
+    that changes a later one's output."""
+    forward, _ = run_grid(quick=True)
+    backward, _ = run_grid(quick=True, reverse=True)
+    assert len(forward) > 50
+    assert sorted(forward) == sorted(backward)
 
 
 def test_parser_is_built_once_per_process(tmp_path, monkeypatch):

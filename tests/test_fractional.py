@@ -294,6 +294,12 @@ def test_batch_blocks_match_one_product(monkeypatch, rows_per_block):
     np.testing.assert_allclose(blocked, whole, rtol=1e-15, atol=0)
 
 
+def test_batch_refuses_a_zero_value():
+    batch = compile_profiles(["x"], [{frozenset({"x"}): 1.0}])
+    with pytest.raises(ValueError, match="strictly positive"):
+        batch(StepBigraphon.uniform([[0.0, 1.0]]))
+
+
 def test_batch_profile_handles_integer_exponents_only_graphs():
     # fractional exponents agree with fractional_density
     verts = ["x", "y"]

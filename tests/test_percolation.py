@@ -201,7 +201,7 @@ def test_single_element_needs_no_pool(monkeypatch):
     never enumerated; a supplied pool is still checked."""
     def refuse(g):
         raise AssertionError("the default pool was enumerated")
-    monkeypatch.setattr(percolation, "_fold_maps", refuse)
+    monkeypatch.setattr("sidlab.folds._fold_maps", refuse)
     cert = find_left_cut_percolating(star(13))
     assert cert.folds == () and cert.trajectory == (frozenset({"0"}),)
     assert find_cut_percolating(rho()).length == 0
@@ -410,6 +410,27 @@ def test_lift_three_parts():
     joint = amalgamate_left(parts)
     assert verify_certificate(joint, lifted)
     assert joint.v2 == 3 + 3 + 1 and joint.e == 3 + 6 + 3
+
+
+def test_lift_and_projection_refusals():
+    g, other = cycle4(), star(2)
+    left, edge = find_left_cut_percolating(g), find_cut_percolating(g)
+    assert left.folds
+    stray = PercolationCertificate("left", [], [{"a"}])  # never reaches V_1
+    refusals = [
+        (lambda: lift_certificate([], left, []), "need at least one part"),
+        (lambda: lift_certificate([g], edge, []),
+         "lifting is defined for left-vertex-mode certificates"),
+        (lambda: lift_certificate([g], stray, []), "base certificate invalid: "),
+        (lambda: lift_certificate([g], left, []), "need matched folds for every step"),
+        (lambda: lift_certificate([g, other], left, [[] for _ in left.folds]),
+         "step 0: need one fold per extra part"),
+        (lambda: project_to_left(g, left), "expected an edge-mode certificate"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value).startswith(message)
 
 
 def test_lift_rejects_mismatched_left_intersections():
