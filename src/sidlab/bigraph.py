@@ -593,8 +593,13 @@ def flags_isomorphic(f1: Flag, f2: Flag) -> bool:
 # edge_colors runs parallel to the sorted edge list
 
 
+def _plain(g: Bigraph | ColoredBigraph) -> Bigraph:
+    """The plain graph under `g`: its uncolored graph, or `g` itself."""
+    return g.graph if isinstance(g, ColoredBigraph) else g
+
+
 def to_json_dict(g: Bigraph | ColoredBigraph) -> dict:
-    base = g.graph if isinstance(g, ColoredBigraph) else g
+    base = _plain(g)
     edges = base.sorted_edges()
     d = {"v1": list(base.left), "v2": list(base.right), "edges": [list(e) for e in edges]}
     if base is not g:

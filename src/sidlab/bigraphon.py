@@ -215,35 +215,27 @@ def sinkhorn_biregularize(w: StepBigraphon, tol: float = 1e-10,
     preserves, so an already-biregular input is returned unchanged.
     Raises SinkhornError on nonpositive entries or non-convergence.
 
-    t(rho, W) = mu @ vals @ nu is taken as cols @ nu from the column
-    marginals cols = mu @ vals, the same floats. The loop scales the copy it
-    owns in place and writes the marginals and scale factors into two
-    reused vectors, with the floats of fresh products. A residual test
-    max|r - t| < tol is made as max(r) - t < tol and t - min(r) < tol,
-    which agree because rounding a difference is monotone; a nan marginal
-    fails both. The result is nonnegative, and finite because a non-finite
-    entry makes a residual nan or infinite, which never passes the check, so
-    it is built unchecked.
+    t(rho, W) = mu @ vals @ nu is taken as cols @ nu from the column marginals
+    cols = mu @ vals, the same floats. A residual test max|r - t| < tol is made
+    as max(r) - t < tol and t - min(r) < tol, which agree because rounding a
+    difference is monotone; a nan marginal fails both. The result is
+    nonnegative, and finite because a non-finite entry makes a residual nan or
+    infinite, which never passes the check, so it is built unchecked.
     """
     if np.any(w.values <= 0):
         raise SinkhornError("sinkhorn requires strictly positive values")
     mu, nu = w.row_weights, w.col_weights
     vals = np.array(w.values)
-    rows, cols = np.empty(mu.size), np.empty(nu.size)
-    row_scale = rows[:, None]
     top, low = np.maximum.reduce, np.minimum.reduce
     for _ in range(max_iter):
-        np.matmul(vals, nu, out=rows)
-        np.matmul(mu, vals, out=cols)
+        rows, cols = vals @ nu, mu @ vals
         t = float(cols @ nu)
         if (top(rows) - t < tol and t - low(rows) < tol
                 and top(cols) - t < tol and t - low(cols) < tol):
             return _trusted(vals, mu, nu)
-        np.divide(t, rows, out=rows)
-        vals *= row_scale
-        np.matmul(mu, vals, out=cols)
-        t = float(cols @ nu)
-        vals *= np.divide(t, cols, out=cols)
+        vals = vals * (t / rows)[:, None]
+        cols = mu @ vals
+        vals = vals * (float(cols @ nu) / cols)
     raise SinkhornError(f"no convergence to tol={tol} within {max_iter} iterations")
 
 

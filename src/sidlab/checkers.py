@@ -119,15 +119,13 @@ def _require_no_isolated(g: Bigraph) -> None:
 def check_largeright_profile(profile: DegreeProfile) -> CheckReport:
     """Pass iff every realized degree k >= 2 has d_k >= C(v1, k)."""
     rows = []
-    ok = True
     for k, d in profile.counts:
         if k < 2:
             continue
         threshold = comb(profile.v1, k)
-        row_ok = d == 0 or d >= threshold
-        rows.append({"degree": k, "count": d, "threshold": threshold, "ok": row_ok})
-        ok = ok and row_ok
-    return CheckReport(ok, tuple(rows))
+        rows.append({"degree": k, "count": d, "threshold": threshold,
+                     "ok": d == 0 or d >= threshold})
+    return CheckReport(all(row["ok"] for row in rows), tuple(rows))
 
 
 def check_largeright(g: Bigraph) -> CheckReport:
@@ -141,14 +139,12 @@ def check_conlonlee_profile(profile: DegreeProfile) -> CheckReport:
     r = profile.max_degree()
     counts = profile.as_dict()
     rows = []
-    ok = True
     for k in range(2, r + 1):
         modulus = comb(profile.v1, r) * comb(r, k)
         d = counts.get(k, 0)
-        row_ok = modulus > 0 and d % modulus == 0
-        rows.append({"degree": k, "count": d, "modulus": modulus, "ok": row_ok})
-        ok = ok and row_ok
-    return CheckReport(ok, tuple(rows))
+        rows.append({"degree": k, "count": d, "modulus": modulus,
+                     "ok": modulus > 0 and d % modulus == 0})
+    return CheckReport(all(row["ok"] for row in rows), tuple(rows))
 
 
 def check_conlonlee_divisibility(g: Bigraph) -> CheckReport:
@@ -211,7 +207,6 @@ def check_orbit_hypotheses(g: Bigraph, h: ColoredBigraph,
     relevant = {u for u in set(d_g) | set(d_h) if len(u) >= 2}
 
     rows = []
-    passed = True
     covered: set[frozenset] = set()
     for u in sorted(relevant, key=lambda s: (len(s), sorted(s))):
         if u in covered:
@@ -220,15 +215,13 @@ def check_orbit_hypotheses(g: Bigraph, h: ColoredBigraph,
         covered |= orbit
         g_sum = sum(d_g.get(member, 0) for member in orbit)
         h_sum = sum(d_h.get(member, 0) for member in orbit)
-        ok_zero = (g_sum == 0) == (h_sum == 0)
-        ok_geq = g_sum >= h_sum
         rows.append({"representative": sorted(min(orbit, key=sorted)),
                      "orbit_size": len(orbit), "g_sum": g_sum, "h_sum": h_sum,
-                     "ok_zero": ok_zero, "ok_geq": ok_geq})
-        passed = passed and ok_zero and ok_geq
+                     "ok_zero": (g_sum == 0) == (h_sum == 0), "ok_geq": g_sum >= h_sum})
 
     note = ("left-weak-Hoelder precheck is numeric evidence only "
             f"({lwh.trials} trials, worst margin {lwh.worst_margin:.3e})")
+    passed = all(row["ok_zero"] and row["ok_geq"] for row in rows)
     return OrbitReport(passed, tuple(rows), note, lwh.worst_margin)
 
 

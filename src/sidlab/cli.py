@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Optional
 
-from .bigraph import Bigraph, ColoredBigraph, book, cycle4, from_json_dict, star, to_json_dict
+from .bigraph import ColoredBigraph, _plain, book, cycle4, from_json_dict, star, to_json_dict
 from .checkers import (
     DegreeProfile,
     PreconditionError,
@@ -73,10 +73,6 @@ def _load_graph(path: str):
         return from_json_dict(json.load(fh))
 
 
-def _plain_graph(obj) -> Bigraph:
-    return obj.graph if isinstance(obj, ColoredBigraph) else obj
-
-
 def _colored_graph(obj, what: str) -> ColoredBigraph:
     if not isinstance(obj, ColoredBigraph):
         raise UsageError(f"{what} requires a graph file with edge_colors")
@@ -88,6 +84,12 @@ def _positive(args, option: str) -> int:
     if value < 1:
         raise UsageError(f"--{option} must be positive")
     return value
+
+
+def _seed(args) -> int:
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
+    return args.seed
 
 
 def _tolerance(args) -> float:
@@ -105,16 +107,12 @@ def _parse_ints(text: str, what: str) -> list[int]:
 
 
 def _parse_profile(text: str) -> dict[int, int]:
-    counts = {}
+    """The comma-separated k:d_k pairs of `text`, empty items skipped."""
     try:
-        for part in text.split(","):
-            if not part:
-                continue
-            k, d = part.split(":")
-            counts[int(k)] = int(d)
+        pairs = [part.split(":") for part in text.split(",") if part]
+        return {int(k): int(d) for k, d in pairs}
     except ValueError as exc:
         raise UsageError(f"bad profile {text!r} (expected 'k:d_k,...')") from exc
-    return counts
 
 
 def build_parser() -> _Parser:
@@ -197,7 +195,7 @@ def _budget(args) -> int:
 
 def _cmd_certify(args) -> int:
     budget = _budget(args)
-    g = _plain_graph(_load_graph(args.graph))
+    g = _plain(_load_graph(args.graph))
     if args.pool == "reflection":
         # folds by construction, so unchecked; an incidence bigraph has a
         # left side and edges, so no refusal of the find_* functions applies
@@ -226,7 +224,7 @@ _TEST_OPTIONS = {"grid": lambda args: _positive(args, "grid"),
                  "preset": lambda args: args.preset,
                  "n": lambda args: args.n, "colors": _kept_colors}
 _TEST_INPUTS = {
-    "plain": lambda obj, prop: _plain_graph(obj),
+    "plain": lambda obj, prop: _plain(obj),
     "colored": _colored_graph,
     "fractional": lambda obj, prop: from_right_uniform(_colored_graph(obj, prop)),
 }
@@ -242,7 +240,7 @@ def _cmd_test(args) -> int:
             raise UsageError(f"{args.property} requires a graph file")
         obj = _load_graph(args.graph)
     inputs = [] if obj is None else [_TEST_INPUTS[prop.cli_input](obj, args.property)]
-    report = getattr(testers, prop.tester)(*inputs, trials=trials, seed=args.seed,
+    report = getattr(testers, prop.tester)(*inputs, trials=trials, seed=_seed(args),
                                            tol=tol, **params)
     _write_json(testers.report_to_json(report), args.output)
     return EXIT_OK if report.holds else EXIT_VIOLATED
@@ -266,36 +264,32 @@ def _cmd_check(args) -> int:
     if args.checker in _PROFILE_CHECKS:
         on_graph, on_profile = _PROFILE_CHECKS[args.checker]
         if args.graph is not None:
-            report = on_graph(_plain_graph(_load_graph(args.graph)))
+            report = on_graph(_plain(_load_graph(args.graph)))
         else:
             report = on_profile(_profile_from_args(args))
-        _write_json({"checker": args.checker, "passed": report.passed,
-                     "per_degree": list(report.per_degree)}, args.output)
-        return EXIT_OK if report.passed else EXIT_VIOLATED
-
-    if args.checker == "orbits":
+        payload = {"checker": args.checker, "passed": report.passed,
+                   "per_degree": list(report.per_degree)}
+    elif args.checker == "orbits":
         if args.graph is None or args.template is None:
             raise UsageError("orbits needs a graph file and --template")
         trials, tol = _positive(args, "trials"), _tolerance(args)
-        g = _plain_graph(_load_graph(args.graph))
+        g = _plain(_load_graph(args.graph))
         h = _colored_graph(_load_graph(args.template), "orbits --template")
-        report = check_orbit_hypotheses(g, h, lwh_trials=trials, seed=args.seed,
+        report = check_orbit_hypotheses(g, h, lwh_trials=trials, seed=_seed(args),
                                         tol=tol)
-        _write_json({"checker": "orbits", "passed": report.passed,
-                     "orbits": list(report.orbits),
-                     "evidence_note": report.evidence_note,
-                     "lwh_worst_margin": report.lwh_margin}, args.output)
-        return EXIT_OK if report.passed else EXIT_VIOLATED
-
-    # rtd
-    if args.graph is None or args.decomposition is None:
-        raise UsageError("rtd needs a graph file and --decomposition")
-    g = _plain_graph(_load_graph(args.graph))
-    with open(args.decomposition, encoding="utf-8") as fh:
-        d = json.load(fh)
-    report = verify_rtd(g, decomposition_from_json(d))
-    payload = {"checker": "rtd", "passed": report.passed, "reason": report.reason,
-               "core": to_json_dict(report.core) if report.core is not None else None}
+        payload = {"checker": "orbits", "passed": report.passed,
+                   "orbits": list(report.orbits),
+                   "evidence_note": report.evidence_note,
+                   "lwh_worst_margin": report.lwh_margin}
+    else:  # rtd
+        if args.graph is None or args.decomposition is None:
+            raise UsageError("rtd needs a graph file and --decomposition")
+        g = _plain(_load_graph(args.graph))
+        with open(args.decomposition, encoding="utf-8") as fh:
+            d = json.load(fh)
+        report = verify_rtd(g, decomposition_from_json(d))
+        payload = {"checker": "rtd", "passed": report.passed, "reason": report.reason,
+                   "core": to_json_dict(report.core) if report.core is not None else None}
     _write_json(payload, args.output)
     return EXIT_OK if report.passed else EXIT_VIOLATED
 

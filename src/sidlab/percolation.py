@@ -456,9 +456,7 @@ def lift_certificate(parts: Sequence[Bigraph], base_cert: PercolationCertificate
                 raise ValueError(f"step {i}: folding maps disagree on V_1")
             if fold.left & v1 != base_left_v1:
                 raise ValueError(f"step {i}: left sides have different V_1 intersections")
-            for v, w in phi.items():
-                if v not in v1:
-                    phi_hat[v] = w
+            phi_hat.update(phi)  # phi agrees with the base on V_1
             left_hat |= (fold.left - v1)
         lifted.append(Fold(phi_hat, left_hat))
 

@@ -10,6 +10,14 @@ same bytes, so a refactor is checked by running the script against each:
     PYTHONPATH=src python tests/cli_grid.py            # the whole grid
     PYTHONPATH=src python tests/cli_grid.py --quick    # every 8th command
 
+The grid runs every `sidlab construct` kind; `certify` in both modes, at
+small budgets and with the reflection pool, including a BFS whose states
+take two words (incidence(6,{2,3}), 90 edges); every `sidlab test`
+property, at grids 1, 4, 8 and 16; every `sidlab check` checker, on graph
+files and on `--v1`/`--profile`; and refusals: malformed profiles and
+decompositions, a one-ended edge, a missing graph file, a degenerate
+template.
+
 Because one process runs every command, state that leaks from one command
 into a later one (a reused buffer, a cache keyed by `id()`) shows as lines
 that differ between two runs in one process, the second in reverse order;
@@ -42,19 +50,31 @@ CONSTRUCTED = [
     ("i523", ["incidence", "--n", "5", "--uniformities", "2,3"]),
     ("i723", ["incidence", "--n", "7", "--uniformities", "2,3"]),
     ("i524", ["incidence", "--n", "5", "--uniformities", "2,4"]),
+    ("i623", ["incidence", "--n", "6", "--uniformities", "2,3"]),
 ]
-# graphs no constructor builds: no left vertex, no edge, an isolated vertex
+# files no constructor builds: graphs with no left vertex, no edge, an
+# isolated vertex or a one-ended edge; decompositions of book(2) into its two
+# pages, into bags that meet off their tree path, and one malformed
 WRITTEN = {
     "noleft": {"v1": [], "v2": ["r"], "edges": []},
     "edgeless": {"v1": ["a"], "v2": ["b"]},
     "isolated": {"v1": ["a", "b", "c"], "v2": ["x", "y"],
                  "edges": [["a", "x"], ["b", "y"]]},
+    "oneended": {"v1": ["a"], "v2": ["b"], "edges": [["a"]]},
+    "pages": {"bags": [["p", "q", "u1", "w1"], ["p", "q", "u2", "w2"]],
+              "edges": [[0, 1]]},
+    "offpath": {"bags": [["p", "q", "u1", "w1"], ["q", "u1"], ["p", "q", "u2", "w2"]],
+                "edges": [[0, 1], [1, 2]]},
+    "badbags": {"bags": [["p", {}]]},
 }
 CERTIFIED = ["cycle4", "book2", "star5", "star8", "i42", "i423", "i312", "noleft",
              "edgeless"]
 TESTED = ["cycle4", "i42", "i423", "i312", "star5", "book2", "edgeless"]
 PROPERTIES = ["cs-tree", "induced-sidorenko", "sidorenko", "strong-sidorenko",
               "weak-norming"]
+# the properties that read edge colors, on colored graphs
+COLORED = {"left-weak-holder": [], "color-sidorenko": [],
+           "color-restriction": ["--colors", "1"]}
 
 
 def commands() -> list[list[str]]:
@@ -85,6 +105,28 @@ def commands() -> list[list[str]]:
         grid.append(["check", checker, "--v1", "4", "--profile", "2:6"])
         grid.append(["check", checker, "--v1", "4", "--profile", "2-6"])
     grid += [["test", "sidorenko"], ["check", "orbits", "{i42}", "--template", "{edgeless}"]]
+    # 90 edges: BFS states of two words
+    grid.append(["certify", "{i623}", "--mode", "edge", "--pool", "reflection",
+                 "--budget", "5000"])
+    for prop, options in COLORED.items():
+        for name in ("i42", "i423", "i312"):
+            for grid_size in ("1", "4", "8"):
+                for seed in ("0", "7"):
+                    grid.append(["test", prop, f"{{{name}}}", *options, "--trials", "20",
+                                 "--grid", grid_size, "--seed", seed])
+    for n in ("0", "2", "4"):
+        for seed in ("0", "7"):
+            grid.append(["test", "jensen", "--n", n, "--seed", seed])
+    # grid 16: buckets past 2^16 cells, contracted through einsum
+    grid.append(["test", "induced-sidorenko", "{i423}", "--grid", "16", "--trials", "2"])
+    grid.append(["test", "strong-sidorenko", "{i523}", "--grid", "16", "--trials", "4"])
+    grid.append(["test", "left-weak-holder", "{i523}", "--trials", "20"])
+    for name in ("i423", "i523"):
+        grid.append(["check", "orbits", f"{{{name}}}", "--template", f"{{{name}}}",
+                     "--trials", "50"])
+    for decomposition in ("pages", "offpath", "badbags"):
+        grid.append(["check", "rtd", "{book2}", "--decomposition", f"{{{decomposition}}}"])
+    grid.append(["test", "sidorenko", "{oneended}"])
     return grid
 
 

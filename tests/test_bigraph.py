@@ -66,6 +66,12 @@ def test_construction_validation():
         Bigraph(["a"], ["b"], [("a", "z")])
     with pytest.raises(ValueError):
         Bigraph(["a", "a"], ["b"], [])
+    with pytest.raises(ValueError, match="^d must be nonnegative$"):
+        star(-1)
+    with pytest.raises(ValueError, match="^d must be nonnegative$"):
+        dual_star(-1)
+    with pytest.raises(ValueError, match="^k must be positive$"):
+        book(0)
 
 
 def test_counts_and_neighborhoods():
@@ -109,6 +115,19 @@ def test_induced_subgraph_incidence_pair():
 def test_induced_subgraph_unknown_vertex():
     with pytest.raises(ValueError):
         induced_subgraph(cycle4(), {"a", "zzz"})
+    with pytest.raises(ValueError, match="^unknown vertex 'zzz'$"):
+        cycle4().degree("zzz")
+
+
+def test_spanning_subgraph_and_endomorphism_refusals():
+    with pytest.raises(ValueError, match="edges of the host graph"):
+        cycle4().spanning_subgraph([("a", "c"), ("b", "a")])
+    identity = {v: v for v in cycle4().vertices()}
+    assert cycle4().is_endomorphism(identity)
+    # a map missing a vertex, a left vertex sent right, a right vertex sent left
+    assert not cycle4().is_endomorphism({"a": "a"})
+    assert not cycle4().is_endomorphism({**identity, "a": "c"})
+    assert not cycle4().is_endomorphism({**identity, "c": "a"})
 
 
 @given(bigraphs(), st.data())
@@ -144,6 +163,8 @@ def test_amalgamate_incidence_counts():
 
 
 def test_amalgamate_errors():
+    with pytest.raises(ValueError, match="^need at least one graph$"):
+        amalgamate_left([])
     with pytest.raises(ValueError):
         amalgamate_left([star(2), cycle4()])
     g1 = Bigraph(["0"], ["1"], [("0", "1")])
@@ -200,6 +221,13 @@ def test_two_core_flag_examples():
 
     f3 = Flag(rho(), ("1", "2"))
     assert two_core_flag(f3) == f3
+
+
+def test_flag_validation():
+    with pytest.raises(ValueError, match="^labels must be distinct$"):
+        Flag(cycle4(), ("a", "a"))
+    with pytest.raises(ValueError, match="^labels must be vertices of the underlying graph$"):
+        Flag(cycle4(), ("z",))
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,8 @@ def test_a_nonpositive_color_is_refused_before_a_later_missing_one():
 
 def test_json_round_trip():
     w = random_step_bigraphon(2, 3, seed=8)
-    assert bigraphon_from_json(bigraphon_to_json(w)) == w
+    back = bigraphon_from_json(bigraphon_to_json(w))
+    assert back == w and back is not w and hash(back) == hash(w)
 
 
 @pytest.mark.parametrize("key", ["mu", "nu", "w"])

@@ -48,6 +48,8 @@ def test_profile_validation():
         DegreeProfile(2, {5: 1})
     with pytest.raises(ValueError):
         DegreeProfile(-1, {})
+    with pytest.raises(ValueError, match="^degrees and counts must be nonnegative$"):
+        DegreeProfile(4, {2: -1})
 
 
 def test_largeright_examples():
@@ -109,7 +111,7 @@ def natural_k42():
 def test_orbit_check_equality_on_template():
     h = natural_k42()
     report = check_orbit_hypotheses(h.graph, h, lwh_trials=15, seed=1)
-    assert report.passed
+    assert report.passed and bool(report)
     assert all(row["g_sum"] == row["h_sum"] for row in report.orbits)
     assert "evidence" in report.evidence_note
 
@@ -132,7 +134,7 @@ def test_orbit_check_zero_mass_fails():
     g = Bigraph(g.left, list(g.right) + ["y"],
                 list(g.edges) + [("4", "y"), ("1", "y")])
     report = check_orbit_hypotheses(g, h, lwh_trials=10, seed=3)
-    assert not report.passed
+    assert not report.passed and not bool(report)
     bad = [row for row in report.orbits if not row["ok_zero"]]
     assert bad and bad[0]["h_sum"] == 0
 
@@ -253,6 +255,15 @@ def test_rtd_rejects_running_intersection_violation():
     report = verify_rtd(g, t)
     assert not report.passed
     assert "running intersection" in report.reason
+
+
+def test_rtd_bags_that_share_nothing():
+    # the path a - x - b - y: its end bags are disjoint, so they set no
+    # running-intersection condition
+    g = Bigraph(["a", "b"], ["x", "y"], [("a", "x"), ("b", "x"), ("b", "y")])
+    t = ReflectiveTreeDecomposition([{"a", "x"}, {"x", "b"}, {"b", "y"}], [(0, 1), (1, 2)])
+    report = verify_rtd(g, t)
+    assert report.passed and report.reason == ""
 
 
 def test_rtd_rejects_core_mismatch():

@@ -52,6 +52,7 @@ def test_construct_bad_params():
     assert main(["construct", "incidence", "--n", "4",
                  "--uniformities", "7"]) == 1
     assert main(["construct", "book"]) == 1
+    assert main(["construct", "star", "--d", "-1"]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +403,18 @@ def test_check_rtd_edges_may_be_omitted(tmp_path):
 
 @pytest.mark.parametrize("checker", ["largeright", "conlonlee"])
 def test_check_profile_from_a_graph_file(tmp_path, checker):
-    """A graph file gives the bytes of its own --v1/--profile form; a graph
-    with an isolated vertex fails the precondition."""
-    gpath = make_graph(tmp_path, "construct", "incidence", "--n", "4",
-                       "--uniformities", "2,3")
-    on_graph, on_profile = tmp_path / "graph-rows.json", tmp_path / "profile-rows.json"
-    code = main(["check", checker, str(gpath), "-o", str(on_graph)])
-    assert main(["check", checker, "--v1", "4", "--profile", "2:6,3:4",
-                 "-o", str(on_profile)]) == code
-    assert on_graph.read_bytes() == on_profile.read_bytes()
+    """A graph file gives the bytes of its own --v1/--profile form; on
+    incidence(n,{2,3}) for n = 4, 5 largeright passes and conlonlee fails. A
+    graph with an isolated vertex fails the precondition."""
+    for n, profile in (("4", "2:6,3:4"), ("5", "2:10,3:10")):
+        gpath = make_graph(tmp_path, "construct", "incidence", "--n", n,
+                           "--uniformities", "2,3")
+        on_graph, on_profile = tmp_path / "graph-rows.json", tmp_path / "profile-rows.json"
+        code = main(["check", checker, str(gpath), "-o", str(on_graph)])
+        assert code == (0 if checker == "largeright" else 3)
+        assert main(["check", checker, "--v1", n, "--profile", profile,
+                     "-o", str(on_profile)]) == code
+        assert on_graph.read_bytes() == on_profile.read_bytes()
     isolated = tmp_path / "isolated.json"
     isolated.write_text(json.dumps({"v1": ["a", "b", "c"], "v2": ["x"],
                                     "edges": [["a", "x"], ["b", "x"]]}))
@@ -425,6 +429,10 @@ def test_check_usage_errors(capsys):
     assert main(["check", "largeright", "--v1", "4", "--profile", "2-6"]) == 1
     assert capsys.readouterr().err == \
         "usage error: bad profile '2-6' (expected 'k:d_k,...')\n"
+    assert main(["check", "largeright", "--v1", "4", "--profile", "2:-1"]) == 1
+    assert capsys.readouterr().err == "error: degrees and counts must be nonnegative\n"
+    # empty items are skipped: 2:1 is checked, and fails
+    assert main(["check", "largeright", "--v1", "4", "--profile", "2:1,,"]) == 3
 
 
 def test_config_validation(tmp_path):
@@ -433,6 +441,18 @@ def test_config_validation(tmp_path):
     assert main(["test", "sidorenko", str(gpath), "--tol", "2.0"]) == 1
     assert main(["test", "sidorenko", str(gpath), "--grid", "0"]) == 1
     assert main(["certify", str(gpath), "--mode", "left", "--budget", "0"]) == 1
+
+
+def test_negative_seed_is_refused(tmp_path, capsys):
+    gpath = make_graph(tmp_path, "construct", "incidence", "--n", "4",
+                       "--uniformities", "2")
+    capsys.readouterr()
+    for argv in (["test", "sidorenko", str(gpath)],
+                 ["check", "orbits", str(gpath), "--template", str(gpath)]):
+        assert main([*argv, "--seed", "-5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: --seed must be nonnegative\n"
+        assert captured.out == ""
 
 
 def test_grid_checked_only_where_read(tmp_path, capsys):

@@ -37,6 +37,7 @@ def test_construction_and_derived_quantities():
         ["u", "v"], [1, 2],
         {(("u", "v"), 1): 2.0, (("u",), 2): 1.5, (("v",), 2): 1.5})
     assert h.edge_mass(1) == pytest.approx(4.0)  # |{u,v}| * 2
+    assert h.weight(("v", "u"), 1) == 2.0 and h.weight(("u", "v"), 2) == 0.0
     assert h.edge_mass(2) == pytest.approx(3.0)
     assert h.total_edge_mass() == pytest.approx(7.0)
     assert h.degree("u", 1) == pytest.approx(2.0)

@@ -49,6 +49,10 @@ def test_build_incidence_out_of_range():
         build_incidence(4, [5])
     with pytest.raises(ValueError):
         build_incidence(4, [0])
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        IncidenceBigraph(0, [1])
+    with pytest.raises(ValueError, match="^need at least one uniformity$"):
+        IncidenceBigraph(4, [])
 
 
 def test_colored_graph_is_built_once():
@@ -196,6 +200,10 @@ def test_from_bigraph_round_trip():
     assert back == ib
     with pytest.raises(ValueError):
         IncidenceBigraph.from_bigraph(build_incidence(3, [2]).graph.without_vertices(["1"]))
+    # a slot 2 without a slot 1
+    gap = Bigraph(["1", "2"], ["{1,2}@2"], [("1", "{1,2}@2"), ("2", "{1,2}@2")])
+    with pytest.raises(ValueError, match="^slots must be 1..t with one uniformity each$"):
+        IncidenceBigraph.from_bigraph(gap)
 
 
 def renamed(g, old, new):
@@ -249,6 +257,8 @@ def coset_subset_bijection_holds(n: int, k: int) -> bool:
 
 
 def test_type_a_system():
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        TypeAReflectionSystem(0)
     sys4 = TypeAReflectionSystem(4)
     assert len(sys4.reflections()) == 6
     assert sys4.simple_reflections() == [(1, 2), (2, 3), (3, 4)]

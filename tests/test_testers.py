@@ -502,6 +502,8 @@ def test_jensen_hand_case():
 def test_jensen_random_holds():
     for n in (1, 2, 3):
         assert props.test_inductive_jensen(n, trials=60, seed=29 + n).holds
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        props.test_inductive_jensen(-1)
 
 
 # ---------------------------------------------------------------------------
