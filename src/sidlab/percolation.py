@@ -14,17 +14,34 @@ The search runs on integers. Its pool is (image, left mask) pairs (see
 and converts a supplied pool of `Fold`s; the default and reflection pools are
 built as pairs and go to the search unchecked. `_moves` compiles the stacked
 pool at once (one np.where gives every phi_L, one gather through an element
-lookup its moves), so a preimage is a gather; each BFS level is a packed bit
-array, expanded in bounded chunks of rows. A chunk's candidates are
-deduplicated in `_fresh`, the only code that handles keys, by sorting their
-keys and searching sorted tiers of the states seen (see `_search`), keeping
-the first occurrence of each in the order a queue-based BFS meets them;
-parents, certificates, state counts, and where the goal check and the budget
-stop fall, are therefore the same as for a queue. Parents are kept per level
-as one array of parent row * pool size + fold index, and a certificate's
-states are recomputed from its start element and folds; only its folds become
-`Fold`s. `verify_certificate` recomputes every preimage over frozensets, apart
-from the search, once per returned certificate.
+lookup its moves): moves[f, i] is the position of the image of element i
+under fold f, so a state's preimage under f is state[moves[f]]. Only the
+first fold of each distinct row of moves is searched.
+
+Each BFS level is a packed bit array, expanded in bounded chunks of rows,
+and a preimage is read from tables, one lookup per byte in place of a
+gather of its bits (Warren, *Hacker's Delight*, ch. 7). `_tables` splits a
+packed state into digits of 8, 4 or 2 bits, in the order `np.packbits`
+gives its bytes, and tables[d, v, f] holds the packed elements whose image
+under fold f is an element of value v of digit d. The OR over a state's
+digits of tables[d, (its digit d), f] holds element i exactly when its
+image moves[f, i] is in the state: it is state[moves[f]] bit for bit,
+padding bits zero. For states of nbytes bytes packed into width-byte items
+the tables take 2**bits * 8 / bits * nbytes * folds * width bytes, and one
+rule bounds them: a lookup reads the widest of 8, 4 and 2 bits whose
+tables fit in `_TABLE_BYTES`, and 2 bits when none does. They are built
+once per search and freed when it returns.
+
+A chunk's candidates are deduplicated in `_fresh`, which with `_tier` is
+the only code that handles keys, by sorting their keys and searching
+sorted tiers of the states seen (see `_search`), keeping the first
+occurrence of each in the order a queue-based BFS meets them; parents,
+certificates, state counts, and where the goal check and the budget stop
+fall, are therefore the same as for a queue. Parents are kept per level as
+one array of parent row * distinct folds + fold index, and a certificate's
+states are recomputed from its start element and folds; only its folds
+become `Fold`s. `verify_certificate` recomputes every preimage over
+frozensets, apart from the search, once per returned certificate.
 """
 
 from __future__ import annotations
@@ -55,9 +72,13 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**6
 
-# frontier rows expanded together are capped so that one chunk gathers at
-# most about this many candidate cells (one byte each before packing)
+# frontier rows expanded together are capped so that one chunk has at most
+# about this many (candidate, element) cells
 _CHUNK_CELLS = 1 << 20
+
+# preimage tables (see `_tables`) take at most this many bytes, unless even
+# two bits per lookup exceed it
+_TABLE_BYTES = 1 << 23
 
 # each tier of seen states is kept at least this many times as long as the
 # next, so a search visits few tiers and a state is merged a few times in all
@@ -219,6 +240,14 @@ def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tier(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct packed states as a tier of seen states (see `_fresh`):
+    their keys in sorted order, and the states in that order."""
+    keys = _keys(states)[0]
+    order = keys.argsort(kind="stable")
+    return keys[order], states[order]
+
+
 def _fresh(cands: np.ndarray, seen: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """The first occurrence of each candidate state not in `seen`, as
     ascending candidate indices; those states are added to `seen`, a list
@@ -229,12 +258,28 @@ def _fresh(cands: np.ndarray, seen: list[tuple[np.ndarray, np.ndarray]]) -> np.n
     drops the runs already seen. Where keys do not identify states, a run
     whose states differ, or whose key a tier holds first for another
     state, holds a key collision: its states are compared whole, in index
-    order, with every seen state of that key. `np.insert` merges tiers, each
-    newer state after the older ones of its key, so no tier is re-sorted."""
+    order, with every seen state of that key.
+
+    Tiers are merged at the start of a call, where they are searched, so a
+    search merges none after its last chunk. Two tiers merge by scattering
+    them into one, each newer state after the older ones of its key."""
+    while len(seen) > 1 and _TIER_RATIO * len(seen[-1][0]) > len(seen[-2][0]):
+        (keys_a, states_a), (keys_b, states_b) = seen.pop(-2), seen.pop()
+        at = keys_a.searchsorted(keys_b, side="right") + np.arange(len(keys_b))
+        older = np.ones(len(keys_a) + len(keys_b), dtype=bool)
+        older[at] = False
+        states = np.empty(len(older), states_a.dtype)
+        states[older], states[at] = states_a, states_b
+        del states_a, states_b  # the larger arrays: freed before the keys merge, for peak memory
+        keys = np.empty(len(older), keys_a.dtype)
+        keys[older], keys[at] = keys_a, keys_b
+        seen.append((keys, states))
     keys, exact = _keys(cands)
     order = keys.argsort()
     sorted_keys = keys[order]
-    new_run = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    new_run = np.empty(len(keys), dtype=bool)
+    new_run[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_run[1:])
     starts = new_run.nonzero()[0]
     first = np.minimum.reduceat(order, starts)
     run_keys = sorted_keys[starts]
@@ -271,14 +316,63 @@ def _fresh(cands: np.ndarray, seen: list[tuple[np.ndarray, np.ndarray]]) -> np.n
     # fresh is in key order, so it is a tier
     if len(fresh):
         seen.append((keys[fresh], cands[fresh]))
-    while len(seen) > 1 and _TIER_RATIO * len(seen[-1][0]) > len(seen[-2][0]):
-        (keys_a, states_a), (keys_b, states_b) = seen.pop(-2), seen.pop()
-        at = keys_a.searchsorted(keys_b, side="right")
-        states = np.insert(states_a, at, states_b)
-        del states_a, states_b  # the larger arrays: freed before the keys merge, for peak memory
-        seen.append((np.insert(keys_a, at, keys_b), states))
     fresh.sort()
     return fresh
+
+
+def _tables(imgs: np.ndarray, nbytes: int, width: int) -> np.ndarray:
+    """Preimage tables of the moves `imgs` for states of `nbytes` bytes
+    packed into `width`-byte items.
+
+    A lookup reads one digit of `bits` state bits: digit d holds elements
+    d * bits to (d + 1) * bits - 1, the first at its highest bit, as
+    `np.packbits` orders a byte. tables[d, v, f] holds, packed into whole
+    words, the elements whose image under fold f is an element of value v
+    of digit d; so a state's preimage under fold f is the OR over its
+    digits d of tables[d, (its digit d), f] (see `_preimages`). Each
+    element's fiber (the elements whose image it is) is set at the one-bit
+    value of its one-bit digit, and pairs of digits are then joined by
+    doubling: the value hi * 2**b + lo of a pair of b-bit digits is the OR
+    of value hi of the first and value lo of the second.
+
+    The tables take 2**bits * 8 / bits * nbytes * folds * width bytes: 256,
+    32 and 16 times nbytes * folds * width for 8, 4 and 2 bits. A lookup
+    reads the widest of 8, 4 and 2 bits whose tables fit in `_TABLE_BYTES`,
+    and 2 bits when none does (one bit per lookup would take as many bytes
+    as two)."""
+    n_folds, n = imgs.shape
+    size = nbytes * n_folds * width
+    bits = 8 if 256 * size <= _TABLE_BYTES else 4 if 32 * size <= _TABLE_BYTES else 2
+    tables = np.zeros((8 * nbytes, 2, n_folds, width), dtype=np.uint8)
+    # element i is bit 7 - i % 8 of byte i // 8, as `np.packbits` packs it
+    byte, bit = np.divmod(np.arange(n), 8)
+    np.bitwise_or.at(tables, (imgs, 1, np.arange(n_folds)[:, None], byte),
+                     (0x80 >> bit).astype(np.uint8))
+    tables = tables.view(np.uint64)
+    while tables.shape[1] < 2**bits:
+        hi, lo = tables[0::2, :, None], tables[1::2, None]
+        tables = (hi | lo).reshape(len(hi), -1, n_folds, width // 8)
+    return tables
+
+
+def _preimages(states: np.ndarray, tables: np.ndarray, nbytes: int) -> np.ndarray:
+    """The preimage of each packed state under each fold of `tables` (see
+    `_tables`), as packed states in (state, fold) order: one table lookup
+    per digit of the states, ORed together."""
+    bits = 8 * nbytes // len(tables)
+    digits = states.view(np.uint8).reshape(len(states), -1)[:, :nbytes].T
+    if bits < 8:
+        shifts = np.arange(8 - bits, -1, -bits, dtype=np.uint8)[:, None]
+        digits = (digits[:, None] >> shifts & (2**bits - 1)).reshape(-1, len(states))
+    out = tables[0, digits[0]]
+    for d in range(1, len(digits)):
+        out |= tables[d, digits[d]]
+    return out.view(states.dtype).ravel()
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """Arrays joined end to end; a single one as it is, without a copy."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
@@ -301,9 +395,26 @@ def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
     order in which it meets them, and the first occurrence of each state that
     no earlier chunk found is the state it enqueues: fresh states, their
     order, parents and fold indices, the state count, and where the goal
-    check and the budget stop fall, are the same as for the queue."""
+    check and the budget stop fall, are the same as for the queue.
+
+    Only the first fold of each distinct move row is searched; parents and
+    certificates keep the pool's fold indices. A later fold with the same
+    row gives each state the candidate the earlier fold gives it, which
+    comes first in (state row, fold) order within the same chunk; so the
+    later fold's candidate is never a first occurrence, never fresh, and
+    dropping it changes no fresh state, order, parent, count or stop.
+
+    A chunk's candidates come from `_preimages`, one lookup per digit of
+    each state in the tables of `_tables`, which are built once here and
+    freed on return. tables[d, v, f] holds exactly the elements whose image
+    under fold f is in value v of digit d, so the OR over a state's digits
+    holds element i exactly when element moves[f, i] is in the state: bit
+    for bit the gathered preimage state[moves[f]], in the same (state row,
+    fold) order, with padding bits (the image of no element) zero. The
+    tables take at most `_TABLE_BYTES` unless even 2 bits per lookup pass
+    it (see `_tables`)."""
     elements = _MODES[mode].elements(g)
-    n, n_folds = len(elements), len(pool)
+    n = len(elements)
 
     def build(start: int, fold_idx: list[int]) -> PercolationCertificate:
         state = np.zeros(n, dtype=bool)
@@ -313,7 +424,7 @@ def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
             state = state[imgs[f]]
             chain.append(state)
         cert = PercolationCertificate(
-            mode, [_fold(g, *pool[f]) for f in fold_idx],
+            mode, [_fold(g, *pool[kept[f]]) for f in fold_idx],
             [[elements[i] for i in np.flatnonzero(s)] for s in chain])
         res = verify_certificate(g, cert)
         if not res:
@@ -325,47 +436,42 @@ def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
     explored = n
     if explored > budget:
         return NotFound("budget", explored)
+    if not pool:
+        return NotFound("exhausted", explored)
     imgs = _moves(g, mode, pool)
+    # the first fold of each distinct move row, by a stable sort of the rows
+    rows = imgs.view(np.dtype((np.void, imgs.itemsize * n))).ravel()
+    order = rows.argsort(kind="stable")
+    rows = rows[order]
+    kept = np.sort(order[np.concatenate(([True], rows[1:] != rows[:-1]))])
+    imgs = imgs[kept]
+    n_folds = len(kept)
     # states are packed to whole bytes, then to whole words; padding bits
-    # are zero, so index n (a padding bit whenever padding exists) pads
-    # each row of imgs too
+    # are zero
     nbytes, width = (n + 7) // 8, 8 * ((n + 63) // 64)
-    gather = np.full((n_folds, 8 * nbytes), n)
-    gather[:, :n] = imgs
     state_type = np.dtype((np.void, width))
-
-    def pack(bits: np.ndarray) -> np.ndarray:
-        """Rows of 8 * nbytes bits (the last axis) as packed states:
-        zero-padded whole words, one void item each, so that gathers and
-        merges move single items."""
-        packed = np.packbits(bits).reshape(-1, nbytes)
-        out = np.zeros((len(packed), width), dtype=np.uint8)
-        out[:, :nbytes] = packed
-        return out.view(state_type).ravel()
+    tables = _tables(imgs, nbytes, width)
 
     # the singletons, the empty state and the goal
-    bits = np.eye(n + 2, 8 * nbytes, dtype=bool)
-    bits[n] = False
-    bits[n + 1] = np.arange(8 * nbytes) < n
-    initial = pack(bits)
+    initial = np.eye(n + 2, 8 * width, dtype=bool)
+    initial[n:] = False
+    initial[n + 1, :n] = True
+    initial = np.packbits(initial, axis=1).view(state_type).ravel()
     frontier, goal = initial[:n], initial[n + 1]
     # the empty state is never explored; seeding it skips empty preimages
-    seen = []
-    _fresh(initial[:n + 1], seen)
+    seen = [_tier(initial[:n + 1])]
     # per level after the first: each state's candidate index in its level,
-    # parent row * n_folds + fold index
+    # parent row * n_folds + fold index, in the smallest unsigned type that
+    # holds every candidate index of the level
     parents: list[np.ndarray] = []
-    rows_per_chunk = max(1, _CHUNK_CELLS // max(1, n_folds * n))
-    while len(frontier) and n_folds:
+    rows_per_chunk = max(1, _CHUNK_CELLS // (n_folds * n))
+    while len(frontier):
         level_rows, level_parents = [], []
+        index_type = np.min_scalar_type(len(frontier) * n_folds)
         for lo in range(0, len(frontier), rows_per_chunk):
-            # one row of bits per element, so the gather copies whole rows
-            states = frontier[lo:lo + rows_per_chunk]
-            bits = np.unpackbits(states.view(np.uint8).reshape(len(states), width)[:, :nbytes].T,
-                                 axis=0)
             # candidates in (state row, fold) order, which is the order a
             # FIFO queue would generate them in
-            cands = pack(bits[gather].transpose(2, 0, 1))
+            cands = _preimages(frontier[lo:lo + rows_per_chunk], tables, nbytes)
             fresh = _fresh(cands, seen)
             if not len(fresh):
                 continue
@@ -383,11 +489,13 @@ def _search(g: Bigraph, mode: str, pool: Sequence[tuple[list[int], int]],
                 return NotFound("budget", budget + 1)
             explored += len(fresh)
             level_rows.append(found)
-            level_parents.append(fresh + lo * n_folds)
+            level_parents.append((fresh + lo * n_folds).astype(index_type))
         if not level_rows:
             break
-        frontier = np.concatenate(level_rows)
-        parents.append(np.concatenate(level_parents))
+        del frontier  # each level is freed before the next one is joined, for peak memory
+        frontier = _join(level_rows)
+        del level_rows
+        parents.append(_join(level_parents))
     return NotFound("exhausted", explored)
 
 

@@ -181,6 +181,19 @@ def test_searches_match_reference(mode):
     assert compare_searches(mode) > 250
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_multiword_edge_searches_match_reference(n):
+    """Edge searches whose states take two words (incidence(6,{2,3}), 90
+    edges) and three (incidence(7,{2,3}), 147 edges) with the reflection
+    pool, at budgets from 1 to 3,000: below, at and just past the start
+    states, and every 100 states after."""
+    ib = IncidenceBigraph(n, [2, 3])
+    g, pool = ib.graph, reflection_fold_pool(ib)
+    for budget in [1, g.e - 1, g.e, g.e + 1, *range(100, 3001, 100)]:
+        got = find_cut_percolating(g, pool, budget=budget)
+        assert got == ref.search(g, "edge", pool, budget), budget
+
+
 def popcount_keys(states):
     """A coarse key for `percolation._keys`: the number of elements in the
     state, which unequal states share."""

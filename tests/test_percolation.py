@@ -558,6 +558,86 @@ def test_reflection_pool_moves_match_left_maps(n):
 
 
 # ---------------------------------------------------------------------------
+# preimage tables against a per-element gather
+
+
+def table_bytes_for(bits, nbytes, n_folds, width):
+    """The least `_TABLE_BYTES` under which `_tables` reads `bits` bits per
+    lookup; 0 makes it read 2."""
+    return 0 if bits == 2 else (2**bits * 8 // bits) * nbytes * n_folds * width
+
+
+@pytest.mark.parametrize("bits", [8, 4, 2])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129])
+def test_table_preimages_match_a_gather(monkeypatch, n, bits):
+    """Random many-to-one move tables and random states: each state's
+    preimage under fold f, read from the tables, is state[moves[f]] packed
+    as the search packs states, padding bits zero, at each lookup width."""
+    rng = np.random.default_rng([11, n, bits])
+    nbytes, width = (n + 7) // 8, 8 * ((n + 63) // 64)
+    state_type = np.dtype((np.void, width))
+    moves = rng.integers(0, max(1, n // 3), size=(5, n))
+    moves[1] = rng.permutation(n)
+    monkeypatch.setattr(percolation, "_TABLE_BYTES", table_bytes_for(bits, nbytes, 5, width))
+    tables = percolation._tables(moves, nbytes, width)
+    assert tables.shape == (8 * nbytes // bits, 2**bits, 5, width // 8)
+    bools = rng.random((40, n)) < rng.random((40, 1))
+    bools[0], bools[1] = False, True  # the empty state and the goal
+
+    def pack(rows):
+        return np.packbits(rows, axis=1).view(state_type).ravel()
+    padded = np.zeros((40, 8 * width), dtype=bool)
+    padded[:, :n] = bools
+    got = percolation._preimages(pack(padded), tables, nbytes)
+    want = np.zeros((40, 5, 8 * width), dtype=bool)
+    want[:, :, :n] = bools[:, moves]
+    assert got.tolist() == pack(want.reshape(200, -1)).tolist()
+
+
+def test_tables_stay_within_their_bound(monkeypatch):
+    """incidence(5,{2,2}) in edge mode: its default pool has 1,663 folds of
+    40 edges, whose full byte tables would take 17 MB; the tables the
+    search builds read 4 bits per lookup, the widest that fits, and their
+    size is within `_TABLE_BYTES`."""
+    built, build = [], percolation._tables
+
+    def record(*args):
+        built.append(build(*args))
+        return built[-1]
+    monkeypatch.setattr(percolation, "_tables", record)
+    g = IncidenceBigraph(5, [2, 2]).graph
+    assert len(_fold_maps(g)) == 1663 and g.e == 40
+    assert find_cut_percolating(g, budget=200) == NotFound("budget", 201)
+    (tables,) = built
+    nbytes, n_folds, words = 5, 1663, 1
+    assert 256 * nbytes * n_folds * 8 * words > percolation._TABLE_BYTES
+    assert tables.shape == (2 * nbytes, 16, n_folds, words)
+    assert tables.nbytes <= percolation._TABLE_BYTES
+
+
+def test_twin_folds_are_searched_once(monkeypatch):
+    """A pool whose folds each come twice (in edge mode on cycle4 and
+    incidence(4,{2}), and in left mode on incidence(5,{2,2}), whose 1,663
+    folds have 11 distinct left moves) is searched over its distinct move
+    rows only, and gives the certificate or verdict of the pool without
+    twins: the same folds, trajectory and state count."""
+    rows, build = [], percolation._tables
+
+    def record(imgs, *args):
+        rows.append(len(imgs))
+        return build(imgs, *args)
+    monkeypatch.setattr(percolation, "_tables", record)
+    for g, mode in [(cycle4(), "edge"), (IncidenceBigraph(4, [2]).graph, "edge"),
+                    (IncidenceBigraph(5, [2, 2]).graph, "left")]:
+        pool = _fold_maps(g)
+        twice = [pair for pair in pool for _ in range(2)]
+        rows.clear()
+        once, doubled = (percolation._search(g, mode, p, DEFAULT_BUDGET) for p in (pool, twice))
+        assert doubled == once and rows[0] == rows[1] <= len(pool)
+    assert rows == [11, 11]
+
+
+# ---------------------------------------------------------------------------
 # JSON
 
 
