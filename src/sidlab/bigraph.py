@@ -75,6 +75,25 @@ class _VertexIndex:
         order = sorted(range(len(self.names)), key=self.names.__getitem__)
         return tuple(order), tuple(self.names[i] for i in order)
 
+    @functools.cached_property
+    def name_pairs(self) -> _NamePairs:
+        """The (k-th name in name order, names[j]) pairs under the keys
+        k * len(names) + j, shared by every fold of the graph."""
+        return _NamePairs(self.by_name[1], self.names)
+
+
+class _NamePairs(dict):
+    """A pair table filled on a miss: each pair is built once."""
+
+    def __init__(self, sorted_names: tuple[str, ...], names: tuple[str, ...]):
+        super().__init__()
+        self.sorted_names, self.names = sorted_names, names
+
+    def __missing__(self, key: int) -> tuple[str, str]:
+        k, j = divmod(key, len(self.names))
+        self[key] = pair = (self.sorted_names[k], self.names[j])
+        return pair
+
 
 def _bits(mask: int):
     """The indices of the set bits of mask, lowest first."""

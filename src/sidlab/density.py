@@ -33,14 +33,33 @@ position; each coloring object is laid out once per call, however many
 trials repeat it. A fractional trial holds mu and one power of a
 dual-star table per (color, subset size, weight); a pinned one, each
 edge's sliced values.
-Every chunk, a batch of one included, becomes one zero pool per group, of
+Every chunk, a batch of one included, becomes one pool per group, of
 shape (position, trial, padded axes), filled by one assignment per (array,
-trial). A factor at the same position in every trial reads its pool's view
+trial). A pool is zero-filled first only when its chunk has padding, so
+never for a batch of one or a chunk of equal sizes: there every cell a
+factor reads is written, and a position that a trial lacks is never read.
+A factor at the same position in every trial reads its pool's view
 there, shared with every factor at that position; the factors of a group
 whose positions differ between trials (per-trial colorings) are gathered
 from the pool by one fancy index. Either way a factor's array is
 C-contiguous and holds the same zero-padded cells as a stack of its own,
 so padding stays exact as above.
+
+When every trial of a batch has one index, as in plain densities,
+densities with potentials, fractional densities and any batch that
+repeats one coloring object, each chunk follows the plan's repeat table,
+cached per (plan, positions, weight groups). A step that reads the same
+arrays in the same axis pattern as an earlier step, and sums the same axis
+under the same weight, reuses that step's output, which later steps then
+read as the same array, so the reuse cascades: a plain density of
+incidence(n,{2,3}) computes one pair and one triple bucket in place of one
+per right vertex. Steps whose buckets have the same weight groups, and so
+the same sizes and branch, multiply a shared leading run of inputs once:
+strong-Sidorenko's right vertices differ only in their own potential, and
+share the product of their edges. No float can move, since a reused array
+is exactly the array the skipped step would have built, from the same
+inputs by the same operations in the same order. A batch whose indexes
+differ (per-trial colorings) consults no table.
 
 Each elimination step sums one variable out of its bucket, the factors
 that mention it. A bucket whose full product has at most 2^16 cells is
@@ -63,6 +82,7 @@ sizes cross the threshold.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import string
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -170,30 +190,89 @@ def _einsum_path(expr: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
     return tuple(np.einsum_path(expr, *stand_ins, optimize="greedy")[0])
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _repeats(scopes: tuple[tuple[str, ...], ...], variables: tuple[str, ...],
+             groups: tuple[int, ...], positions: tuple[int, ...],
+             weighted: tuple[int, ...]) -> tuple:
+    """The repeat table of the plan for these scopes and variables when
+    factor j reads position positions[j] of group groups[j] in every trial
+    and variables[k] is weighted by group weighted[k]: per step, (same,
+    start, saves). same is the first earlier step that reads the same arrays
+    in the same axis pattern and sums the same axis under the same weight;
+    the step reuses its output, which later steps then read as the same
+    array, so reuse cascades. Otherwise start is (id, k) when the step's
+    first k >= 2 inputs are the longest prefix that an earlier step of a
+    bucket with the same weight groups also multiplies, and saves maps each
+    longer prefix length that a later step shares to the id it is kept
+    under. Both steps of a shared prefix have the same sizes in any chunk,
+    so both take the product branch or neither does."""
+    _, steps = _plan(scopes, variables)
+    weight = dict(zip(variables, weighted))
+    source: list = list(zip(groups, positions))  # the array of each slot
+    first: dict = {}
+    seen: set = set()  # the prefixes of the steps computed so far
+    read: dict = {}  # each prefix a later step starts from, and its id
+    rows = []
+    for n, (v, inputs, bucket, _, axis, keep, _) in enumerate(steps):
+        ins = tuple((source[i], order, tuple(x is None for x in index))
+                    for i, order, index in inputs)
+        m = first.setdefault((ins, weight[v], axis), n)
+        if keep:
+            source.append(m)
+        sizes = tuple(weight[u] for u in bucket)
+        chain = [(sizes, ins[:k]) for k in range(2, len(ins) + 1)] if m == n else []
+        start = max((k for k, prefix in enumerate(chain, 2) if prefix in seen), default=1)
+        if start > 1:
+            read.setdefault(chain[start - 2], len(read))
+        seen.update(chain)
+        rows.append((None if m == n else m, chain, start))
+    table = [(m, (read[chain[start - 2]], start) if start > 1 else None,
+              {k: read[prefix] for k, prefix in enumerate(chain, 2)
+               if k > start and prefix in read})
+             for m, chain, start in rows]
+    return tuple(table)
+
+
+_UNSHARED = itertools.repeat((None, None, {}))  # the table of no sharing
+
+
 def _eliminate_all(factors: list[Factor], weights: Mapping[str, np.ndarray],
-                   trials: int) -> np.ndarray:
+                   trials: int, repeats: tuple | None) -> np.ndarray:
     """Integrate out every variable in `weights` along the cached plan for
     the factors' scopes, for each of `trials` trials at once: every array
     has a leading trial axis, and sizes are read from the weights on every
     call. Returns one value per trial. A bucket whose product exceeds
     _SMALL_BUCKET cells, which only a batch of one holds, is contracted
-    along its cached einsum path instead of being built whole."""
+    along its cached einsum path instead of being built whole. `repeats` is
+    the plan's repeat table (`_repeats`), or None, which shares nothing."""
     constants, steps = _plan(tuple(vs for vs, _ in factors), tuple(sorted(weights)))
     arrs = [arr for _, arr in factors]
     scalar = np.ones(trials)
     for i in constants:
         scalar *= arrs[i]
-    for v, inputs, bucket, windex, axis, keep, expr in steps:
-        if math.prod(weights[u].shape[1] for u in bucket) > _SMALL_BUCKET:
+    outs: list[np.ndarray] = []
+    prefixes: dict[int, np.ndarray] = {}
+    for (v, inputs, bucket, windex, axis, keep, expr), (same, start, saves) in zip(
+            steps, _UNSHARED if repeats is None else repeats):
+        if same is not None:
+            acc = outs[same]
+        elif math.prod(weights[u].shape[1] for u in bucket) > _SMALL_BUCKET:
             operands = [arrs[i][0] for i, _, _ in inputs] + [weights[v][0]]
             path = _einsum_path(expr, tuple(op.shape for op in operands))
             acc = np.einsum(expr, *operands, optimize=path)[None]
         else:
-            (i, order, index), *rest = inputs
-            acc = arrs[i].transpose(order)[index]
-            for i, order, index in rest:
+            if start is None:
+                i, order, index = inputs[0]
+                acc, k = arrs[i].transpose(order)[index], 1
+            else:
+                acc, k = prefixes[start[0]], start[1]
+            for i, order, index in inputs[k:]:
                 acc = acc * arrs[i].transpose(order)[index]
+                k += 1
+                if k in saves:
+                    prefixes[saves[k]] = acc
             acc = (acc * weights[v][windex]).sum(axis=axis)
+        outs.append(acc)
         if keep:
             arrs.append(acc)
         else:
@@ -205,19 +284,24 @@ def _layout(scopes: tuple[tuple[str, ...], ...], groups: tuple[int, ...],
             weights: Mapping[str, int], trials: Sequence[Trial],
             size: Mapping[str, int]) -> tuple[list[Factor], dict[str, np.ndarray]]:
     """The factors and weights of a chunk of trials on a leading trial axis,
-    each variable v zero-padded to size[v]. Every group, a batch of one's
-    too, is one zero pool of shape (position, trial, axes), filled by one
-    assignment per (array, trial); a factor at the same position in every
-    trial reads its pool's view, and the factors of a group whose positions
-    differ between trials are gathered from the pool by one fancy index.
-    Every factor and weight array is C-contiguous, as a stack of its own
-    would be, a pinned vertex's sliced edge values included."""
+    each variable v zero-padded to size[v]; the trials come sorted by their
+    sizes, so when the first trial's sizes are size no cell is padding. Every
+    group, a batch of one's too, is one pool of shape (position, trial,
+    axes), filled by one assignment per (array, trial) and zero-filled first
+    only when some cell is padding; a position that a trial lacks is never
+    read. A factor at the same position in every trial reads its pool's
+    view, and the factors of a group whose positions differ between trials
+    are gathered from the pool by one fancy index. Every factor and weight
+    array is C-contiguous, as a stack of its own would be, a pinned vertex's
+    sliced edge values included."""
     shapes = {g: (size[v],) for v, g in weights.items()}
+    first = trials[0][0]
+    fill = np.empty if all(len(first[g][0]) == n for g, (n,) in shapes.items()) else np.zeros
     shapes.update((g, tuple(size[v] for v in vs)) for g, vs in dict(zip(groups, scopes)).items())
     pools = {}
     for g, shape in shapes.items():
         members = [arrays[g] for arrays, _ in trials]
-        pools[g] = pool = np.zeros((max(map(len, members)), len(trials)) + shape)
+        pools[g] = pool = fill((max(map(len, members)), len(trials)) + shape)
         for t, arrays in enumerate(members):
             for i, a in enumerate(arrays):
                 pool[(i, t) + tuple(map(slice, a.shape))] = a
@@ -246,14 +330,22 @@ def _eliminate_trials(scopes: tuple[tuple[str, ...], ...], groups: tuple[int, ..
     order, into chunks padded to their own largest sizes, each a single
     trial or at most min(_BATCH_CELLS, _SMALL_BUCKET) cells of its largest
     padded bucket over all its trials; so a trial with a larger bucket, and
-    every bucket past _SMALL_BUCKET, runs in a batch of one."""
+    every bucket past _SMALL_BUCKET, runs in a batch of one. When every
+    trial has one index, every chunk reads each factor from one pool view
+    and follows the plan's repeat table; a batch whose indexes differ
+    consults no table."""
+    variables = tuple(sorted(weights))
     sized = sorted(set(weights.values()))
     lengths = [tuple(len(arrays[g][0]) for g in sized) for arrays, _ in trials]
     keys = [() if max(sizes, default=0) < _EXACT_PAD else sizes for sizes in lengths]
     limit = min(_BATCH_CELLS, _SMALL_BUCKET)
-    _, steps = _plan(scopes, tuple(sorted(weights)))
+    _, steps = _plan(scopes, variables)
     # each bucket as the positions of its variables' sizes in a size tuple
     buckets = {tuple(sized.index(weights[u]) for u in step[2]) for step in steps}
+    index = trials[0][1] if trials else ()
+    repeats = (_repeats(scopes, variables, groups, tuple(index),
+                        tuple(weights[v] for v in variables))
+               if all(ix is index or ix == index for _, ix in trials) else None)
 
     @functools.cache  # sorted trials grow a chunk's sizes a few times only
     def cells(most: tuple[int, ...]) -> int:
@@ -263,7 +355,7 @@ def _eliminate_trials(scopes: tuple[tuple[str, ...], ...], groups: tuple[int, ..
     def run(part: list[int], most: tuple[int, ...]) -> None:
         size = {v: most[sized.index(g)] for v, g in weights.items()}
         factors, vectors = _layout(scopes, groups, weights, [trials[t] for t in part], size)
-        out[part] = _eliminate_all(factors, vectors, len(part))
+        out[part] = _eliminate_all(factors, vectors, len(part), repeats)
     batches: dict[tuple, list[int]] = {}
     for t in sorted(range(len(trials)), key=lengths.__getitem__):
         batches.setdefault(keys[t], []).append(t)

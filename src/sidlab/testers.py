@@ -396,8 +396,10 @@ def test_strong_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4,
 
     def sample(rng):
         w = _sample_bigraphon(rng, grid, preset)
-        fs = {v: rng.uniform(_FLOOR, 1.0, size=w.rows) for v in g.left}
-        gs = {u: rng.uniform(_FLOOR, 1.0, size=w.cols) for u in g.right}
+        # one draw per side: uniform doubles read one draw each, in order, so
+        # the rows are the per-vertex draws
+        fs = dict(zip(g.left, rng.uniform(_FLOOR, 1.0, size=(g.v1, w.rows))))
+        gs = dict(zip(g.right, rng.uniform(_FLOOR, 1.0, size=(g.v2, w.cols))))
         return g, w, fs, gs
     return _run("strong-sidorenko", sample, trials, seed, tol)
 

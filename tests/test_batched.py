@@ -310,9 +310,9 @@ def count_batches(monkeypatch):
     seen = []
     real = DENSITY._eliminate_all
 
-    def spy(factors, weights, trials):
+    def spy(factors, weights, trials, repeats):
         seen.append(trials)
-        return real(factors, weights, trials)
+        return real(factors, weights, trials, repeats)
     monkeypatch.setattr(DENSITY, "_eliminate_all", spy)
     return seen
 
@@ -424,3 +424,189 @@ def test_compiled_profiles_equal_the_per_subset_batch():
         logs = compiled(w)
         assert np.array_equal(logs, compile_profiles(g.left, profiles)(w))
         assert np.array_equal(logs, per_subset_log_densities(g.left, profiles, w))
+
+
+# ---------------------------------------------------------------------------
+# the repeat table: each distinct bucket and product prefix computed once
+
+
+def unshared(monkeypatch):
+    """Make every batch follow the table of no sharing."""
+    monkeypatch.setattr(DENSITY, "_repeats", lambda *args: None)
+
+
+def run_tester(monkeypatch, name, g, trials, grid, seed):
+    """A tester's report, every trial's margin and the plain densities of
+    its bigraphons."""
+    drawn = []
+    real = testers._run
+
+    def spy(prop, sample, count, seed, tol):
+        drawn.extend(sample(testers._trial_rng(seed, t)) for t in range(count))
+        return real(prop, sample, count, seed, tol)
+    prop = testers.PROPERTIES[name]
+    with monkeypatch.context() as patched:
+        patched.setattr(testers, "_run", spy)
+        report = getattr(testers, prop.tester)(g, trials=trials, grid=grid, seed=seed)
+    return (testers.report_to_json(report), prop.margins(drawn),
+            densities(g, [instance[1] for instance in drawn]).tolist())
+
+
+SHARING_CASES = [(name, label, trials, grid, seed)
+                 for name in ("sidorenko", "strong-sidorenko")
+                 for label in ("cycle4", "star(7)", "incidence(4,{2,3})", "incidence(5,{2,3})")
+                 for grid in (4, 8) for seed in (0, 1) for trials in (24,)]
+SHARING_CASES += [(name, "incidence(6,{2,3})", 2, 16, seed)
+                  for name in ("sidorenko", "strong-sidorenko") for seed in (0, 1)]
+SHARING_GRAPHS = {"cycle4": cycle4, "star(7)": lambda: star(7),
+                  "incidence(4,{2,3})": lambda: build_incidence(4, (2, 3)).graph,
+                  "incidence(5,{2,3})": lambda: build_incidence(5, (2, 3)).graph,
+                  "incidence(6,{2,3})": lambda: build_incidence(6, (2, 3)).graph}
+
+
+@pytest.mark.parametrize("name,label,trials,grid,seed", SHARING_CASES)
+def test_shared_steps_give_the_unshared_floats(monkeypatch, name, label, trials, grid, seed):
+    """Densities, margins and reports with the repeat table are bit for bit
+    those of the table of no sharing, and the table was followed."""
+    g = SHARING_GRAPHS[label]()
+    tables = []
+    real = DENSITY._repeats
+    monkeypatch.setattr(DENSITY, "_repeats", lambda *args: tables.append(real(*args)) or tables[-1])
+    shared = run_tester(monkeypatch, name, g, trials, grid, seed)
+    assert any(same is not None or start is not None
+               for table in tables for same, start, _ in table)
+    unshared(monkeypatch)
+    assert run_tester(monkeypatch, name, g, trials, grid, seed) == shared
+
+
+def right_vertex_buckets(g):
+    """The steps that a plain density of g computes, not reuses, among the
+    right vertices it eliminates ahead of every left vertex."""
+    variables = tuple(sorted(g.vertices()))
+    edges = tuple(g.sorted_edges())
+    table = DENSITY._repeats(edges, variables, (0,) * len(edges), (0,) * len(edges),
+                             tuple(1 if v in g.left else 2 for v in variables))
+    _, steps = DENSITY._plan(edges, variables)
+    ahead = itertools.takewhile(lambda pair: pair[0][0] in g.right, zip(steps, table))
+    return [step[0] for step, (same, _, _) in ahead if same is None]
+
+
+def test_a_plain_density_computes_one_bucket_per_kind_of_right_vertex(monkeypatch):
+    """incidence(n,{2,3}) computes one pair and one triple bucket; star(d)
+    one leaf bucket, however many repeat it. Only the right vertices
+    eliminated ahead of the left ones count: the min-degree order leaves
+    the one triple of incidence(3,{2,3}) and one of incidence(4,{2,3})
+    until later."""
+    for n in range(4, 9):
+        g = build_incidence(n, (2, 3)).graph
+        assert len(right_vertex_buckets(g)) == 2, n
+    for d in range(2, 9):  # star(1)'s one edge goes with its left vertex, first by name
+        assert len(right_vertex_buckets(star(d))) == 1, d
+    # and a density follows that table: with every step on the einsum
+    # branch, each computed step looks its path up once
+    monkeypatch.setattr(DENSITY, "_SMALL_BUCKET", 0)
+    g = build_incidence(5, (2, 3)).graph
+    _, steps = DENSITY._plan(tuple(g.sorted_edges()), tuple(sorted(g.vertices())))
+    before = DENSITY._einsum_path.cache_info()
+    density(g, StepBigraphon.uniform(np.full((3, 3), 0.5)))
+    after = DENSITY._einsum_path.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == len(steps) - (g.v2 - 2)
+
+
+def test_strong_sidorenko_right_vertices_share_their_edge_products():
+    """With a potential at every vertex, right vertices differ only in their
+    own potential: every pair or triple after the first starts from the
+    kept product of its edges."""
+    g = build_incidence(5, (2, 3)).graph
+    names = tuple(g.vertices())
+    variables = tuple(sorted(names))
+    scopes = tuple(g.sorted_edges()) + tuple((v,) for v in names)
+    groups = (0,) * g.e + tuple(range(3, 3 + len(names)))
+    table = DENSITY._repeats(scopes, variables, groups, (0,) * len(scopes),
+                             tuple(1 if v in g.left else 2 for v in variables))
+    _, steps = DENSITY._plan(scopes, variables)
+    right = [(step, entry) for step, entry in zip(steps, table) if step[0] in g.right]
+    assert all(same is None for _, (same, _, _) in right)
+    starts = [start for _, (_, start, _) in right]
+    assert starts.count(None) == 2
+    assert sorted({start[1] for start in starts if start}) == [2, 3]
+
+
+def test_per_trial_colorings_never_consult_the_table(monkeypatch):
+    """A batch whose trials read different positions, per-trial colorings,
+    never asks for the table, even in chunks of one; a batch that repeats one
+    coloring object asks once."""
+    asked = []
+    real = DENSITY._repeats
+    monkeypatch.setattr(DENSITY, "_repeats", lambda *args: asked.append(args) or real(*args))
+    rng = np.random.default_rng(49)
+    g = build_incidence(4, [2]).graph
+    edges = g.sorted_edges()
+    tuples = [BigraphonTuple({c: w.with_values(rng.uniform(1e-3, 1.0, w.values.shape))
+                              for c in (1, 2, 3)})
+              for w in mixed_bigraphons(rng, 30, most=11)]
+    colorings = [{e: int(rng.integers(1, 4)) for e in edges} for _ in tuples]
+    values = colored_densities(g, colorings, tuples).tolist()
+    assert asked == []
+    assert values == [colored_density(ColoredBigraph(g, c), ws)
+                      for c, ws in zip(colorings, tuples)]
+    assert len(asked) == len(tuples)  # each batch of one asks
+    asked.clear()
+    colored_densities(g, [colorings[0]] * len(tuples), tuples)
+    assert len(asked) == 1
+    asked.clear()
+    testers.test_left_weak_holder(ColoredBigraph(g, colorings[0]), trials=30, seed=3)
+    assert asked == []
+
+
+def handmade(monkeypatch, scopes, groups, index, weights, arrays):
+    """One trial of hand-made factors: the engine's value with its table,
+    with the table of no sharing, and as one direct einsum sum."""
+    letter = dict(zip(sorted(weights), "abcdefghijklmnopqrstuvwxyz"))
+    operands = [arrays[g][i] for g, i in zip(groups, index)]
+    operands += [arrays[weights[v]][0] for v in sorted(weights)]
+    expr = ",".join("".join(letter[v] for v in vs) for vs in scopes)
+    expr += "," + ",".join(letter[v] for v in sorted(weights)) + "->"
+    direct = float(np.einsum(expr, *operands))
+    trial = [(arrays, index)]
+    shared = DENSITY._eliminate_trials(scopes, groups, weights, trial).tolist()
+    with monkeypatch.context() as patched:
+        unshared(patched)
+        assert DENSITY._eliminate_trials(scopes, groups, weights, trial).tolist() == shared
+    assert shared[0] == pytest.approx(direct, rel=1e-12)
+
+
+def test_steps_with_other_weights_or_axis_patterns_are_not_shared(monkeypatch):
+    """Two steps that read the same arrays are not shared when the summed
+    variables are weighted by different groups, or when one reads them in
+    another axis pattern (its output is the other's transpose)."""
+    rng = np.random.default_rng(50)
+    draw = lambda *shape: rng.uniform(0.1, 1.0, size=shape)
+    # a and b sum out of F alone, under the weights of groups 1 and 2
+    handmade(monkeypatch, (("a", "x"), ("b", "y"), ("x", "y")), (0, 0, 3), (0, 0, 0),
+             {"a": 1, "b": 2, "x": 4, "y": 4},
+             [(draw(3, 4),), (draw(3),), (draw(3),), (draw(4, 4),), (draw(4),)])
+    # x and y sum out of F and G, read as (a, c) and as the transposed (d, b);
+    # a factor on the other four makes x and y the first to go
+    handmade(monkeypatch, (("a", "x"), ("x", "c"), ("d", "y"), ("y", "b"), ("a", "b", "c", "d")),
+             (0, 1, 0, 1, 2), (0, 0, 0, 0, 0), dict.fromkeys("abcdxy", 3),
+             [(draw(3, 3),), (draw(3, 3),), (draw(3, 3, 3, 3),), (draw(3),)])
+
+
+def test_a_shared_prefix_never_crosses_branches(monkeypatch):
+    """x and y multiply the same F * G prefix, but x's bucket holds p and
+    y's q: with p large, x contracts on the einsum branch and keeps no
+    prefix, so y must not wait for one."""
+    rng = np.random.default_rng(51)
+    draw = lambda *shape: rng.uniform(0.1, 1.0, size=shape)
+    clique = [("a", "b"), ("a", "p"), ("a", "q"), ("b", "p"), ("b", "q"), ("p", "q")]
+    scopes = (("a", "x"), ("a", "x"), ("x", "p"), ("b", "y"), ("b", "y"), ("y", "q"), *clique)
+    weights = {"a": 1, "b": 1, "x": 2, "y": 2, "p": 3, "q": 4}
+    sizes = dict.fromkeys("abxy", 3) | {"p": 9, "q": 2}
+    arrays = [(draw(3, 3), draw(3, 3)), (draw(3),), (draw(3),), (draw(9),), (draw(2),),
+              (draw(3, 9),), (draw(3, 2),)] + [(draw(sizes[u], sizes[v]),) for u, v in clique]
+    monkeypatch.setattr(DENSITY, "_SMALL_BUCKET", 3 * 3 * 8)  # x's 81 cells go to einsum
+    _, steps = DENSITY._plan(scopes, tuple(sorted(weights)))
+    assert [step[0] for step in steps[:2]] == ["x", "y"]
+    handmade(monkeypatch, scopes, (0, 0, 5, 0, 0, 6, *range(7, 13)),
+             (0, 1, 0, 0, 1, 0) + (0,) * 6, weights, arrays)

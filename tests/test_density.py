@@ -419,8 +419,8 @@ def check_every_density_kind(monkeypatch, agree):
     planned = DENSITY._eliminate_all
     seen = Counter()
 
-    def both(factors, weights, trials):
-        values = planned(factors, weights, trials)
+    def both(factors, weights, trials, repeats):
+        values = planned(factors, weights, trials, repeats)
         for t, value in enumerate(values):
             assert agree(value, reference_eliminate_all(
                 [(vs, arr[t]) for vs, arr in factors],
@@ -470,11 +470,11 @@ def test_every_laid_out_array_is_c_contiguous(monkeypatch):
     planned = DENSITY._eliminate_all
     seen = Counter()
 
-    def checked(factors, weights, trials):
+    def checked(factors, weights, trials, repeats):
         for arr in [arr for _, arr in factors] + list(weights.values()):
             assert arr.flags.c_contiguous, (arr.shape, arr.strides)
         seen[trials] += 1
-        return planned(factors, weights, trials)
+        return planned(factors, weights, trials, repeats)
     monkeypatch.setattr(DENSITY, "_eliminate_all", checked)
 
     rng = np.random.default_rng(8)
@@ -561,16 +561,23 @@ def test_einsum_path_is_cached_per_subscripts_and_shapes(monkeypatch):
     monkeypatch.setattr(DENSITY, "_SMALL_BUCKET", 0)
     path = DENSITY._einsum_path
     path.cache_clear()
+    g = cycle4()
+
+    def weighted(w):
+        # a potential of its own at every vertex, so that no step reuses another's output
+        return weighted_density(
+            g, w, {v: np.arange(1.0, w.rows + 1) * k for k, v in enumerate(g.left, 1)},
+            {u: np.arange(1.0, w.cols + 1) * k for k, u in enumerate(g.right, 1)})
     w = random_step_bigraphon(3, 2, seed=8)
-    value = density(cycle4(), w)
+    value = weighted(w)
     first = path.cache_info()
     steps = first.hits + first.misses
-    # both left vertices of C4 eliminate along "ab,ac,a->bc" on equal shapes
+    # both left vertices of C4 eliminate along "ab,ac,a,a->bc" on equal shapes
     assert 0 < first.misses == first.currsize < steps
-    assert density(cycle4(), w) == value
+    assert weighted(w) == value
     again = path.cache_info()
     assert again.misses == first.misses and again.hits == first.hits + steps
-    density(cycle4(), random_step_bigraphon(4, 2, seed=9))  # sizes are keyed
+    weighted(random_step_bigraphon(4, 2, seed=9))  # sizes are keyed
     assert path.cache_info().misses > first.misses
     assert path.cache_info().maxsize is not None
 

@@ -13,9 +13,12 @@ A format added to the table without a decoder fails the first test, so
 every new format is fuzzed.
 """
 
+import contextlib
 import copy
 import functools
+import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,7 @@ from sidlab import schema
 from sidlab.bigraph import from_json_dict
 from sidlab.bigraphon import bigraphon_from_json
 from sidlab.checkers import decomposition_from_json
+from sidlab.cli import _write_json
 from sidlab.folds import fold_from_json
 from sidlab.percolation import certificate_from_json
 from sidlab.schema import FORMATS, INT, NUMBER, STRING, Map, Object, check
@@ -150,3 +154,37 @@ def test_a_changed_key_returns_or_raises_value_error(fmt, data):
             decode(broken)
         except ValueError:
             pass
+
+
+def written(payload) -> str:
+    """What the CLI writes for payload on stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_json(payload, None)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", list(FORMATS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_the_cli_writes_what_json_dumps_writes(fmt, data):
+    """Every payload this file draws, as drawn and with one key path
+    changed, is written byte for byte as json's indenting encoder writes
+    it."""
+    payload = data.draw(drawn(fmt), label="payload")
+    path = data.draw(st.sampled_from(list(key_paths(payload))), label="path")
+    change = data.draw(st.sampled_from(CHANGES), label="change")
+    for obj in (payload, changed(payload, path, change)):
+        assert written(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], {"a": {}}, {"a": []}, [[]], [{}], [[[]], {"b": [{}]}], {"z": {"y": {"x": []}}},
+    {"nan": math.nan, "inf": [math.inf, -math.inf], "zero": -0.0, "tiny": 5e-324},
+    {"text": "sidérurgie ☃ \U0001d11e \"q\" \\ \n\t\x00"}, ["é", {"ü": ["ß", {}]}],
+    {"b": [1, 2.5, True, None, "x"], "a": {"k": [[1], [], [{"m": None}]]}},
+    {1: [2], 3: {2.5: [1], 4: [[]], 0: "v"}}, {None: {True: [0]}}, ("t", ("u", {"v": ()})),
+    "top", 7, math.nan, None,
+], ids=repr)
+def test_the_cli_writer_on_edge_values(payload):
+    assert written(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -88,6 +88,28 @@ def test_strong_sidorenko_incidence_holds():
                                  trials=30, seed=7).holds
 
 
+def test_strong_sidorenko_draws_each_side_in_one_call(monkeypatch):
+    """A trial draws each side's weight functions in one call; they equal,
+    bit for bit, one draw per vertex in vertex order, and the stream ends
+    where the per-vertex draws leave it."""
+    samplers = []
+    monkeypatch.setattr(props, "_run", lambda name, sample, *rest: samplers.append(sample))
+    for g in (rho(), cycle4(), EDGE_PLUS_ISOLATED, build_incidence(5, [2, 3]).graph):
+        for grid, preset in itertools.product((1, 4, 16), ("uniform", "adversarial")):
+            props.test_strong_sidorenko(g, grid=grid, preset=preset)
+            sample = samplers.pop()
+            for seed in range(4):
+                rng, ref = props._trial_rng(seed, 3), props._trial_rng(seed, 3)
+                _, w, fs, gs = sample(rng)
+                expected = props._sample_bigraphon(ref, grid, preset)
+                assert w.values.tolist() == expected.values.tolist()
+                for drawn, side, size in ((fs, g.left, w.rows), (gs, g.right, w.cols)):
+                    assert list(drawn) == list(side)
+                    for v in side:
+                        assert drawn[v].tolist() == ref.uniform(1e-3, 1.0, size=size).tolist()
+                assert rng.random() == ref.random()
+
+
 def test_strong_sidorenko_needs_edges():
     with pytest.raises(ValueError):
         props.test_strong_sidorenko(Bigraph(["a"], ["b"], []), trials=1, seed=0)
