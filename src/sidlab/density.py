@@ -69,14 +69,26 @@ grid-4 results keep the floats of the product-only engine; it is not a
 measured crossover. At grid 4 the product is also the faster branch: with
 every step on einsum, 200 densities of incidence(5,{2,3}) take about four
 times as long. A larger bucket comes only in a chunk of one, so it is
-never padded, and is contracted pairwise by `np.einsum` along a greedy
-path, so the full product is never built (bucket elimination; Dechter,
-AIJ 1999). The step's einsum subscripts are compiled with the
-elimination order in the plan cache; its path is searched once per
-(subscripts, shapes) and kept in a second bounded cache: on
-incidence(5|6,{2,3}) at grid 16 a search takes 1-3 ms beside a 3-35 ms
-contraction, and shapes repeat across trials, since only the larger grid
-sizes cross the threshold.
+never padded, and is contracted pairwise along numpy's greedy path, so
+the full product is never built (bucket elimination; Dechter, AIJ 1999).
+The step's einsum subscripts are compiled with the elimination order in
+the plan cache. Per (subscripts, shapes), a second bounded cache keeps the
+path compiled into a program from numpy's own contraction list for it,
+with operands popped last-first, each intermediate's indices ordered by
+size, then by letter, and the last step writing the output. Shapes repeat
+across trials, since only the larger grid sizes cross the threshold, so a
+search and its compilation are paid once per shape. A pure product (no
+summed index) of more than 2^16 cells whose first operand is an
+intermediate that already holds the result's indices multiplies into that
+intermediate when it is C-contiguous: nine of the eleven steps of the
+second left bucket of incidence(6,{2,3}) at grid 16, each a product of
+its 2^20-cell intermediate. Every other step is its own public
+`np.einsum` call, and a program with no such product is the one call
+along the whole path, since a smaller fresh array costs less than the
+calls it would split the path into. No float can move: an IEEE product
+is exact and commutative, and numpy's fresh array would be C-contiguous
+too, since its first operand's C order wins; every other step is the
+call numpy's own loop makes, on the same operands in the same order.
 """
 
 from __future__ import annotations
@@ -183,11 +195,70 @@ def _plan(scopes: tuple[tuple[str, ...], ...], variables: tuple[str, ...]):
 
 @functools.lru_cache(maxsize=_PATH_CACHE_SIZE)
 def _einsum_path(expr: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
-    """The greedy pairwise contraction path of one large bucket, searched
-    on zero-stride stand-ins of the given shapes; a tuple, since every
-    caller shares it."""
+    """The contraction program of one large bucket, compiled from numpy's
+    own contraction list for the greedy pairwise path, which is searched on
+    zero-stride stand-ins of the given shapes: each step pops its operands
+    from the operand list, the last listed first, and appends its result,
+    whose indices are ordered by size, then by letter; the last step writes
+    expr's output.
+
+    Each entry is (positions, subscripts, path, view): its operands are
+    popped at positions, the largest first, and its result is appended.
+    subscripts and path are its np.einsum call on those operands in list
+    order, so numpy pops them as its own loop does. view is None unless the
+    step is a pure product of more than _SMALL_BUCKET cells whose first
+    operand is an intermediate that already holds the result's indices; it
+    is then the transpose order and broadcast index that lay the second
+    operand out along the result. A smaller fresh array costs less than the
+    call it would split off: a program with no such product is one entry,
+    the call along the whole path. A tuple, since every caller shares it."""
     stand_ins = [np.broadcast_to(np.empty(()), shape) for shape in shapes]
-    return tuple(np.einsum_path(expr, *stand_ins, optimize="greedy")[0])
+    path = np.einsum_path(expr, *stand_ins, optimize="greedy")[0]
+    steps = path[1:]
+    inputs, output = expr.split("->")
+    terms = inputs.split(",")
+    size = {u: n for term, shape in zip(terms, shapes) for u, n in zip(term, shape)}
+    owned = [False] * len(terms)  # whether each operand is an intermediate
+    program = []
+    for n, positions in enumerate(steps, 1):
+        positions = tuple(sorted(positions, reverse=True))
+        ins = [terms.pop(x) for x in positions]
+        mine = [owned.pop(x) for x in positions]
+        kept = set(output).union(*terms) & set("".join(ins))
+        result = output if n == len(steps) else "".join(sorted(kept, key=lambda u: (size[u], u)))
+        terms.append(result)
+        owned.append(True)
+        first, second = ins[0], ins[-1]  # of a pair
+        view = None
+        if (len(ins) == 2 and mine[0] and first == result and set(second) <= set(result)
+                and math.prod(size[u] for u in result) > _SMALL_BUCKET):
+            view = (tuple(sorted(range(len(second)), key=lambda a: result.index(second[a]))),
+                    tuple(_ALL if u in second else None for u in result))
+        program.append((positions, ",".join(ins[::-1]) + "->" + result,
+                        ("einsum_path", tuple(range(len(ins)))), view))
+    if all(view is None for *_, view in program):
+        return ((tuple(range(len(shapes) - 1, -1, -1)), expr, tuple(path), None),)
+    return tuple(program)
+
+
+def _contract(expr: str, operands: list[np.ndarray]) -> np.ndarray:
+    """np.einsum(expr, *operands, optimize=path) along the greedy path, run
+    from its cached program (`_einsum_path`). A pure product marked in
+    place multiplies into its first operand when that intermediate is
+    C-contiguous, as numpy's fresh array would be, and otherwise runs as
+    its call; every call is public np.einsum on its operands in list order,
+    so each step is the call numpy's own loop makes."""
+    program = _einsum_path(expr, tuple(op.shape for op in operands))
+    ops = list(operands)
+    for positions, subscripts, path, view in program:
+        args = [ops.pop(x) for x in positions]
+        if view is not None and args[0].flags.c_contiguous:
+            order, index = view
+            acc = np.multiply(args[0], args[1].transpose(order)[index], out=args[0])
+        else:
+            acc = np.einsum(subscripts, *reversed(args), optimize=path)
+        ops.append(acc)
+    return ops[0]
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -242,9 +313,11 @@ def _eliminate_all(factors: list[Factor], weights: Mapping[str, np.ndarray],
     the factors' scopes, for each of `trials` trials at once: every array
     has a leading trial axis, and sizes are read from the weights on every
     call. Returns one value per trial. A bucket whose product exceeds
-    _SMALL_BUCKET cells, which only a batch of one holds, is contracted
-    along its cached einsum path instead of being built whole. `repeats` is
-    the plan's repeat table (`_repeats`), or None, which shares nothing."""
+    _SMALL_BUCKET cells, which only a batch of one holds, is not built
+    whole: `_contract` runs its cached contraction program, which gives
+    the array np.einsum(expr, *operands, optimize=path) would, bit for bit.
+    `repeats` is the plan's repeat table (`_repeats`), or None, which
+    shares nothing."""
     constants, steps = _plan(tuple(vs for vs, _ in factors), tuple(sorted(weights)))
     arrs = [arr for _, arr in factors]
     scalar = np.ones(trials)
@@ -257,9 +330,7 @@ def _eliminate_all(factors: list[Factor], weights: Mapping[str, np.ndarray],
         if same is not None:
             acc = outs[same]
         elif math.prod(weights[u].shape[1] for u in bucket) > _SMALL_BUCKET:
-            operands = [arrs[i][0] for i, _, _ in inputs] + [weights[v][0]]
-            path = _einsum_path(expr, tuple(op.shape for op in operands))
-            acc = np.einsum(expr, *operands, optimize=path)[None]
+            acc = _contract(expr, [arrs[i][0] for i, _, _ in inputs] + [weights[v][0]])[None]
         else:
             if start is None:
                 i, order, index = inputs[0]

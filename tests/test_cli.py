@@ -464,6 +464,26 @@ def test_grid_checked_only_where_read(tmp_path, capsys):
     assert "--grid must be positive" in capsys.readouterr().err
 
 
+def test_an_allocation_that_fails_is_one_error_line(tmp_path, monkeypatch, capsys):
+    """A grid too large to allocate ends as an input error: one `error:`
+    line and exit 1, no traceback. The sampler raises in place of
+    allocating, so nothing large is ever asked for."""
+    import sidlab.testers as testers
+    gpath = make_graph(tmp_path, "construct", "cycle4")
+    capsys.readouterr()
+    message = ("Unable to allocate 40.4 GiB for an array with shape (1, 85063, 63697) "
+               "and data type float64")
+    for raised, err in ((MemoryError(message), f"error: {message}\n"),
+                        (MemoryError(), "error: out of memory\n")):
+        def huge(*args, exc=raised):
+            raise exc
+        monkeypatch.setattr(testers, "_sample_bigraphon", huge)
+        assert main(["test", "sidorenko", str(gpath), "--grid", "100000", "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out == ""
+
+
 def test_budget_env_override(tmp_path, monkeypatch):
     gpath = make_graph(tmp_path, "construct", "incidence", "--n", "5",
                        "--uniformities", "2")

@@ -15,8 +15,10 @@ from sidlab.bigraph import Bigraph, ColoredBigraph, Flag, cycle4, left_labeled, 
 from sidlab.bigraphon import BigraphonTuple, StepBigraphon, random_step_bigraphon
 from sidlab.reflection import build_incidence
 from sidlab.testers import replay_witness, report_to_json, test_sidorenko as sidorenko_tester
+from sidlab.testers import test_strong_sidorenko as strong_sidorenko_tester
 from sidlab.fractional import ColoredFractionalBigraph, fractional_density, rainbow_star
 from sidlab.density import (
+    colored_densities,
     colored_density,
     density,
     density_brute_force,
@@ -582,6 +584,91 @@ def test_einsum_path_is_cached_per_subscripts_and_shapes(monkeypatch):
     assert path.cache_info().maxsize is not None
 
 
+def check_contractions(monkeypatch) -> list:
+    """Check every large-bucket contraction against the call it replaces:
+    the executor's array must be `==`, in shape and strides too, to
+    np.einsum(expr, *operands, optimize=path) along the greedy path, on the
+    engine's own operand objects (copies would change the layout numpy
+    sees). The operands are read-only, so a write into a factor, a pool
+    view or a shared output raises. Returns the checked subscripts."""
+    contract = DENSITY._contract
+    DENSITY._einsum_path.cache_clear()  # programs compiled under this threshold
+    checked = []
+
+    def both(expr, operands):
+        for op in operands:
+            op.setflags(write=False)
+        got = contract(expr, operands)
+        path = np.einsum_path(expr, *operands, optimize="greedy")[0]
+        want = np.einsum(expr, *operands, optimize=path)
+        assert (got.shape, got.strides) == (want.shape, want.strides), expr
+        assert (got == want).all(), expr
+        checked.append(expr)
+        return got
+    monkeypatch.setattr(DENSITY, "_contract", both)
+    return checked
+
+
+def test_contraction_program_is_numpys_einsum_on_every_density_kind(monkeypatch):
+    """Plain, flag, colored, weighted and fractional densities, with every
+    bucket on the einsum branch."""
+    monkeypatch.setattr(DENSITY, "_SMALL_BUCKET", 0)
+    checked = check_contractions(monkeypatch)
+    check_every_density_kind(
+        monkeypatch, lambda value, reference: value == pytest.approx(reference, rel=1e-12))
+    assert len(checked) >= 200
+
+
+@pytest.mark.parametrize("threshold", ["default", 0])
+@pytest.mark.parametrize("n", [5, 6])
+def test_contraction_program_is_numpys_einsum_on_incidence_graphs(monkeypatch, n, threshold):
+    """Sidorenko, strong-Sidorenko and colored densities of
+    incidence(n,{2,3}) at grids 9, 14 and 16: at the default threshold only
+    the left-vertex buckets that products would make too large reach the
+    program, and with every bucket on it, their inputs come from einsum
+    steps too."""
+    if threshold != "default":
+        monkeypatch.setattr(DENSITY, "_SMALL_BUCKET", threshold)
+    checked = check_contractions(monkeypatch)
+    g = build_incidence(n, (2, 3)).graph
+    rng = np.random.default_rng(n)
+    edges = g.sorted_edges()
+    for grid in (9, 14, 16):
+        for tester in (sidorenko_tester, strong_sidorenko_tester):
+            report = tester(g, trials=2, grid=grid, seed=0)
+            assert report.trials == 2
+        w = random_step_bigraphon(grid, grid, seed=grid)
+        ws = BigraphonTuple({c: w.with_values(rng.uniform(1e-3, 1.0, size=(grid, grid)))
+                             for c in (1, 2)})
+        coloring = {e: int(rng.integers(1, 3)) for e in edges}
+        assert colored_densities(g, [coloring], [ws])[0] > 0
+    # at the default threshold, grid 9 stays on products for n = 5 (9^5 cells)
+    assert len(checked) >= (5 if n == 5 and threshold == "default" else 9)
+
+
+def test_only_products_past_the_threshold_run_in_place():
+    """incidence(6,{2,3})'s first left bucket at grid 8 has no product past
+    _SMALL_BUCKET cells, so its program is the one call along numpy's whole
+    path; at grid 16 one of its products runs in place. Its second left
+    bucket at grid 16 is one call, nine products into its largest
+    intermediate and one summing call."""
+    DENSITY._einsum_path.cache_clear()  # compiled under the default threshold
+
+    def program(expr, grid):
+        shapes = tuple((grid,) * len(term) for term in expr.split("->")[0].split(","))
+        path = np.einsum_path(expr, *(np.empty(shape) for shape in shapes), optimize="greedy")[0]
+        return DENSITY._einsum_path(expr, shapes), path
+
+    def in_place(steps):
+        return [view is not None for *_, view in steps]
+    first = "ab,ac,ad,ae,af,abc,abd,abe,abf,acd,ace,acf,ade,adf,aef,a->bcdef"
+    steps, path = program(first, 8)
+    assert steps == ((tuple(range(15, -1, -1)), first, tuple(path), None),)
+    assert sum(in_place(program(first, 16)[0])) == 1
+    second = "ab,ac,ad,ae,abc,abd,abe,acd,ace,ade,abcde,a->bcde"
+    assert in_place(program(second, 16)[0]) == [False] + [True] * 9 + [False]
+
+
 def test_replay_is_exact_on_a_grid_16_sidorenko_witness():
     g = build_incidence(5, (2, 3)).graph
     calls = DENSITY._einsum_path.cache_info()
@@ -595,7 +682,7 @@ def test_replay_is_exact_on_a_grid_16_sidorenko_witness():
     assert replay_witness(shipped) == report.worst_margin
 
 
-def test_incidence_6_at_grid_16_stays_under_64_mb():
+def test_incidence_6_at_grid_16_stays_under_20_mb():
     g = build_incidence(6, (2, 3)).graph
     w = random_step_bigraphon(16, 16, seed=0)
     tracemalloc.start()
@@ -605,7 +692,7 @@ def test_incidence_6_at_grid_16_stays_under_64_mb():
     finally:
         tracemalloc.stop()
     assert value > 0
-    assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert peak < 20 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
