@@ -71,28 +71,10 @@ class _VertexIndex:
 
     @functools.cached_property
     def by_name(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        """The vertex indices in name order, and their names."""
+        """The vertex indices in name order, and their names: the order of
+        a fold's items (`folds._fold`)."""
         order = sorted(range(len(self.names)), key=self.names.__getitem__)
         return tuple(order), tuple(self.names[i] for i in order)
-
-    @functools.cached_property
-    def name_pairs(self) -> _NamePairs:
-        """The (k-th name in name order, names[j]) pairs under the keys
-        k * len(names) + j, shared by every fold of the graph."""
-        return _NamePairs(self.by_name[1], self.names)
-
-
-class _NamePairs(dict):
-    """A pair table filled on a miss: each pair is built once."""
-
-    def __init__(self, sorted_names: tuple[str, ...], names: tuple[str, ...]):
-        super().__init__()
-        self.sorted_names, self.names = sorted_names, names
-
-    def __missing__(self, key: int) -> tuple[str, str]:
-        k, j = divmod(key, len(self.names))
-        self[key] = pair = (self.sorted_names[k], self.names[j])
-        return pair
 
 
 def _bits(mask: int):
@@ -629,11 +611,16 @@ def to_json_dict(g: Bigraph | ColoredBigraph) -> dict:
 
 def from_json_dict(d: Mapping) -> Bigraph | ColoredBigraph:
     """Decode a bigraph, colored when `edge_colors` is given and not null.
-    `edges` may be omitted, for an edgeless graph; a value of the wrong type
-    raises ValueError naming its key."""
+    `edges` may be omitted, for an edgeless graph; a value of the wrong type,
+    or an edge listed twice, raises ValueError naming its key."""
     colored = isinstance(d, Mapping) and d.get("edge_colors") is not None
     check("colored bigraph" if colored else "bigraph", d)
     edges = [tuple(e) for e in d.get("edges", ())]
+    seen: set[tuple] = set()
+    for i, (l, r) in enumerate(edges):
+        if (l, r) in seen:
+            raise ValueError(f"bigraph 'edges'[{i}]: edge ({l!r}, {r!r}) is listed twice")
+        seen.add((l, r))
     g = Bigraph(d["v1"], d["v2"], edges)
     if colored:
         if len(d["edge_colors"]) != len(edges):

@@ -68,8 +68,9 @@ class StepBigraphon:
         if mu.ndim != 1 or nu.ndim != 1 or w.shape != (mu.size, nu.size):
             raise ValueError("values must be a (len(mu), len(nu)) matrix")
         for vec in (mu, nu):
-            if np.any(vec < 0) or abs(vec.sum() - 1.0) > WEIGHT_SUM_TOL:
-                raise ValueError("weights must be nonnegative and sum to 1")
+            # NaN fails every comparison, and inf the sum
+            if not (np.all(vec >= 0) and abs(vec.sum() - 1.0) <= WEIGHT_SUM_TOL):
+                raise ValueError("weights must be finite, nonnegative and sum to 1")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValueError("values must be finite and nonnegative")
         object.__setattr__(self, "row_weights", mu)

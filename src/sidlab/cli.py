@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _quoted
 from typing import Optional
 
 from .bigraph import ColoredBigraph, _plain, book, cycle4, from_json_dict, star, to_json_dict
@@ -60,43 +59,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-@functools.cache
-def _flat_encoder(depth: int):
-    """The C encoder of a flat container at this depth: sorted keys, each
-    item on a line of its own at the next depth's indent."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")).encode
-
-
-def _json_text(obj, depth: int = 0) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) at this depth, byte for
-    byte. json indents only in its pure-Python encoder, so every flat
-    container (one that holds no nonempty container) is written by the C
-    encoder, and only the indentation around those leaves is written here."""
-    if isinstance(obj, dict):
-        values = obj.values()
-    elif isinstance(obj, (list, tuple)):
-        values = obj
-    else:
-        return json.dumps(obj)
-    close = "\n" + "  " * depth
-    if _SCALARS.issuperset(map(type, values)) or not any(
-            v and isinstance(v, (dict, list, tuple)) for v in values):
-        text = _flat_encoder(depth)(obj)
-        return text if len(text) == 2 else f"{text[0]}{close}  {text[1:-1]}{close}{text[-1]}"
-    if isinstance(obj, dict):  # each key as the C encoder writes it, non-string keys too
-        parts = [(_quoted(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
-                 + ": " + _json_text(v, depth + 1) for k, v in sorted(obj.items())]
-    else:
-        parts = [_json_text(v, depth + 1) for v in obj]
-    opening, closing = "{}" if isinstance(obj, dict) else "[]"
-    return f"{opening}{close}  {f',{close}  '.join(parts)}{close}{closing}"
-
-
 def _write_json(payload: dict, path: Optional[str]) -> None:
-    text = _json_text(payload) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:

@@ -478,16 +478,17 @@ def _check_potentials(g: Bigraph, w: StepBigraphon,
                       left_weights: Mapping[str, Sequence[float]],
                       right_weights: Mapping[str, Sequence[float]]) -> dict:
     """The weight functions as float arrays, left ones first, each side in
-    its mapping's order; raises ValueError unless there is one nonnegative
-    step function of the right length at every vertex."""
+    its mapping's order; raises ValueError unless there is one finite,
+    nonnegative step function of the right length at every vertex."""
     if set(left_weights) != set(g.left) or set(right_weights) != set(g.right):
         raise ValueError("need one weight function per vertex")
     pots = {v: np.asarray(vec, dtype=float) for v, vec in left_weights.items()}
     pots |= {u: np.asarray(vec, dtype=float) for u, vec in right_weights.items()}
     for v, vec in pots.items():
         size = w.rows if g.side(v) == 1 else w.cols
-        if vec.shape != (size,) or np.any(vec < 0):
-            raise ValueError(f"weight function at {v!r} has wrong shape or sign")
+        if vec.shape != (size,) or not np.all((vec >= 0) & (vec < np.inf)):
+            raise ValueError(f"weight function at {v!r} has wrong shape, "
+                             "or a negative or non-finite value")
     return pots
 
 

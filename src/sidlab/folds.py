@@ -20,7 +20,6 @@ those components, each onto the component of its representative's image.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -109,15 +108,14 @@ def _completer(g: Bigraph, comps: list[int]) -> Callable[[list[int]], Optional[i
 
 
 def _fold(g: Bigraph, image: list[int], left: int) -> Fold:
-    """The Fold of an (image, left mask) pair over g.vertices(), unchecked,
-    its items in the graph's name order, as sorting would give them, each
-    item the graph's one shared tuple for that (name, image) pair."""
-    index = g._index
-    order, n = index.by_name[0], len(image)
-    keys = map(operator.add, range(0, n * n, n), map(image.__getitem__, order))
+    """The Fold of an (image, left mask) pair over g.vertices(), unchecked:
+    the graph's names in name order zipped with their images' names, the
+    items `Fold(phi, left)` would sort into, without the sort."""
+    (order, sorted_names), name = g._index.by_name, g._index.names.__getitem__
     fold = object.__new__(Fold)
-    object.__setattr__(fold, "phi_items", tuple(map(index.name_pairs.__getitem__, keys)))
-    object.__setattr__(fold, "left", frozenset(map(index.names.__getitem__, _bits(left))))
+    values = map(name, map(image.__getitem__, order))
+    object.__setattr__(fold, "phi_items", tuple(zip(sorted_names, values)))
+    object.__setattr__(fold, "left", frozenset(map(name, _bits(left))))
     return fold
 
 

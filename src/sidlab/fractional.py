@@ -67,8 +67,8 @@ class ColoredFractionalBigraph:
                 raise ValueError(f"subset {sub} is named twice for color {color}")
             named.add((sub, color))
             wgt = float(wgt)
-            if wgt < 0:
-                raise ValueError("weights must be nonnegative")
+            if not 0 <= wgt < math.inf:  # NaN fails the comparison too
+                raise ValueError("weights must be finite and nonnegative")
             if wgt == 0.0:
                 continue
             if not set(sub) <= vset:

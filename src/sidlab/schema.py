@@ -9,10 +9,12 @@ across fields stay with each format's decoder.
 """
 
 import json
+import sys
 from itertools import chain, repeat
 from typing import Mapping
 
 _ARRAY = (list, tuple)
+_MAX = sys.float_info.max
 _is_str = str.__instancecheck__
 
 
@@ -32,8 +34,9 @@ class _Scalar:
 
 STRING = _Scalar("a string", lambda xs: all(map(_is_str, xs)))
 INT = _Scalar("an int", lambda xs: all(type(x) is int for x in xs))  # not a bool
-NUMBER = _Scalar("a number", lambda xs: all(isinstance(x, (int, float))
-                                            and not isinstance(x, bool) for x in xs))
+# NaN, the infinities and ints past the float range fail the bound
+NUMBER = _Scalar("a finite number", lambda xs: all(
+    isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= _MAX for x in xs))
 
 
 class _Array:
@@ -129,7 +132,7 @@ class Object:
 _NAMES = List(STRING, "strings")
 _EDGE = Fixed("a [left, right] string pair", STRING, STRING)
 _EDGES = List(_EDGE, "[left, right] string pairs")
-_NUMBERS = List(NUMBER, "numbers")
+_NUMBERS = List(NUMBER, "finite numbers")
 _BIGRAPH = {"v1": _NAMES, "v2": _NAMES, "edges?": _EDGES}
 _BIGRAPHON = Object("step bigraphon", {"mu": _NUMBERS, "nu": _NUMBERS,
                                        "w": List(_NUMBERS, "number lists")})

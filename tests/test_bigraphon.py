@@ -33,6 +33,17 @@ def test_validation():
         StepBigraphon([1.0], [0.5, 0.5], [[1.0]])
 
 
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")], ids=repr)
+def test_a_non_finite_number_is_refused(x):
+    for args in (([x], [1.0], [[0.5]]), ([1.0], [x], [[0.5]]), ([1.0], [1.0], [[x]]),
+                 ([0.5, 0.5], [1.0], [[0.5], [x]])):
+        with pytest.raises(ValueError, match="finite"):
+            StepBigraphon(*args)
+    for key, value in (("mu", [x]), ("nu", [x]), ("w", [[x]])):
+        with pytest.raises(ValueError, match=f"step bigraphon '{key}' must be"):
+            bigraphon_from_json({"mu": [1.0], "nu": [1.0], "w": [[0.5]], key: value})
+
+
 def test_marginals_and_edge_density():
     w = StepBigraphon.uniform([[2.0, 1.0], [1.0, 2.0]])
     assert w.edge_density() == pytest.approx(1.5)

@@ -115,6 +115,7 @@ def test_certify_non_graph_json_names_the_problem(tmp_path, capsys):
 V1 = "bigraph 'v1' must be a list of strings"
 EDGES = "bigraph 'edges' must be a list of [left, right] string pairs"
 COLORS = "bigraph 'edge_colors' must be a list of ints"
+TWICE = "bigraph 'edges'[2]: edge ('a', 'b') is listed twice"
 MISTYPED_GRAPHS = {
     "v1 entry an object": ({"v1": [{}], "v2": ["b"]}, V1),
     "v1 a string": ({"v1": "ab", "v2": ["c"], "edges": [["a", "c"]]}, V1),
@@ -127,6 +128,11 @@ MISTYPED_GRAPHS = {
                                      "edge_colors": [{}]}, COLORS),
     "edge_colors a string": ({"v1": ["a"], "v2": ["b"], "edges": [["a", "b"]],
                               "edge_colors": "1"}, COLORS),
+    "edge listed twice": ({"v1": ["a"], "v2": ["b", "c"],
+                           "edges": [["a", "b"], ["a", "c"], ["a", "b"]]}, TWICE),
+    "colored edge listed twice": ({"v1": ["a"], "v2": ["b"], "edges": [["a", "b"], ["a", "b"]],
+                                   "edge_colors": [1, 2]},
+                                  "bigraph 'edges'[1]: edge ('a', 'b') is listed twice"),
 }
 
 

@@ -252,6 +252,14 @@ def test_weighted_density_validation():
         weighted_density(rho(), w, {"1": np.ones(3)}, {"2": np.ones(2)})
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=repr)
+def test_weighted_density_refuses_a_non_finite_potential(x):
+    w = random_step_bigraphon(2, 2, seed=7)
+    for f, g in (({"1": [x, 1.0]}, {"2": np.ones(2)}), ({"1": np.ones(2)}, {"2": [1.0, x]})):
+        with pytest.raises(ValueError, match="non-finite"):
+            weighted_density(rho(), w, f, g)
+
+
 # ---------------------------------------------------------------------------
 # randomized loop-oracle cross-checks for the non-plain variants
 

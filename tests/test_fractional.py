@@ -62,6 +62,14 @@ def test_construction_validation():
                               "weights": [[["a", "b"], 1, 1.0], [["a", "b"], 1, 2.0]]})
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=repr)
+def test_a_non_finite_weight_is_refused(x):
+    with pytest.raises(ValueError, match="finite"):
+        ColoredFractionalBigraph(["u"], [1], {(("u",), 1): x})
+    with pytest.raises(ValueError, match=r"fractional bigraph 'weights'\[0\]\[2\] must be a finite"):
+        fractional_from_json({"vertices": ["u"], "colors": [1], "weights": [[["u"], 1, x]]})
+
+
 def test_json_round_trip():
     made = [from_right_uniform(build_incidence(n, us))
             for n, us in ((3, [2]), (3, [1, 2]), (4, [2, 3]))]

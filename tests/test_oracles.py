@@ -22,9 +22,9 @@ from sidlab.bigraph import (
     flags_isomorphic,
     star,
 )
-from sidlab.folds import enumerate_folds
+from sidlab.folds import Fold, _fold, _fold_maps, check_fold, enumerate_folds
 from sidlab.percolation import DEFAULT_BUDGET, find_cut_percolating, find_left_cut_percolating
-from sidlab.reflection import IncidenceBigraph, reflection_fold_pool
+from sidlab.reflection import IncidenceBigraph, _reflection_pairs, reflection_fold_pool
 
 
 def relabeled(g, seed):
@@ -140,6 +140,32 @@ def test_flags_isomorphic_matches_reference():
 
 def test_random_graphs_have_folds():
     assert sum(bool(enumerate_folds(g)) for g in RANDOM.values()) >= 20
+
+
+# the pairs `_fold` builds a Fold from: every graph's default pool, and the
+# reflection pools of incidence graphs up to incidence(8,{2,3}) (100 vertices)
+FOLD_GRAPHS = GRAPHS | {"star(10)": star(10)}
+REFLECTION_GRAPHS = {f"incidence({n},{{2, 3}}) reflection": IncidenceBigraph(n, [2, 3])
+                     for n in range(4, 9)}
+
+
+@pytest.mark.parametrize("name", [*FOLD_GRAPHS, *REFLECTION_GRAPHS])
+def test_fold_lists_the_items_the_checking_constructor_sorts(name):
+    """`_fold` skips the sort of `Fold(phi, left)` by zipping the names in
+    name order with their images' names. Books and relabeled graphs, whose
+    name order is not their vertex order, catch items listed in vertex order."""
+    if name in FOLD_GRAPHS:
+        g = FOLD_GRAPHS[name]
+        pairs = _fold_maps(g)
+    else:
+        g, pairs = REFLECTION_GRAPHS[name].graph, _reflection_pairs(REFLECTION_GRAPHS[name])
+    names = g.vertices()
+    for image, left in pairs:
+        fold = _fold(g, image, left)
+        sorted_fold = Fold({v: names[j] for v, j in zip(names, image)},
+                           [names[i] for i in range(g.v) if left >> i & 1])
+        assert fold == sorted_fold and fold.phi_items == sorted_fold.phi_items
+        assert check_fold(g, fold) == (image, left)
 
 
 SEARCHES = {"left": find_left_cut_percolating, "edge": find_cut_percolating}

@@ -778,6 +778,24 @@ def test_emptied_nested_object_names_the_key(name):
             assert replay_witness({**witness, key: colored}) == witness["margin"]
 
 
+@pytest.mark.parametrize("name", list(props.PROPERTIES))
+def test_replay_refuses_a_nan_in_every_numeric_field(name):
+    """json.load reads NaN, so each number a witness field holds, set to
+    NaN, is refused where it enters and never replays to a nan margin."""
+    witness = json.loads(json.dumps(report_to_json(shipped_report(name))))["witness"]
+    numeric = set()
+    for key, _ in props.PROPERTIES[name].witness:
+        for path in nested_paths(witness[key], (key,)):
+            leaf = witness
+            for step in path:
+                leaf = leaf[step]
+            if isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
+                numeric.add(key)
+                with pytest.raises(ValueError, match="must be"):
+                    replay_witness(replaced(witness, path, math.nan))
+    assert numeric
+
+
 @pytest.mark.parametrize("name, key", [("weakly-norming", "graph"),
                                        ("left-weak-holder", "colored")])
 def test_replay_refuses_an_edgeless_graph(name, key):
