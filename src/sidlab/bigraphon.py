@@ -47,8 +47,15 @@ class SinkhornError(RuntimeError):
     """Raised when biregularization cannot run or does not converge."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+_WEIGHTS = "weights must be finite, nonnegative and sum to 1"
+_VALUES = "values must be finite and nonnegative"
+
+
+def _freeze(a: np.ndarray, refusal: str) -> np.ndarray:
+    try:
+        out = np.array(a, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise ValueError(refusal) from None
     out.setflags(write=False)
     return out
 
@@ -62,17 +69,17 @@ class StepBigraphon:
     values: np.ndarray
 
     def __init__(self, row_weights, col_weights, values):
-        mu = _freeze(row_weights)
-        nu = _freeze(col_weights)
-        w = _freeze(values)
+        mu = _freeze(row_weights, _WEIGHTS)
+        nu = _freeze(col_weights, _WEIGHTS)
+        w = _freeze(values, _VALUES)
         if mu.ndim != 1 or nu.ndim != 1 or w.shape != (mu.size, nu.size):
             raise ValueError("values must be a (len(mu), len(nu)) matrix")
         for vec in (mu, nu):
             # NaN fails every comparison, and inf the sum
             if not (np.all(vec >= 0) and abs(vec.sum() - 1.0) <= WEIGHT_SUM_TOL):
-                raise ValueError("weights must be finite, nonnegative and sum to 1")
+                raise ValueError(_WEIGHTS)
         if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("values must be finite and nonnegative")
+            raise ValueError(_VALUES)
         object.__setattr__(self, "row_weights", mu)
         object.__setattr__(self, "col_weights", nu)
         object.__setattr__(self, "values", w)
@@ -97,13 +104,13 @@ class StepBigraphon:
 
     @classmethod
     def uniform(cls, values) -> "StepBigraphon":
-        w = np.asarray(values, dtype=float)
+        w = _freeze(values, _VALUES)
         m, n = w.shape
         return cls(np.full(m, 1.0 / m), np.full(n, 1.0 / n), w)
 
     @classmethod
     def constant(cls, p: float, rows: int = 1, cols: int = 1) -> "StepBigraphon":
-        return cls.uniform(np.full((rows, cols), float(p)))
+        return cls.uniform([[p] * cols] * rows)
 
     def edge_density(self) -> float:
         """t(rho, W)."""

@@ -66,7 +66,10 @@ class ColoredFractionalBigraph:
             if (sub, color) in named:
                 raise ValueError(f"subset {sub} is named twice for color {color}")
             named.add((sub, color))
-            wgt = float(wgt)
+            try:
+                wgt = float(wgt)
+            except OverflowError:  # an int past the float range
+                wgt = math.inf
             if not 0 <= wgt < math.inf:  # NaN fails the comparison too
                 raise ValueError("weights must be finite and nonnegative")
             if wgt == 0.0:
@@ -205,7 +208,9 @@ def compile_profiles(vertices: Sequence[str],
     larger batch: numpy would take that row through a vector product, which
     sums in another order. Blocks of two or more rows agree with one whole
     matrix product to rounding, and bit for bit where the BLAS keeps one
-    kernel for every row count.
+    kernel for every row count. Not every BLAS does: on one host, row
+    subsets of a batch of incidence(4,{2,3}) differed from it in the last
+    bits in 3 of 480 grid-4 batches (0 of 72 at grid 16).
     """
     verts = tuple(sorted(vertices))
     n = len(verts)

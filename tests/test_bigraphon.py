@@ -44,6 +44,20 @@ def test_a_non_finite_number_is_refused(x):
             bigraphon_from_json({"mu": [1.0], "nu": [1.0], "w": [[0.5]], key: value})
 
 
+def test_a_weight_past_the_float_range_is_refused_as_non_finite():
+    with pytest.raises(ValueError, match="weights must be finite, nonnegative and sum to 1"):
+        StepBigraphon([10**400], [1.0], [[0.5]])
+
+
+def test_a_value_past_the_float_range_is_refused_as_non_finite():
+    with pytest.raises(ValueError, match="values must be finite and nonnegative"):
+        StepBigraphon([1.0], [1.0], [[10**400]])
+    with pytest.raises(ValueError, match="values must be finite and nonnegative"):
+        StepBigraphon.uniform([[0.5, -10**400]])
+    with pytest.raises(ValueError, match="values must be finite and nonnegative"):
+        StepBigraphon.constant(10**400, 2, 2)
+
+
 def test_marginals_and_edge_density():
     w = StepBigraphon.uniform([[2.0, 1.0], [1.0, 2.0]])
     assert w.edge_density() == pytest.approx(1.5)

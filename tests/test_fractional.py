@@ -70,6 +70,12 @@ def test_a_non_finite_weight_is_refused(x):
         fractional_from_json({"vertices": ["u"], "colors": [1], "weights": [[["u"], 1, x]]})
 
 
+def test_a_weight_past_the_float_range_is_refused_as_non_finite():
+    for x in (10**400, -10**400):
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            ColoredFractionalBigraph(["u"], [1], {(("u",), 1): x})
+
+
 def test_json_round_trip():
     made = [from_right_uniform(build_incidence(n, us))
             for n, us in ((3, [2]), (3, [1, 2]), (4, [2, 3]))]

@@ -1,6 +1,7 @@
 """Tests for the property testers and the Cauchy-Schwarz/threshold machinery."""
 
 import copy
+import functools
 import itertools
 import json
 import math
@@ -10,10 +11,11 @@ import pytest
 
 from sidlab.bigraph import (
     Bigraph, ColoredBigraph, book, cycle4, from_json_dict, rho, star, to_json_dict)
-from sidlab.bigraphon import BigraphonTuple, SinkhornError, random_step_bigraphon
+from sidlab.bigraphon import (
+    BigraphonTuple, SinkhornError, StepBigraphon, random_step_bigraphon)
 from sidlab.density import colored_densities, exponent_balance
 from sidlab.folds import Fold, check_fold, complete_to_fold, fold_to_json
-from sidlab.fractional import from_right_uniform, rainbow_star
+from sidlab.fractional import compile_profiles, from_right_uniform, rainbow_star
 from sidlab.checkers import decomposition_from_json, verify_rtd
 from sidlab.percolation import (
     certificate_from_json, certificate_to_json, find_cut_percolating,
@@ -200,6 +202,143 @@ def test_induced_sidorenko_witness_replays():
                                               tol=-0.5, preset=preset)
         assert report.verdict == VIOLATED
         assert replay_witness(report.witness) == report.worst_margin, (grid, preset)
+
+
+# cycle4 with a pendant right vertex: under an exactly biregular bigraphon the
+# pendant multiplies a density by rho, so classes with and without it tie
+C4_PENDANT = Bigraph(["a", "b"], ["c", "d", "e"],
+                     [("a", "c"), ("b", "c"), ("a", "d"), ("b", "d"), ("a", "e")])
+SELECTION_GRAPHS = {"incidence(4,{2,3})": build_incidence(4, [2, 3]).graph,
+                    "incidence(4,{2})": build_incidence(4, [2]).graph,
+                    "cycle4": cycle4(), "cycle4+pendant": C4_PENDANT}
+
+
+@functools.cache
+def selection_bigraphons() -> tuple:
+    """The induced-Sidorenko sampler's draws at grids 5-16, then bigraphons
+    on which classes tie: biregularized ones with one row or one column
+    (every class ties), random biregularized ones at 4 and 5 rows (on
+    either side of the gate for four left vertices), and dyadic circulant
+    ones, biregular in exact arithmetic."""
+    out = []
+    for grid, seed, preset in itertools.product(range(5, 17), (0, 1),
+                                                ("uniform", "adversarial")):
+        try:
+            out.append(props.sinkhorn_biregularize(props._sample_bigraphon(
+                props._trial_rng(seed, 0), grid, preset)))
+        except SinkhornError:
+            pass
+    rng = np.random.default_rng(7)
+    for n in (1, 4, 5, 9):
+        weights, values = rng.dirichlet(np.ones(n)), rng.uniform(0.001, 1.0, n)
+        out += [props.sinkhorn_biregularize(StepBigraphon(weights, [1.0], values[:, None])),
+                props.sinkhorn_biregularize(StepBigraphon([1.0], weights, values[None, :]))]
+    out += [props.sinkhorn_biregularize(StepBigraphon.uniform(rng.uniform(0.001, 1.0, (n, n))))
+            for n in (4, 5)]
+    for n in (2, 4, 8, 16):
+        v = rng.choice([0.125, 0.25, 0.5, 1.0], size=n)
+        out.append(StepBigraphon.uniform([np.roll(v, i) for i in range(n)]))
+    return tuple(out)
+
+
+def rounding_apart(monkeypatch):
+    """Give every compiled profile batch its own rounding: fixed noise of
+    at most 1e-12 per row, drawn from the batch's row count, as a BLAS
+    whose row subsets sum in another order would."""
+    def compile_(vertices, profiles):
+        batch = compile_profiles(vertices, profiles)
+        noise = np.random.default_rng(len(profiles)).uniform(-1e-12, 1e-12, len(profiles))
+        return lambda w: batch(w) + noise
+    monkeypatch.setattr(props, "compile_profiles", compile_)
+
+
+@pytest.mark.parametrize("rounding", ["as computed", "apart"])
+@pytest.mark.parametrize("gate", ["as set", "every trial screens"])
+@pytest.mark.parametrize("name", SELECTION_GRAPHS)
+def test_the_screened_worst_class_is_the_whole_batch_argmin(monkeypatch, name, gate,
+                                                            rounding):
+    """The screen's pick is the argmin of the whole [own, *classes] batch,
+    the first on ties, whichever way the other batches round."""
+    if gate != "as set":
+        monkeypatch.setattr(props, "_SCREEN_CELLS", 0)
+    if rounding == "apart":
+        rounding_apart(monkeypatch)
+    g = SELECTION_GRAPHS[name]
+    profiles = induced_subgraph_profiles(g)
+    whole = props._induced_scorer(g, profiles)
+    worst = props._induced_worst(g, profiles)
+    for i, w in enumerate(selection_bigraphons()):
+        assert worst(w) == int(np.argmin(whole(w))), (i, w.rows, w.cols)
+
+
+def spied_batches(monkeypatch):
+    """Every profile batch the testers compile: its profile list and, in a
+    one-item list, how many times it ran."""
+    made = []
+
+    def compile_(vertices, profiles):
+        batch, calls = compile_profiles(vertices, profiles), [0]
+        made.append((list(profiles), calls))
+
+        def run(w):
+            calls[0] += 1
+            return batch(w)
+        return run
+    monkeypatch.setattr(props, "compile_profiles", compile_)
+    return made
+
+
+def batch_runs(made, g) -> tuple[list, list, list]:
+    """The spied batches' run counts: the whole [own, *classes] batch's, the
+    [own, class] pairs' and the screens' (every other batch, with its row
+    count)."""
+    own, classes = props._own_profile(g), len(induced_subgraph_profiles(g))
+    whole, pairs, screens = [], [], []
+    for profiles, (calls,) in made:
+        if len(profiles) == 1 + classes:
+            whole.append(calls)
+        elif len(profiles) == 2 and profiles[0] == own:
+            pairs.append(calls)
+        else:
+            screens.append((len(profiles), calls))
+    return whole, pairs, screens
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grid_16_trials_pick_their_worst_class_without_the_whole_batch(monkeypatch, seed):
+    g = SELECTION_GRAPHS["incidence(4,{2,3})"]
+    for preset in ("uniform", "adversarial"):
+        made = spied_batches(monkeypatch)
+        report = props.test_induced_sidorenko(g, trials=2, grid=16, seed=seed, preset=preset)
+        assert report.trials == 2
+        whole, _, screens = batch_runs(made, g)
+        assert whole == [0]
+        # one screen per left support, which between them hold every class
+        assert sum(rows for rows, _ in screens) == len(induced_subgraph_profiles(g))
+        assert all(calls == 2 for _, calls in screens)
+
+
+def test_a_trial_whose_classes_all_tie_runs_the_whole_batch_once(monkeypatch):
+    g = SELECTION_GRAPHS["incidence(4,{2,3})"]
+    made = spied_batches(monkeypatch)
+    profiles = induced_subgraph_profiles(g)
+    # one column: biregularized, the bigraphon is constant and every class ties
+    w = props.sinkhorn_biregularize(StepBigraphon(np.full(6, 1 / 6), [1.0],
+                                                  np.linspace(0.1, 1.0, 6)[:, None]))
+    assert w.rows ** g.v1 > props._SCREEN_CELLS
+    props._induced_worst(g, profiles)(w)
+    whole, pairs, screens = batch_runs(made, g)
+    assert whole == [1] and not pairs
+    assert screens and all(calls == 1 for _, calls in screens)
+
+
+def test_a_grid_4_run_compiles_no_screen(monkeypatch):
+    g = SELECTION_GRAPHS["incidence(4,{2,3})"]
+    made = spied_batches(monkeypatch)
+    report = props.test_induced_sidorenko(g, trials=20, grid=4, seed=0)
+    assert report.trials == 20
+    whole, pairs, screens = batch_runs(made, g)
+    assert whole == [20] and pairs and not screens
 
 
 # ---------------------------------------------------------------------------
