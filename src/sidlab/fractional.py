@@ -133,7 +133,10 @@ def color_power(h: ColoredFractionalBigraph,
     missing = set(h.colors) - set(int(c) for c in p)
     if missing:
         raise ValueError(f"power vector missing colors {sorted(missing)}")
-    weights = {(sub, c): wgt * float(p[c]) for sub, c, wgt in h.weights}
+    try:
+        weights = {(sub, c): wgt * float(p[c]) for sub, c, wgt in h.weights}
+    except OverflowError:  # an int past the float range
+        raise ValueError("powers must be finite") from None
     return ColoredFractionalBigraph(h.vertices, h.colors, weights)
 
 

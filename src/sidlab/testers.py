@@ -37,6 +37,7 @@ from .bigraph import (
     _plain,
     from_json_dict,
     to_json_dict,
+    two_core,
 )
 from .bigraphon import (
     BigraphonTuple,
@@ -98,7 +99,6 @@ VIOLATED = "violated"
 
 CS_TREE_DEPTH_CAP = 20
 _FLOOR = 1e-3  # the least value any sampler draws: step values, weights, vectors
-_SCREEN_CELLS = 4 ** 4  # see _induced_worst
 
 
 @dataclass(frozen=True)
@@ -426,55 +426,28 @@ def test_weak_domination(g: Bigraph, h: Bigraph, trials: int = 200, grid: int = 
     return _run("weak-domination", sample, trials, seed, tol)
 
 
-def _induced_scorer(g: Bigraph, profiles: Sequence[Mapping]
+def _induced_scorer(left: Sequence[str], core: Bigraph, profiles: Sequence[Mapping]
                     ) -> Callable[[StepBigraphon], np.ndarray]:
-    """[own, *profiles] compiled once, as a function giving each profile's
-    gap (log t(g) - e(g) log rho) - (log t(p) - e(p) log rho) on a bigraphon."""
-    batch = compile_profiles(g.left, [_own_profile(g), *profiles])
+    """[own, *profiles] compiled once over `left`, the own row being the
+    2-core's, as a function giving each profile's gap
+    (log t(core) - e(core) log rho) - (log t(p) - e(p) log rho) on a bigraphon."""
+    batch = compile_profiles(left, [_own_profile(core), *profiles])
     edges = np.array([_profile_edge_count(p) for p in profiles])
 
     def gaps(w: StepBigraphon) -> np.ndarray:
         logs = batch(w)
         log_rho = math.log(w.edge_density())
-        return (logs[0] - g.e * log_rho) - (logs[1:] - edges * log_rho)
+        return (logs[0] - core.e * log_rho) - (logs[1:] - edges * log_rho)
     return gaps
 
 
-def _induced_worst(g: Bigraph, profiles: Sequence[Mapping]
-                   ) -> Callable[[StepBigraphon], int]:
-    """The index of a bigraphon's worst profile: the whole [own, *profiles]
-    batch's argmin, the first on ties.
-
-    A trial past _SCREEN_CELLS cells (rows ** |V_1|) screens first; below
-    it the whole batch is cheaper (at 4 rows, not at 5, on
-    incidence(4,{2,3})). Each key log t(p) - e(p) log rho comes from one
-    batch per left support U, over rows ** |U| cells, compiled on the first
-    such trial: the whole batch's sum in another order, at most 3.6e-15
-    apart over 80 grid-16 trials of incidence(4,{2,3}). So a key above
-    every other by more than 2 delta = 2e-9 (1 + max |key|) marks the whole
-    batch's unique argmin. Any other window runs the whole batch itself: a
-    subset of it could round otherwise and move a tie."""
-    whole = _induced_scorer(g, profiles)
-    edges = np.array([_profile_edge_count(p) for p in profiles])
-    screens = []
-
-    def worst(w: StepBigraphon) -> int:
-        if w.rows ** g.v1 > _SCREEN_CELLS:
-            if not screens:  # one batch per left support
-                supports = {}
-                for i, p in enumerate(profiles):
-                    supports.setdefault(frozenset().union(*p), []).append(i)
-                screens.extend((index, compile_profiles(sorted(u), [profiles[i] for i in index]))
-                               for u, index in supports.items())
-            keys = np.empty(len(profiles))
-            for index, batch in screens:
-                keys[index] = batch(w)
-            keys -= edges * math.log(w.edge_density())
-            window = np.flatnonzero(keys >= keys.max() - 2e-9 * (1 + np.abs(keys).max()))
-            if len(window) == 1:
-                return int(window[0])
-        return int(np.argmin(whole(w)))
-    return worst
+def _is_core(profile: Mapping[frozenset, int]) -> bool:
+    """Whether a profile's bigraph has minimum degree at least 2, as the
+    empty one has."""
+    degree = Counter()
+    for s, c in profile.items():
+        degree.update(dict.fromkeys(s, c))
+    return all(len(s) >= 2 for s in profile) and all(d >= 2 for d in degree.values())
 
 
 def _induced_gaps(instances: Sequence[tuple]) -> list[float]:
@@ -482,12 +455,13 @@ def _induced_gaps(instances: Sequence[tuple]) -> list[float]:
     # shape as in replay, so a shipped witness reproduces its margin bit for
     # bit; the batch is compiled once per distinct profile
     g, = _shared(instances)
+    core = two_core(g)
     scorers = {}
     out = []
     for _, w, profile in instances:
         key = frozenset(profile.items())
         if key not in scorers:
-            scorers[key] = _induced_scorer(g, [profile])
+            scorers[key] = _induced_scorer(g.left, core, [profile])
         out.append(scorers[key](w)[0])
     return out
 
@@ -495,13 +469,23 @@ def _induced_gaps(instances: Sequence[tuple]) -> list[float]:
 def test_induced_sidorenko(g: Bigraph, trials: int = 200, grid: int = 4,
                            seed: int = 0, tol: float = 1e-9,
                            preset: str = "uniform") -> TestReport:
-    """Weak domination of every induced subgraph class, at each trial's worst."""
-    profiles = induced_subgraph_profiles(g)
-    worst = _induced_worst(g, profiles)
+    """Weak domination of every induced subgraph class, at each trial's worst.
+
+    Only classes of minimum degree 2 are scored, and g by its 2-core. On a
+    biregular W, integrating out a vertex of degree 1 gives its neighbor's
+    W-degree, rho on either side, and one of degree 0 gives 1. So
+    t(p) = rho^(e(p) - e(core p)) t(core p), and each class has the key
+    log t(p) - e(p) log rho of its 2-core. The 2-core of an induced subgraph
+    is induced on the vertices that survive, so the classes of minimum
+    degree 2 are exactly the distinct cores, the empty one (key 0) among
+    them. Each trial takes the first argmin of one [own, *cores] batch."""
+    core = two_core(g)
+    classes = [p for p in induced_subgraph_profiles(g) if _is_core(p)]
+    gaps = _induced_scorer(g.left, core, classes)
 
     def sample(rng):
         w = sinkhorn_biregularize(_sample_bigraphon(rng, grid, preset))
-        return g, w, profiles[worst(w)]
+        return g, w, classes[int(np.argmin(gaps(w)))]
     return _run("induced-sidorenko", sample, trials, seed, tol)
 
 

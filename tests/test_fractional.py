@@ -127,6 +127,9 @@ def test_color_power():
     assert unchanged == h
     with pytest.raises(ValueError):
         color_power(h, {1: 1.0})
+    for huge in (10**400, math.inf):  # refused like an infinite float
+        with pytest.raises(ValueError, match="finite"):
+            color_power(h, {1: huge, 2: 1.0})
 
 
 def test_rainbow_star():

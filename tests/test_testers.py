@@ -195,13 +195,15 @@ def test_induced_sidorenko_witness_replays():
     report = props.test_induced_sidorenko(cycle4(), trials=5, seed=14, tol=-0.5)
     assert report.verdict == VIOLATED
     assert replay_witness(report.witness) == report.worst_margin
-    # and at grids 1, 4 and 8 under both presets, on a graph with 228 classes
+    # and at grids 1, 4 and 8 under both presets, on a graph with 79 core classes
     g = build_incidence(4, [2, 3]).graph
     for grid, preset in itertools.product((1, 4, 8), ("uniform", "adversarial")):
         report = props.test_induced_sidorenko(g, trials=12, grid=grid, seed=grid,
                                               tol=-0.5, preset=preset)
         assert report.verdict == VIOLATED
         assert replay_witness(report.witness) == report.worst_margin, (grid, preset)
+        # the shipped class is a 2-core: minimum degree 2, or empty
+        assert props._is_core({frozenset(s): c for s, c in report.witness["profile"]})
 
 
 # cycle4 with a pendant right vertex: under an exactly biregular bigraphon the
@@ -215,11 +217,9 @@ SELECTION_GRAPHS = {"incidence(4,{2,3})": build_incidence(4, [2, 3]).graph,
 
 @functools.cache
 def selection_bigraphons() -> tuple:
-    """The induced-Sidorenko sampler's draws at grids 5-16, then bigraphons
-    on which classes tie: biregularized ones with one row or one column
-    (every class ties), random biregularized ones at 4 and 5 rows (on
-    either side of the gate for four left vertices), and dyadic circulant
-    ones, biregular in exact arithmetic."""
+    """The induced-Sidorenko sampler's draws at grids 5-16, random
+    biregularized ones at 4 and 5 rows, then dyadic circulant ones,
+    biregular in exact arithmetic (the last four)."""
     out = []
     for grid, seed, preset in itertools.product(range(5, 17), (0, 1),
                                                 ("uniform", "adversarial")):
@@ -229,10 +229,6 @@ def selection_bigraphons() -> tuple:
         except SinkhornError:
             pass
     rng = np.random.default_rng(7)
-    for n in (1, 4, 5, 9):
-        weights, values = rng.dirichlet(np.ones(n)), rng.uniform(0.001, 1.0, n)
-        out += [props.sinkhorn_biregularize(StepBigraphon(weights, [1.0], values[:, None])),
-                props.sinkhorn_biregularize(StepBigraphon([1.0], weights, values[None, :]))]
     out += [props.sinkhorn_biregularize(StepBigraphon.uniform(rng.uniform(0.001, 1.0, (n, n))))
             for n in (4, 5)]
     for n in (2, 4, 8, 16):
@@ -241,34 +237,57 @@ def selection_bigraphons() -> tuple:
     return tuple(out)
 
 
-def rounding_apart(monkeypatch):
-    """Give every compiled profile batch its own rounding: fixed noise of
-    at most 1e-12 per row, drawn from the batch's row count, as a BLAS
-    whose row subsets sum in another order would."""
-    def compile_(vertices, profiles):
-        batch = compile_profiles(vertices, profiles)
-        noise = np.random.default_rng(len(profiles)).uniform(-1e-12, 1e-12, len(profiles))
-        return lambda w: batch(w) + noise
-    monkeypatch.setattr(props, "compile_profiles", compile_)
+def core_classes(g) -> list:
+    return [p for p in induced_subgraph_profiles(g) if props._is_core(p)]
 
 
-@pytest.mark.parametrize("rounding", ["as computed", "apart"])
-@pytest.mark.parametrize("gate", ["as set", "every trial screens"])
+def profile_graph(left, profile) -> Bigraph:
+    """A bigraph on `left` with one right vertex per unit of each count."""
+    right, edges = [], []
+    for i, (subset, count) in enumerate(profile.items()):
+        for k in range(count):
+            right.append(f"r{i}_{k}")
+            edges += [(v, f"r{i}_{k}") for v in sorted(subset)]
+    return Bigraph(left, right, edges)
+
+
+@pytest.mark.parametrize("name, cores", [("cycle4", 2), ("incidence(4,{2})", 5),
+                                         ("incidence(4,{2,3})", 79)])
+def test_induced_sidorenko_scores_one_class_per_2_core(name, cores):
+    classes = core_classes(SELECTION_GRAPHS[name])
+    assert len(classes) == cores and {} in classes
+
+
 @pytest.mark.parametrize("name", SELECTION_GRAPHS)
-def test_the_screened_worst_class_is_the_whole_batch_argmin(monkeypatch, name, gate,
-                                                            rounding):
-    """The screen's pick is the argmin of the whole [own, *classes] batch,
-    the first on ties, whichever way the other batches round."""
-    if gate != "as set":
-        monkeypatch.setattr(props, "_SCREEN_CELLS", 0)
-    if rounding == "apart":
-        rounding_apart(monkeypatch)
+def test_every_class_has_its_2_cores_key_on_biregular_bigraphons(name):
+    """On exactly biregular bigraphons each class's key log t - e log rho is
+    its 2-core's, and the worst gap over all classes is the worst over the
+    cores."""
     g = SELECTION_GRAPHS[name]
-    profiles = induced_subgraph_profiles(g)
-    whole = props._induced_scorer(g, profiles)
-    worst = props._induced_worst(g, profiles)
-    for i, w in enumerate(selection_bigraphons()):
-        assert worst(w) == int(np.argmin(whole(w))), (i, w.rows, w.cols)
+    profiles, core = induced_subgraph_profiles(g), props.two_core(g)
+    cores = [props._own_profile(props.two_core(profile_graph(g.left, p))) for p in profiles]
+    keys = props._induced_scorer(g.left, core, [*profiles, *cores])
+    every = props._induced_scorer(g.left, core, profiles)
+    scored = props._induced_scorer(g.left, core, core_classes(g))
+    for w in selection_bigraphons()[-4:]:
+        assert np.allclose(*np.split(keys(w), 2), rtol=0, atol=1e-12)
+        assert abs(every(w).min() - scored(w).min()) <= 1e-12
+
+
+def test_a_pendant_class_leaves_no_tie_to_sinkhorn():
+    """Every non-constant draw on cycle4 with a pendant picks the C4 core,
+    whose row is the own row, so its gap is exactly 0."""
+    g = C4_PENDANT
+    classes = core_classes(g)
+    gaps = props._induced_scorer(g.left, props.two_core(g), classes)
+    drawn = [w for w in selection_bigraphons() if np.ptp(w.values) > 0]
+    assert len(drawn) > 40
+    for w in drawn:
+        scores = gaps(w)
+        assert classes[int(np.argmin(scores))] == {frozenset({"a", "b"}): 2}
+        assert scores.min() == 0.0
+    report = props.test_induced_sidorenko(g, trials=6, grid=8, seed=0, tol=-math.inf)
+    assert report.witness["profile"] == [[["a", "b"], 2]] and report.worst_margin == 0.0
 
 
 def spied_batches(monkeypatch):
@@ -289,56 +308,30 @@ def spied_batches(monkeypatch):
 
 
 def batch_runs(made, g) -> tuple[list, list, list]:
-    """The spied batches' run counts: the whole [own, *classes] batch's, the
-    [own, class] pairs' and the screens' (every other batch, with its row
-    count)."""
-    own, classes = props._own_profile(g), len(induced_subgraph_profiles(g))
-    whole, pairs, screens = [], [], []
+    """The spied batches' run counts: the whole [own, *cores] batch's, the
+    [own, class] pairs' and every other batch's."""
+    own, cores = props._own_profile(props.two_core(g)), len(core_classes(g))
+    whole, pairs, others = [], [], []
     for profiles, (calls,) in made:
-        if len(profiles) == 1 + classes:
+        if len(profiles) == 1 + cores:
             whole.append(calls)
         elif len(profiles) == 2 and profiles[0] == own:
             pairs.append(calls)
         else:
-            screens.append((len(profiles), calls))
-    return whole, pairs, screens
+            others.append(calls)
+    return whole, pairs, others
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_grid_16_trials_pick_their_worst_class_without_the_whole_batch(monkeypatch, seed):
+@pytest.mark.parametrize("grid, trials", [(4, 20), (16, 2)])
+def test_each_trial_runs_the_whole_core_batch_once(monkeypatch, grid, trials):
     g = SELECTION_GRAPHS["incidence(4,{2,3})"]
-    for preset in ("uniform", "adversarial"):
+    for seed, preset in itertools.product((0, 1), ("uniform", "adversarial")):
         made = spied_batches(monkeypatch)
-        report = props.test_induced_sidorenko(g, trials=2, grid=16, seed=seed, preset=preset)
-        assert report.trials == 2
-        whole, _, screens = batch_runs(made, g)
-        assert whole == [0]
-        # one screen per left support, which between them hold every class
-        assert sum(rows for rows, _ in screens) == len(induced_subgraph_profiles(g))
-        assert all(calls == 2 for _, calls in screens)
-
-
-def test_a_trial_whose_classes_all_tie_runs_the_whole_batch_once(monkeypatch):
-    g = SELECTION_GRAPHS["incidence(4,{2,3})"]
-    made = spied_batches(monkeypatch)
-    profiles = induced_subgraph_profiles(g)
-    # one column: biregularized, the bigraphon is constant and every class ties
-    w = props.sinkhorn_biregularize(StepBigraphon(np.full(6, 1 / 6), [1.0],
-                                                  np.linspace(0.1, 1.0, 6)[:, None]))
-    assert w.rows ** g.v1 > props._SCREEN_CELLS
-    props._induced_worst(g, profiles)(w)
-    whole, pairs, screens = batch_runs(made, g)
-    assert whole == [1] and not pairs
-    assert screens and all(calls == 1 for _, calls in screens)
-
-
-def test_a_grid_4_run_compiles_no_screen(monkeypatch):
-    g = SELECTION_GRAPHS["incidence(4,{2,3})"]
-    made = spied_batches(monkeypatch)
-    report = props.test_induced_sidorenko(g, trials=20, grid=4, seed=0)
-    assert report.trials == 20
-    whole, pairs, screens = batch_runs(made, g)
-    assert whole == [20] and pairs and not screens
+        report = props.test_induced_sidorenko(g, trials=trials, grid=grid, seed=seed,
+                                              preset=preset)
+        assert report.trials == trials
+        whole, pairs, others = batch_runs(made, g)
+        assert whole == [trials] and sum(pairs) == trials and not others
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +723,7 @@ ROUND_TRIP_CASES = {
     "sidorenko": ((cycle4(),), GRID_PRESET),
     "strong-sidorenko": ((build_incidence(4, [2]).graph,), GRID_PRESET),
     "weak-domination": ((cycle4(), rho()), GRID_PRESET),
-    "induced-sidorenko": ((cycle4(),), GRID_PRESET),
+    "induced-sidorenko": ((build_incidence(4, [2]).graph,), GRID_PRESET),
     "weakly-norming": ((cycle4(),), GRID_PRESET),
     "left-weak-holder": ((build_incidence(3, [2]),), GRID_PRESET),
     "color-sidorenko": ((from_right_uniform(build_incidence(3, [1, 2])),), GRID_PRESET),
