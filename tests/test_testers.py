@@ -322,16 +322,27 @@ def batch_runs(made, g) -> tuple[list, list, list]:
     return whole, pairs, others
 
 
-@pytest.mark.parametrize("grid, trials", [(4, 20), (16, 2)])
-def test_each_trial_runs_the_whole_core_batch_once(monkeypatch, grid, trials):
+def check_whole_core_batch_once_per_trial(monkeypatch, grid, trials, seeds):
+    """One whole [own, *cores] batch run per trial, pair runs summing to the
+    trials and no other batch, for both presets."""
     g = SELECTION_GRAPHS["incidence(4,{2,3})"]
-    for seed, preset in itertools.product((0, 1), ("uniform", "adversarial")):
+    for seed, preset in itertools.product(seeds, ("uniform", "adversarial")):
         made = spied_batches(monkeypatch)
         report = props.test_induced_sidorenko(g, trials=trials, grid=grid, seed=seed,
                                               preset=preset)
         assert report.trials == trials
         whole, pairs, others = batch_runs(made, g)
         assert whole == [trials] and sum(pairs) == trials and not others
+
+
+@pytest.mark.parametrize("grid, trials", [(4, 20)])
+def test_each_trial_runs_the_whole_core_batch_once(monkeypatch, grid, trials):
+    check_whole_core_batch_once_per_trial(monkeypatch, grid, trials, (0, 1))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grid_16_trials_run_the_whole_core_batch_once(monkeypatch, seed):
+    check_whole_core_batch_once_per_trial(monkeypatch, 16, 2, (seed,))
 
 
 # ---------------------------------------------------------------------------
