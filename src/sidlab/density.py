@@ -89,6 +89,29 @@ calls it would split the path into. No float can move: an IEEE product
 is exact and commutative, and numpy's fresh array would be C-contiguous
 too, since its first operand's C order wins; every other step is the
 call numpy's own loop makes, on the same operands in the same order.
+
+A plain density, one values array with no potentials and no pins, of a
+graph H on which every permutation of the n left vertices acts (the
+type-A reflection systems of incidence(n,K), K_{s,t}) can skip the
+engine. Sym(V_1) acts when the multiset of right neighbourhoods is
+unchanged by each adjacent transposition of the sorted left vertices,
+since those generate it; the n - 1 comparisons are cached per graph
+with the plan's bucket compositions. Given the left rows x, the right
+vertices are independent, and the integrand is the same on every
+rearrangement of x, so t(H, W) is a sum over the sorted n-tuples x of
+(n!/prod m_v!) * prod mu(x_i) * prod_r T_deg(r)[x_N(r)], T_d the
+dual-star table (lifted inference; Poole, IJCAI 2003; Van den Broeck,
+NIPS 2011). A trial takes this path only when its plan has a bucket past
+_SMALL_BUCKET cells, so the engine would run it in a chunk of one, and
+its C(k + n - 1, n) tuples times their right + n gathers are fewer than
+the plan's summed bucket cells. The gate reads only the graph and the
+trial's sizes, and the sum only that trial's arrays, in fixed chunks of
+tuples, so a trial's value is the same in any batch, a batch of one and
+a witness replay included; grid-4 trials never qualify, so their floats
+are the engine's. The sum agrees with the engine to 1e-12 relative, not
+bit for bit. Colored, weighted, pinned and fractional densities, and
+graphs with a symmetric block B of only some left vertices, stay on the
+engine.
 """
 
 from __future__ import annotations
@@ -97,6 +120,7 @@ import functools
 import itertools
 import math
 import string
+from collections import Counter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -112,6 +136,7 @@ __all__ = [
     "densities",
     "colored_densities",
     "density_brute_force",
+    "dual_star_table",
     "flag_density",
     "colored_density",
     "weighted_density",
@@ -138,6 +163,8 @@ _SMALL_BUCKET = 1 << 16  # cells of a bucket product still built whole
 _BATCH_CELLS = 1 << 13  # bucket cells of all the trials of one chunk
 _EXACT_PAD = 8  # padding an axis to this length would regroup numpy's sums
 _ALL = slice(None)  # one object shared by every cached broadcast index
+_ORBIT_CELLS = 1 << 16  # gathered cells of one chunk of row multisets
+_MULTISET_BYTES = 1 << 20  # a larger table of row multisets is built per call, not cached
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -462,6 +489,116 @@ def _graph_densities(g: Bigraph, trials: Sequence[tuple],
         for values, index, mu, nu, pots in trials])
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _left_orbits(scopes: tuple[tuple[str, str], ...], left: tuple[str, ...],
+                 variables: tuple[str, ...]) -> tuple | None:
+    """None unless the edges `scopes`, (left, right) pairs, have at least
+    one, and every permutation of the sorted `left` is an automorphism:
+    the multiset of right neighbourhoods is unchanged by each adjacent
+    transposition, and those generate Sym(left). Otherwise (n, right,
+    groups, buckets): n = len(left); the number of right vertices that
+    have neighbours; per degree d, (d, their neighbourhoods as an (r, d)
+    array of positions in `left`); and the buckets of the plan over
+    `variables` as ((left variables, right variables), how many buckets
+    hold that many) pairs."""
+    if not scopes:
+        return None
+    hoods: dict[str, set] = {}
+    for u, v in scopes:
+        hoods.setdefault(v, set()).add(u)
+    count = Counter(map(frozenset, hoods.values()))
+    for a, b in zip(left, left[1:]):
+        swap = {a: b, b: a}
+        if Counter({frozenset(swap.get(u, u) for u in s): m
+                    for s, m in count.items()}) != count:
+            return None
+    position = {u: i for i, u in enumerate(left)}
+    by_degree: dict[int, list] = {}
+    for s in hoods.values():
+        by_degree.setdefault(len(s), []).append(sorted(map(position.__getitem__, s)))
+    buckets: Counter = Counter()
+    for _, _, bucket, *_ in _plan(scopes, variables)[1]:
+        a = sum(u in position for u in bucket)
+        buckets[a, len(bucket) - a] += 1
+    groups = tuple((d, np.array(rows)) for d, rows in by_degree.items())
+    for _, hood in groups:
+        hood.setflags(write=False)  # every caller shares them
+    return len(left), len(hoods), groups, tuple(buckets.items())
+
+
+def _orbit_gate(orbits: tuple, rows: int, cols: int) -> bool:
+    """Whether a plain density at these sizes sums over row multisets: the
+    plan has a bucket past _SMALL_BUCKET cells, so the engine runs it in a
+    chunk of one, and the multisets times their gathers, C(rows + n - 1, n)
+    * (right + n), plus the rows^d * cols cells of each dual-star table,
+    are fewer than the plan's summed bucket cells."""
+    n, right, groups, buckets = orbits
+    cells = [(rows ** a * cols ** b, m) for (a, b), m in buckets]
+    gathers = math.comb(rows + n - 1, n) * (right + n)
+    return (max(c for c, _ in cells) > _SMALL_BUCKET
+            and gathers + sum(rows ** d * cols for d, _ in groups)
+            < sum(c * m for c, m in cells))
+
+
+@functools.lru_cache(maxsize=16)
+def _multisets(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted n-tuples over range(k), in lexicographic order, as the
+    columns of an (n, M) array of the smallest unsigned type, and each
+    one's multinomial n!/prod m_v! as a float. The multinomial of each
+    prefix x_0..x_i is the previous one times i + 1 over the run length
+    of x_i so far; every step is an integer, so the result is exact for
+    n <= 18, where n! < 2^53, and rounded at each step past that.
+    `_orbit_density` caches only tables of at most _MULTISET_BYTES, so
+    the cache holds at most 16 MiB."""
+    dtype = np.min_scalar_type(k - 1)
+    columns = [np.arange(k, dtype=dtype)]
+    for _ in range(n - 1):
+        last = columns[-1].astype(np.intp)
+        children = k - last  # the next entry runs from last to k - 1
+        starts = np.cumsum(children) - children
+        columns = [np.repeat(c, children) for c in columns]
+        columns.append((np.arange(len(columns[0])) - np.repeat(starts - last, children))
+                       .astype(dtype))
+    tuples = np.stack(columns)
+    runs = np.ones(tuples.shape[1])
+    multinomials = np.ones(tuples.shape[1])
+    for i in range(1, n):
+        runs = np.where(tuples[i] == tuples[i - 1], runs + 1, 1.0)
+        multinomials *= i + 1
+        multinomials /= runs
+    for cached in (tuples, multinomials):
+        cached.setflags(write=False)  # every caller shares them
+    return tuples, multinomials
+
+
+def _orbit_density(orbits: tuple, w: StepBigraphon) -> float:
+    """t(G, W) for a left-symmetric G as a sum over sorted row tuples x:
+    the multinomial of x, times prod mu(x_i), times, for every right vertex
+    r of degree d, T_d[x_N(r)], read from the flattened dual-star table
+    by one take per degree. The tuples come in chunks of about
+    _ORBIT_CELLS gathered cells; each chunk's terms are summed, then the
+    chunk sums."""
+    n, right, groups, _ = orbits
+    k = w.rows
+    column = n * np.min_scalar_type(k - 1).itemsize + 8  # bytes of a tuple and its multinomial
+    small = math.comb(k + n - 1, n) * column <= _MULTISET_BYTES
+    tuples, multinomials = (_multisets if small else _multisets.__wrapped__)(k, n)
+    tables = [(dual_star_table(w, d).ravel(), hood) for d, hood in groups]
+    step = max(1, _ORBIT_CELLS // (right + n))
+    sums = []
+    for start in range(0, tuples.shape[1], step):
+        x = tuples[:, start:start + step].astype(np.intp)
+        acc = multinomials[start:start + step] * np.take(w.row_weights, x).prod(axis=0)
+        for table, hood in tables:
+            index = x[hood[:, 0]]
+            for j in range(1, hood.shape[1]):
+                index *= k
+                index += x[hood[:, j]]
+            acc *= np.take(table, index).prod(axis=0)
+        sums.append(acc.sum())
+    return float(np.sum(sums))
+
+
 def _weighted_densities(g: Bigraph, ws: Sequence[StepBigraphon],
                         potentials: Sequence[Mapping[str, np.ndarray]]) -> np.ndarray:
     """t(G; pots; W) per (W, pots) pair, in one batched pass: pots maps
@@ -502,8 +639,21 @@ def density(g: Bigraph, w: StepBigraphon) -> float:
 
 
 def densities(g: Bigraph, ws: Sequence[StepBigraphon]) -> np.ndarray:
-    """t(G, W) for every W in ws, in one batched pass."""
-    return _weighted_densities(g, ws, [{}] * len(ws))
+    """t(G, W) for every W in ws, in one batched pass; a W whose sizes pass
+    `_orbit_gate` on a left-symmetric G is summed over row multisets."""
+    orbits = _left_orbits(tuple(g.sorted_edges()), g.left, tuple(sorted(g.vertices())))
+    sizes = [(w.rows, w.cols) for w in ws]
+    gated = orbits and {size for size in set(sizes) if _orbit_gate(orbits, *size)}
+    if not gated:
+        return _weighted_densities(g, ws, [{}] * len(ws))
+    out = np.empty(len(ws))
+    rest = [t for t, size in enumerate(sizes) if size not in gated]
+    if rest:
+        out[rest] = _weighted_densities(g, [ws[t] for t in rest], [{}] * len(rest))
+    for t, size in enumerate(sizes):
+        if size in gated:
+            out[t] = _orbit_density(orbits, ws[t])
+    return out
 
 
 def colored_densities(g: Bigraph, colorings: Sequence[Mapping[tuple, int]],
@@ -523,6 +673,20 @@ def colored_densities(g: Bigraph, colorings: Sequence[Mapping[tuple, int]],
         used, index = layouts[id(coloring)]
         trials.append((ws._values(used), index, ws.row_weights, ws.col_weights, ()))
     return _graph_densities(g, trials)
+
+
+def dual_star_table(w: StepBigraphon, k: int) -> np.ndarray:
+    """Dual-star density table: T[x_1..x_k] = integral over y of prod W(x_j, y).
+
+    Equals the all-left-labeled flag density of K_{k,1} at the row assignment.
+    """
+    vals, nu = w.values, w.col_weights
+    rows, cols = w.rows, w.cols
+    m = np.ones((1,) * k + (cols,))
+    for j in range(k):
+        shape = (1,) * j + (rows,) + (1,) * (k - 1 - j) + (cols,)
+        m = m * vals.reshape(shape)
+    return m @ nu
 
 
 def density_brute_force(g: Bigraph, w: StepBigraphon) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bigraph import Bigraph, ColoredBigraph, GraphTooLargeError
 from .bigraphon import BigraphonTuple, StepBigraphon
-from .density import _eliminate_trials
+from .density import _eliminate_trials, dual_star_table
 
 __all__ = [
     "ColoredFractionalBigraph",
@@ -147,20 +147,6 @@ def rainbow_star(h: ColoredFractionalBigraph) -> ColoredFractionalBigraph:
         raise ValueError("rainbow star needs e(h) > 0")
     weights = {(("1",), c): h.edge_mass(c) / e for c in h.colors}
     return ColoredFractionalBigraph(["1"], h.colors, weights)
-
-
-def dual_star_table(w: StepBigraphon, k: int) -> np.ndarray:
-    """Dual-star density table: T[x_1..x_k] = integral over y of prod W(x_j, y).
-
-    Equals the all-left-labeled flag density of K_{k,1} at the row assignment.
-    """
-    vals, nu = w.values, w.col_weights
-    rows, cols = w.rows, w.cols
-    m = np.ones((1,) * k + (cols,))
-    for j in range(k):
-        shape = (1,) * j + (rows,) + (1,) * (k - 1 - j) + (cols,)
-        m = m * vals.reshape(shape)
-    return m @ nu
 
 
 def fractional_density(h: ColoredFractionalBigraph, ws: BigraphonTuple) -> float:

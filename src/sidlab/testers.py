@@ -444,10 +444,13 @@ def _induced_scorer(left: Sequence[str], core: Bigraph, profiles: Sequence[Mappi
 def _is_core(profile: Mapping[frozenset, int]) -> bool:
     """Whether a profile's bigraph has minimum degree at least 2, as the
     empty one has."""
-    degree = Counter()
+    degree: dict = {}
     for s, c in profile.items():
-        degree.update(dict.fromkeys(s, c))
-    return all(len(s) >= 2 for s in profile) and all(d >= 2 for d in degree.values())
+        if len(s) < 2:
+            return False
+        for v in s:
+            degree[v] = degree.get(v, 0) + c
+    return all(d >= 2 for d in degree.values())
 
 
 def _induced_gaps(instances: Sequence[tuple]) -> list[float]:

@@ -468,6 +468,7 @@ SHARING_GRAPHS = {"cycle4": cycle4, "star(7)": lambda: star(7),
 def test_shared_steps_give_the_unshared_floats(monkeypatch, name, label, trials, grid, seed):
     """Densities, margins and reports with the repeat table are bit for bit
     those of the table of no sharing, and the table was followed."""
+    test_density.engine_only(monkeypatch)
     g = SHARING_GRAPHS[label]()
     tables = []
     real = DENSITY._repeats
@@ -504,6 +505,7 @@ def test_a_plain_density_computes_one_bucket_per_kind_of_right_vertex(monkeypatc
         assert len(right_vertex_buckets(star(d))) == 1, d
     # and a density follows that table: with every step on the einsum
     # branch, each computed step looks its path up once
+    test_density.engine_only(monkeypatch)
     monkeypatch.setattr(DENSITY, "_SMALL_BUCKET", 0)
     g = build_incidence(5, (2, 3)).graph
     _, steps = DENSITY._plan(tuple(g.sorted_edges()), tuple(sorted(g.vertices())))

@@ -11,15 +11,17 @@ import numpy as np
 import pytest
 import test_fractional
 
-from sidlab.bigraph import Bigraph, ColoredBigraph, Flag, cycle4, left_labeled, rho
+from sidlab.bigraph import Bigraph, ColoredBigraph, Flag, book, cycle4, left_labeled, rho
 from sidlab.bigraphon import BigraphonTuple, StepBigraphon, random_step_bigraphon
 from sidlab.reflection import build_incidence
 from sidlab.testers import replay_witness, report_to_json, test_sidorenko as sidorenko_tester
 from sidlab.testers import test_strong_sidorenko as strong_sidorenko_tester
+from sidlab.testers import test_weak_domination as weak_domination_tester
 from sidlab.fractional import ColoredFractionalBigraph, fractional_density, rainbow_star
 from sidlab.density import (
     colored_densities,
     colored_density,
+    densities,
     density,
     density_brute_force,
     exponent_balance,
@@ -29,6 +31,11 @@ from sidlab.density import (
 
 DIAG = StepBigraphon.uniform([[1.0, 0.0], [0.0, 1.0]])
 DENSITY = sys.modules["sidlab.density"]
+
+
+def engine_only(monkeypatch):
+    """Keep every plain density on the elimination engine."""
+    monkeypatch.setattr(DENSITY, "_orbit_gate", lambda *sizes: False)
 
 
 def random_bigraph(rng, max_side=5, max_total=10):
@@ -553,7 +560,12 @@ def test_einsum_branch_matches_per_call_planning(monkeypatch):
 def test_branches_agree_on_a_grid_16_incidence_graph(monkeypatch):
     g = build_incidence(5, (2, 3)).graph
     w = random_step_bigraphon(16, 16, seed=3)
+    calls = orbit_calls(monkeypatch)
+    orbit = density(g, w)
+    assert len(calls) == 1  # the gate sends this size to the orbit sum
+    engine_only(monkeypatch)
     mixed = density(g, w)
+    assert mixed == pytest.approx(orbit, rel=1e-12)
     monkeypatch.setattr(DENSITY, "_SMALL_BUCKET", 0)
     assert density(g, w) == pytest.approx(mixed, rel=1e-12)
     monkeypatch.setattr(DENSITY, "_SMALL_BUCKET", math.inf)
@@ -635,6 +647,7 @@ def test_contraction_program_is_numpys_einsum_on_incidence_graphs(monkeypatch, n
     the left-vertex buckets that products would make too large reach the
     program, and with every bucket on it, their inputs come from einsum
     steps too."""
+    engine_only(monkeypatch)
     if threshold != "default":
         monkeypatch.setattr(DENSITY, "_SMALL_BUCKET", threshold)
     checked = check_contractions(monkeypatch)
@@ -677,7 +690,8 @@ def test_only_products_past_the_threshold_run_in_place():
     assert in_place(program(second, 16)[0]) == [False] + [True] * 9 + [False]
 
 
-def test_replay_is_exact_on_a_grid_16_sidorenko_witness():
+def test_replay_is_exact_on_a_grid_16_sidorenko_witness(monkeypatch):
+    engine_only(monkeypatch)
     g = build_incidence(5, (2, 3)).graph
     calls = DENSITY._einsum_path.cache_info()
     # an infinite negative tolerance ships the worst trial as a witness
@@ -692,6 +706,7 @@ def test_replay_is_exact_on_a_grid_16_sidorenko_witness():
 
 def incidence_6_at_grid_16_peak():
     """One density of incidence(6,{2,3}) at grid 16 and its traced peak."""
+    DENSITY._multisets.cache_clear()  # the orbit path's table is part of its peak
     g = build_incidence(6, (2, 3)).graph
     w = random_step_bigraphon(16, 16, seed=0)
     tracemalloc.start()
@@ -704,14 +719,180 @@ def incidence_6_at_grid_16_peak():
     return peak
 
 
-def test_incidence_6_at_grid_16_stays_under_64_mb():
+def test_incidence_6_at_grid_16_stays_under_64_mb(monkeypatch):
+    engine_only(monkeypatch)
     peak = incidence_6_at_grid_16_peak()
     assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
-def test_incidence_6_at_grid_16_stays_under_20_mb():
+def test_incidence_6_at_grid_16_stays_under_20_mb(monkeypatch):
     # in-place products of the largest intermediate keep one density at 17.2
+    engine_only(monkeypatch)
     peak = incidence_6_at_grid_16_peak()
+    assert peak < 20 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# orbit sums over the row multisets of a symmetric left side
+
+K33 = Bigraph(list("abc"), list("xyz"), [(u, v) for u in "abc" for v in "xyz"])
+
+
+def orbits_of(g):
+    return DENSITY._left_orbits(tuple(g.sorted_edges()), tuple(sorted(g.left)),
+                                tuple(sorted(g.vertices())))
+
+
+def orbit_calls(monkeypatch) -> list:
+    """The bigraphons that reach the orbit sum from here on."""
+    calls = []
+    real = DENSITY._orbit_density
+    monkeypatch.setattr(DENSITY, "_orbit_density",
+                        lambda orbits, w: calls.append(w) or real(orbits, w))
+    return calls
+
+
+def random_weights_bigraphon(rng, rows, cols):
+    """Random values under random, not uniform, step weights."""
+    mu, nu = rng.uniform(0.1, 1.0, rows), rng.uniform(0.1, 1.0, cols)
+    return StepBigraphon(mu / mu.sum(), nu / nu.sum(), rng.uniform(1e-3, 1.0, (rows, cols)))
+
+
+def test_left_symmetry_is_detected_from_the_neighbourhood_multiset():
+    for g in (cycle4(), K33, rho(), build_incidence(4, (2,)).graph,
+              build_incidence(5, (2, 3)).graph, build_incidence(3, (1, 2)).graph):
+        assert orbits_of(g) is not None
+    # p has degree 3 and the u's 2; swapping a and b moves C8's edge {c, d} to {c, a}
+    c8 = Bigraph(list("abcd"), list("wxyz"), [("a", "w"), ("b", "w"), ("b", "x"), ("c", "x"),
+                                              ("c", "y"), ("d", "y"), ("d", "z"), ("a", "z")])
+    for g in (book(2), c8, Bigraph(["a", "b"], ["c"], [("a", "c")]), Bigraph(["a"], ["b"], [])):
+        assert orbits_of(g) is None
+
+
+# each graph with its (rows, cols) sizes, both sides of the gate among them
+ORBIT_CASES = {
+    "incidence(4,{2,3})": (build_incidence(4, (2, 3)).graph, [(9, 16), (16, 16)]),
+    "incidence(5,{2,3})": (build_incidence(5, (2, 3)).graph, [(9, 9), (12, 10), (16, 16)]),
+    "incidence(6,{2,3})": (build_incidence(6, (2, 3)).graph, [(9, 11), (14, 11), (16, 16)]),
+    "incidence(7,{2,3})": (build_incidence(7, (2, 3)).graph, [(9, 12)]),
+    "cycle4": (cycle4(), [(9, 9), (16, 13)]),
+    "K33": (K33, [(10, 16), (16, 16)]),
+}
+
+
+@pytest.mark.parametrize("label", ORBIT_CASES)
+def test_orbit_sums_agree_with_the_engine(monkeypatch, label):
+    """To 1e-12 relative at grids 9 to 16, under random step weights;
+    where the gate takes the path, density() is the orbit sum itself."""
+    g, sizes = ORBIT_CASES[label]
+    rng = np.random.default_rng(len(label))
+    orbits = orbits_of(g)
+    for rows, cols in sizes:
+        w = random_weights_bigraphon(rng, rows, cols)
+        value = DENSITY._orbit_density(orbits, w)
+        with monkeypatch.context() as patched:
+            engine_only(patched)
+            assert value == pytest.approx(density(g, w), rel=1e-12), (rows, cols)
+        if DENSITY._orbit_gate(orbits, rows, cols):
+            assert density(g, w) == value
+
+
+@pytest.mark.parametrize("g", [cycle4(), K33, rho(), build_incidence(3, (2, 3)).graph,
+                               build_incidence(4, (2,)).graph, build_incidence(3, (1, 2)).graph,
+                               Bigraph(["a", "b"], ["c", "d", "e"], [("a", "c"), ("b", "c")])],
+                         ids=["cycle4", "K33", "rho", "i323", "i42", "i312", "isolated"])
+def test_orbit_sums_match_brute_force_with_the_gate_forced_on(monkeypatch, g):
+    monkeypatch.setattr(DENSITY, "_orbit_gate", lambda *sizes: True)
+    calls = orbit_calls(monkeypatch)
+    rng = np.random.default_rng(g.e)
+    ws = [random_weights_bigraphon(rng, rows, cols)
+          for rows in (1, 2, 3) for cols in (1, 2, 3)]
+    values = densities(g, ws)
+    assert len(calls) == len(ws)
+    for value, w in zip(values, ws):
+        assert value == pytest.approx(density_brute_force(g, w), rel=1e-12)
+
+
+def test_orbit_multisets_are_the_sorted_tuples_with_their_multinomials():
+    for k, n in ((1, 3), (3, 1), (4, 3), (5, 4)):
+        tuples, multinomials = DENSITY._multisets(k, n)
+        expected = list(itertools.combinations_with_replacement(range(k), n))
+        assert tuples.T.tolist() == [list(x) for x in expected]
+        assert multinomials.tolist() == [
+            math.factorial(n) / math.prod(math.factorial(m) for m in Counter(x).values())
+            for x in expected]
+        assert sum(multinomials) == k ** n
+
+
+def test_a_multiset_table_past_the_cache_bound_gives_the_cached_floats(monkeypatch):
+    calls = orbit_calls(monkeypatch)
+    g = build_incidence(5, (2, 3)).graph
+    w = random_step_bigraphon(16, 16, seed=3)
+    cached = density(g, w)
+    monkeypatch.setattr(DENSITY, "_MULTISET_BYTES", 0)
+    DENSITY._multisets.cache_clear()
+    assert density(g, w) == cached
+    assert len(calls) == 2 and DENSITY._multisets.cache_info().currsize == 0
+
+
+def test_a_mixed_size_batch_gives_every_trial_its_batch_of_one(monkeypatch):
+    """incidence(5,{2,3}) at sizes 1 to 16, on both sides of the gate."""
+    calls = orbit_calls(monkeypatch)
+    rng = np.random.default_rng(52)
+    g = build_incidence(5, (2, 3)).graph
+    ws = [random_weights_bigraphon(rng, int(rows), int(cols))
+          for rows, cols in rng.integers(1, 17, size=(40, 2))]
+    single = [density(g, w) for w in ws]
+    assert 0 < len(calls) < len(ws)
+    for order in (range(len(ws)), rng.permutation(len(ws)), range(len(ws))[::-1]):
+        assert densities(g, [ws[t] for t in order]).tolist() == [single[t] for t in order]
+
+
+def test_the_engine_keeps_what_the_orbit_path_does_not_cover(monkeypatch):
+    """book(2), whose left side is not symmetric; a 12-edge perfect
+    matching, whose is, but whose buckets all stay small at grid 16; and
+    every colored and weighted density of a graph the path takes."""
+    calls = orbit_calls(monkeypatch)
+    rng = np.random.default_rng(53)
+    w = random_step_bigraphon(16, 16, seed=53)
+    matching = Bigraph([f"l{i}" for i in range(12)], [f"r{i}" for i in range(12)],
+                       [(f"l{i}", f"r{i}") for i in range(12)])
+    assert orbits_of(matching) is not None
+    assert density(book(2), w) > 0 and density(matching, w) > 0
+    g = build_incidence(5, (2, 3)).graph
+    ws = BigraphonTuple({c: w.with_values(rng.uniform(1e-3, 1.0, (16, 16))) for c in (1, 2)})
+    edges = g.sorted_edges()
+    assert colored_densities(g, [dict.fromkeys(edges, 1)], [ws])[0] > 0
+    assert colored_densities(g, [{e: int(rng.integers(1, 3)) for e in edges}], [ws])[0] > 0
+    ones = {v: np.ones(16) for v in g.vertices()}
+    left = {v: ones[v] for v in g.left}
+    right = {v: ones[v] for v in g.right}
+    assert weighted_density(g, w, left, right) > 0
+    assert calls == []
+    assert density(g, w) > 0 and len(calls) == 1
+
+
+def test_replay_is_exact_on_grid_16_witnesses_that_took_the_orbit_path(monkeypatch):
+    calls = orbit_calls(monkeypatch)
+    g = build_incidence(5, (2, 3)).graph
+    # an infinite negative tolerance ships the worst trial as a witness; at
+    # seed 3 every trial of both runs takes the path
+    for tester, graphs in ((sidorenko_tester, (g,)), (weak_domination_tester, (g, rho()))):
+        report = tester(*graphs, trials=3, grid=16, seed=3, tol=-math.inf)
+        assert len(calls) == 3
+        calls.clear()
+        assert report.witness is not None
+        assert replay_witness(report.witness) == report.worst_margin
+        shipped = json.loads(json.dumps(report_to_json(report)))["witness"]
+        assert replay_witness(shipped) == report.worst_margin
+        assert len(calls) == 2
+        calls.clear()
+
+
+def test_incidence_6_at_grid_16_on_the_orbit_path_stays_under_20_mb(monkeypatch):
+    calls = orbit_calls(monkeypatch)
+    peak = incidence_6_at_grid_16_peak()
+    assert len(calls) == 1
     assert peak < 20 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
